@@ -1,0 +1,78 @@
+"""Paired benchmark runs of two checkouts; writes medians and quartiles.
+
+    python3 bench/pairs.py --base ../parent --change . \
+        --workload transforms=10 --workload classify=5 --seconds 20 --out BENCH_N.json
+
+Each pair runs ``perfbench/run.py --trace 0`` once in each checkout with the
+same seed, one after the other, alternating which goes first so that a slow
+drift of the machine's speed hits both sides alike. The output holds, per
+workload and end-to-end metric, every run's value and the median and
+quartiles of each side, plus the benchmark's environment stamp.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """(stamp, result) printed by one benchmark run."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    return json.loads(lines[-2]), json.loads(lines[-1])
+
+
+def summary(values: list[float]) -> dict:
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": q2, "q1": q1, "q3": q3, "runs": values}
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--workload", action="append", required=True, metavar="NAME=PAIRS")
+    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--first-seed", type=int, default=1001)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args()
+    doc = {"seconds": args.seconds, "workloads": {}}
+    for spec in args.workload:
+        workload, _, pairs = spec.partition("=")
+        runs = {"base": [], "change": []}
+        for i in range(int(pairs)):
+            seed = args.first_seed + i
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            for side in order:
+                stamp, result = run_once(getattr(args, side), workload, seed, args.seconds)
+                runs[side].append(result)
+                doc.setdefault("stamp", {k: v for k, v in stamp["stamp"].items()
+                                         if k not in ("seed", "source_sha256", "workload")})
+                print(f"{workload} seed {seed} {side}: "
+                      f"{result['metrics']['ops_per_s']['value']:.3g} ops/s", file=sys.stderr)
+        names = runs["base"][0]["metrics"]
+        doc["workloads"][workload] = {
+            "pairs": int(pairs),
+            "seeds": [args.first_seed + i for i in range(int(pairs))],
+            "correct": {side: [r["correct"] for r in rs] for side, rs in runs.items()},
+            "metrics": {
+                name: {"unit": names[name]["unit"],
+                       **{side: summary([r["metrics"][name]["value"] for r in rs])
+                          for side, rs in runs.items()}}
+                for name in names
+            },
+        }
+        args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()

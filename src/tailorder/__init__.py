@@ -25,6 +25,7 @@ from .errors import (
     DivergentTail,
     DomainError,
     EndpointError,
+    ExtrapolationFailure,
     FormatError,
     NonDifferentiable,
     ParamError,

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .labels import (
     TAG_OSC,
     ClassLabel,
 )
+from .quadrature import batched_log_quad
 
 
 class OpKind(str, Enum):
@@ -239,51 +239,54 @@ def compose(U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
     )
 
 
+def _convolution_panels(xs: np.ndarray):
+    """Initial panels (a, b, ids) of the convolution integral at every x.
+
+    Dyadic pre-splits toward both endpoints: [0, 1, 2, 4, ..., x/2] and its
+    mirror x - t on [x/2, x]. Power-law mass piles up at every scale near
+    t = 0 and t = x, far below what a single Kronrod panel on a huge interval
+    can see.
+    """
+    half = xs / 2.0
+    n_splits, p = 0, 1.0
+    while p < half.max(initial=0.0):
+        n_splits, p = n_splits + 1, 2.0 * p
+    lo = np.concatenate([np.zeros((xs.size, 1)),
+                         np.minimum(2.0 ** np.arange(n_splits), half[:, None]),
+                         half[:, None]], axis=1)
+    a = np.concatenate([lo[:, :-1], xs[:, None] - lo[:, 1:]], axis=1)
+    b = np.concatenate([lo[:, 1:], xs[:, None] - lo[:, :-1]], axis=1)
+    ids = np.broadcast_to(np.arange(xs.size)[:, None], a.shape)
+    keep = b > a
+    return a[keep], b[keep], ids[keep]
+
+
 def convolve(U: FunctionHandle, V: FunctionHandle,
              cfg: QuadratureConfig | None = None) -> FunctionHandle:
     """Handle for the convolution integral_0^x U(t) V(x-t) dt.
 
-    Adaptive log-space quadrature, refined separately on [0, x/2] and
-    [x/2, x] where the two asymptotic regimes live.
+    All x of one evaluation are integrated together by one batched adaptive
+    log-space quadrature, each x from dyadic panels on [0, x/2] and [x/2, x]
+    where the two asymptotic regimes live.
     """
-    from .quadrature import adaptive_log_quad
-
     cfg = cfg or QuadratureConfig()
     if U.support_floor > 0 or V.support_floor > 0:
         raise DomainError("convolve requires operands defined on (0, inf)")
     label = _convolve_label(_label_of(U), _label_of(V))
 
-    @lru_cache(maxsize=4096)
-    def _log_value(x: float) -> float:
-        def log_f(t):
-            t = np.asarray(t, dtype=float)
-            t = np.clip(t, 1e-300, x - 1e-300 if x > 2e-300 else x)
-            return np.asarray(U.log_at(t), dtype=float) + np.asarray(
-                V.log_at(x - t), dtype=float)
-
-        # dyadic pre-splits toward both endpoints: power-law mass piles up
-        # at every scale near t = 0 and t = x, far below what a single
-        # Kronrod panel on a huge interval can see
-        def dyadic(limit: float) -> list[float]:
-            pts, p = [], 1.0
-            while p < limit:
-                pts.append(p)
-                p *= 2.0
-            return pts
-
-        lo_splits = dyadic(x / 2.0)
-        hi_splits = [x - p for p in dyadic(x / 2.0)]
-        lo = adaptive_log_quad(log_f, 0.0, x / 2.0, cfg.rel_tol, cfg.max_evals // 2,
-                               split_points=tuple(lo_splits))
-        hi = adaptive_log_quad(log_f, x / 2.0, x, cfg.rel_tol, cfg.max_evals // 2,
-                               split_points=tuple(hi_splits))
-        return float(np.logaddexp(lo, hi))
-
     def log_at_x(x):
         xa = np.asarray(x, dtype=float)
-        if xa.ndim == 0:
-            return np.float64(_log_value(float(xa)))
-        return np.array([_log_value(float(v)) for v in xa])
+        xs = xa.ravel()
+
+        def log_f(t, ids):
+            xt = xs[ids][:, None]
+            t = np.clip(t, 1e-300, np.where(xt > 2e-300, xt - 1e-300, xt))
+            return (np.asarray(U.log_at(t.ravel()), dtype=float)
+                    + np.asarray(V.log_at((xt - t).ravel()), dtype=float)).reshape(t.shape)
+
+        out = batched_log_quad(log_f, *_convolution_panels(xs), xs.size,
+                               cfg.rel_tol, cfg.max_evals).reshape(xa.shape)
+        return out if out.ndim else np.float64(out)
 
     def log_at_logx(u):
         ua = np.asarray(u, dtype=float)

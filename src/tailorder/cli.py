@@ -95,8 +95,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--points", type=int, default=None, help="grid points")
         sp.add_argument("--tol", type=float, default=0.05, help="classification tolerance")
         sp.add_argument("--out", help="write the JSON report to this path")
-        sp.add_argument("--json", action="store_true", default=True,
-                        help="JSON output (default)")
 
     sp = sub.add_parser("classify", help="class, orders and moment index")
     add_common(sp)
@@ -146,8 +144,12 @@ def _grid_for(args, handle: FunctionHandle) -> GridSpec:
         dlo, dhi = handle.log_domain
         lo = max(lo if lo is not None else dlo / math.log(10.0), dlo / math.log(10.0), 0.0)
         hi = min(hi if hi is not None else dhi / math.log(10.0), dhi / math.log(10.0))
-        return GridSpec(log10_x_min=lo, log10_x_max=hi,
-                        points=pts or 2000, windows=8)
+        pts = pts or 2000
+        if lo == 0.0 and args.xmin is None:
+            # the table reaches down to x = 1, where the order ratio divides
+            # by log x = 0: start one grid step above it
+            lo = hi / max(pts - 1, 1)
+        return GridSpec(log10_x_min=lo, log10_x_max=hi, points=pts, windows=8)
     return GridSpec(
         log10_x_min=lo if lo is not None else 1.0,
         log10_x_max=hi if hi is not None else 8.0,

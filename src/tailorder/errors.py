@@ -33,6 +33,10 @@ class QuadratureFailure(TailOrderError):
     """Adaptive quadrature did not reach tolerance within budget."""
 
 
+class ExtrapolationFailure(TailOrderError):
+    """A window-limit extrapolation fit could not be solved."""
+
+
 class ClassMismatch(TailOrderError):
     """Operation preconditions require a different growth class."""
 

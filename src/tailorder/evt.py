@@ -77,24 +77,32 @@ def _check_u(u) -> np.ndarray:
 
 
 def _generic_quantile(base: FunctionHandle) -> Callable:
+    """Quantile map by bracketing and bisection in x, all points at once.
+
+    Each point's bracket grows by x4 from [floor, 4] until the tail falls to
+    the level, then 200 geometric bisection steps follow; every step is one
+    ``log_at`` call over all points.
+    """
+    lo0 = max(base.support_floor, 1e-12)
+    hi0 = max(4.0, lo0 * 4.0)
+
     def q(u):
-        ua = np.atleast_1d(_check_u(u))
-        out = np.empty_like(ua)
-        for i, target in enumerate(np.log(ua)):
-            lo = max(base.support_floor, 1e-12)
-            hi = max(4.0, lo * 4.0)
-            while float(base.log_at(hi)) > target:
-                hi *= 4.0
-                if hi > 1e280:
-                    raise QuantileError("quantile bracket ran away")
-            for _ in range(200):
-                mid = math.sqrt(lo * hi)
-                if float(base.log_at(mid)) > target:
-                    lo = mid
-                else:
-                    hi = mid
-            out[i] = hi
-        return out.reshape(np.shape(u)) if np.ndim(u) else float(out[0])
+        ua = _check_u(u)
+        target = np.log(ua).ravel()
+        lo = np.full(target.shape, lo0)
+        hi = np.full(target.shape, hi0)
+        grow = np.asarray(base.log_at(hi), dtype=float) > target
+        while grow.any():
+            hi = np.where(grow, hi * 4.0, hi)
+            if np.any(hi > 1e280):
+                raise QuantileError("quantile bracket ran away")
+            grow = np.asarray(base.log_at(hi), dtype=float) > target
+        for _ in range(200):
+            mid = np.sqrt(lo * hi)
+            above = np.asarray(base.log_at(mid), dtype=float) > target
+            lo = np.where(above, mid, lo)
+            hi = np.where(above, hi, mid)
+        return hi.reshape(ua.shape) if ua.ndim else float(hi[0])
 
     return q
 

@@ -20,7 +20,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ClassMismatch, DomainError, ParamError, UndecidedConvergence
+from .errors import (
+    ClassMismatch,
+    DomainError,
+    ExtrapolationFailure,
+    ParamError,
+    UndecidedConvergence,
+)
 from .handles import FunctionHandle
 from .labels import ClassLabel
 from .quadrature import LOG2_, octave_integral
@@ -49,8 +55,9 @@ class GridSpec:
     windows: int = 8
 
     def __post_init__(self) -> None:
-        if not self.log10_x_min >= 0.0:
-            raise ParamError("grid requires x_min >= 1")
+        # the first sample divides by log x_min, which must not round to 0
+        if not np.power(10.0, self.log10_x_min) > 1.0:
+            raise ParamError("grid requires x_min > 1")
         if not self.log10_x_min < self.log10_x_max:
             raise ParamError("grid requires x_min < x_max")
         if self.windows < 2:
@@ -117,9 +124,16 @@ def _extrapolate_intercept(L: np.ndarray, s: np.ndarray) -> float:
     Weighted toward large L, where the correction model is accurate and the
     limit lives.
     """
-    A = np.column_stack([np.ones_like(L), 1.0 / L, np.log(L) / L])
-    w = L * L
-    coef, *_ = np.linalg.lstsq(A * w[:, None], s * w, rcond=None)
+    with np.errstate(all="ignore"):
+        A = np.column_stack([np.ones_like(L), 1.0 / L, np.log(L) / L])
+        w = L * L
+        A, rhs = A * w[:, None], s * w
+    if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
+        raise ExtrapolationFailure("window-limit extrapolation: non-finite fit data")
+    try:
+        coef, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+    except np.linalg.LinAlgError as exc:
+        raise ExtrapolationFailure(f"window-limit extrapolation failed: {exc}") from None
     v = float(coef[0])
     lo, hi = float(s.min()), float(s.max())
     pad = hi - lo

@@ -10,6 +10,9 @@ exact for power-law integrands, and exact for dyadic step integrands when the
 grid is octave-aligned. Cell endpoints are probed with a small inward nudge
 so right-continuous steps resolve to the correct side despite float rounding
 of exp/log at the breakpoints.
+
+Integrals in linear x (the Laplace transform, convolutions) use a batched
+adaptive Gauss-Kronrod rule that refines many integrals together.
 """
 
 from __future__ import annotations
@@ -99,83 +102,129 @@ def octave_integral(handle, r: float, k0: int, n_octaves: int,
 
 
 # ---------------------------------------------------------------------------
-# adaptive Gauss-Kronrod in log space (for convolution integrals)
+# batched adaptive Gauss-Kronrod in log space (transform and convolution)
 # ---------------------------------------------------------------------------
 
-# 15-point Kronrod nodes with embedded 7-point Gauss weights
-_GK_NODES = np.array([
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0,
+# 15-point Kronrod nodes on [0, 1] (the rule is symmetric), their weights and
+# the weights of the embedded 7-point Gauss rule (zero at Kronrod-only nodes)
+_GK_HALF_NODES = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
 ])
-_GK_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
+_GK_HALF_WK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
 ])
-_GK_WG = np.array([
-    0.0, 0.129484966168870, 0.0, 0.279705391489277,
-    0.0, 0.381830050505119, 0.0, 0.417959183673469,
+_GK_HALF_WG = np.array([
+    0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327,
 ])
+GK_X = np.concatenate([-_GK_HALF_NODES, _GK_HALF_NODES[-2::-1]])
+GK_WK = np.concatenate([_GK_HALF_WK, _GK_HALF_WK[-2::-1]])
+GK_WG = np.concatenate([_GK_HALF_WG, _GK_HALF_WG[-2::-1]])
 
 
-def _gk_panel(log_f, a: float, b: float) -> tuple[float, float, int]:
-    """(log K15, log |K15 - G7| bound, evals) for one panel."""
+def _segment_logsumexp(v: np.ndarray, ids: np.ndarray, n: int):
+    """(log sum exp of v, max of v) per segment id in 0..n-1."""
+    m = np.full(n, -np.inf)
+    np.maximum.at(m, ids, v)
+    shift = np.where(m > -np.inf, m, 0.0)
+    with np.errstate(divide="ignore"):
+        total = shift + np.log(np.bincount(ids, weights=np.exp(v - shift[ids]),
+                                           minlength=n))
+    return total, m
+
+
+def _gk_panels(log_f, a: np.ndarray, b: np.ndarray, ids: np.ndarray):
+    """(log K15, log |K15 - G7|) of every panel [a, b] of integral ids."""
     half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    xs = np.concatenate([mid - half * _GK_NODES[:-1], [mid], mid + half * _GK_NODES[:-1]])
-    g = log_f(xs)
-    wk = np.concatenate([_GK_WK[:-1], [_GK_WK[-1]], _GK_WK[:-1]])
-    wg = np.concatenate([_GK_WG[:-1], [_GK_WG[-1]], _GK_WG[:-1]])
-    m = np.max(g)
-    if m == -math.inf:
-        return -math.inf, -math.inf, xs.size
-    e = np.exp(g - m)
-    k15 = float((wk * e).sum())
-    g7 = float((wg * e).sum())
-    log_k = m + math.log(k15 * half) if k15 > 0 else -math.inf
-    diff = abs(k15 - g7)
-    log_err = m + math.log(diff * half) if diff > 0 else -math.inf
-    return log_k, log_err, xs.size
+    x = (0.5 * (a + b))[:, None] + half[:, None] * GK_X
+    g = np.asarray(log_f(x, ids), dtype=float)
+    if np.isnan(g).any() or np.isposinf(g).any():
+        raise QuadratureFailure("adaptive quadrature: log-integrand is NaN or +inf")
+    m = g.max(axis=1)
+    shift = np.where(m > -np.inf, m, 0.0)
+    e = np.exp(g - shift[:, None])
+    k15 = e @ GK_WK
+    g7 = e @ GK_WG
+    with np.errstate(divide="ignore"):
+        return shift + np.log(k15 * half), shift + np.log(np.abs(k15 - g7) * half)
+
+
+def batched_log_quad(log_f, a, b, ids, n: int, rel_tol: float = 1e-8,
+                     max_evals: int = 100_000) -> np.ndarray:
+    """log of integral exp(log_f) for n integrals at once, by adaptive G7-K15.
+
+    The initial panels [a[p], b[p]] of integral ids[p] partition its range.
+    Each round evaluates every new panel of every unfinished integral with
+    one ``log_f(x[P, 15], ids[P])`` call and reduces per-integral totals and
+    error bounds |K15 - G7| in log space. An integral is done once its error
+    is at most rel_tol of its total; for the others, every panel carrying more
+    than its share of the allowed error (and always the worst one) is halved.
+    QuadratureFailure when an unfinished integral has used max_evals
+    integrand evaluations. An integral without panels is 0 (log -inf).
+    """
+    a = np.asarray(a, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
+    ids = np.asarray(ids, dtype=np.intp).ravel()
+    log_tol = math.log(rel_tol)
+    out = np.full(n, -np.inf)
+    counts = np.bincount(ids, minlength=n)
+    active = counts > 0
+    evals = GK_X.size * counts
+    log_k, log_err = _gk_panels(log_f, a, b, ids)
+    while True:
+        total, _ = _segment_logsumexp(log_k, ids, n)
+        err, worst = _segment_logsumexp(log_err, ids, n)
+        done = active & ((err == -np.inf) | (err <= total + log_tol))
+        out[done] = total[done]
+        active &= ~done
+        if not active.any():
+            return out
+        over = active & (evals >= max_evals)
+        if over.any():
+            i = int(np.argmax(over))
+            with np.errstate(over="ignore"):
+                rel = float(np.exp(err[i] - total[i]))
+            raise QuadratureFailure(
+                f"adaptive quadrature: error {rel:.2e} relative after "
+                f"{int(evals[i])} evaluations"
+            )
+        keep = active[ids]
+        a, b, ids, log_k, log_err = a[keep], b[keep], ids[keep], log_k[keep], log_err[keep]
+        share = total + log_tol - np.log(np.bincount(ids, minlength=n).clip(min=1))
+        split = (log_err > share[ids]) | (log_err == worst[ids])
+        mid = 0.5 * (a[split] + b[split])
+        new_a = np.concatenate([a[split], mid])
+        new_b = np.concatenate([mid, b[split]])
+        new_ids = np.concatenate([ids[split], ids[split]])
+        new_k, new_err = _gk_panels(log_f, new_a, new_b, new_ids)
+        evals += GK_X.size * np.bincount(new_ids, minlength=n)
+        stay = ~split
+        a = np.concatenate([a[stay], new_a])
+        b = np.concatenate([b[stay], new_b])
+        ids = np.concatenate([ids[stay], new_ids])
+        log_k = np.concatenate([log_k[stay], new_k])
+        log_err = np.concatenate([log_err[stay], new_err])
 
 
 def adaptive_log_quad(log_f, a: float, b: float, rel_tol: float = 1e-8,
                       max_evals: int = 100_000,
                       split_points: tuple = ()) -> float:
-    """log of integral_a^b exp(log_f(x)) dx by adaptive Gauss-Kronrod.
+    """log of integral_a^b exp(log_f(x)) dx, one integral of batched_log_quad.
 
-    Refines the panel with the largest error mass until the total error is
-    below rel_tol of the total, within the evaluation budget.
+    ``log_f`` maps x arrays to log-integrand values; the interior
+    split_points start the refinement as panel edges.
     """
-    pts = sorted({a, b, *[p for p in split_points if a < p < b]})
-    heap: list = []
-    total_evals = 0
-    results: dict[int, tuple[float, float]] = {}
-    key = 0
-    for lo, hi in zip(pts, pts[1:]):
-        log_k, log_e, n = _gk_panel(log_f, lo, hi)
-        total_evals += n
-        results[key] = (log_k, log_e)
-        heapq.heappush(heap, (-log_e, key, lo, hi))
-        key += 1
-    while True:
-        log_total = logsumexp(np.array([v[0] for v in results.values()]))
-        log_err = logsumexp(np.array([v[1] for v in results.values()]))
-        if log_err == -math.inf or log_err <= log_total + math.log(rel_tol):
-            return log_total
-        if total_evals >= max_evals:
-            raise QuadratureFailure(
-                f"adaptive quadrature: error {math.exp(log_err - log_total):.2e} "
-                f"relative after {total_evals} evaluations"
-            )
-        neg_e, k, lo, hi = heapq.heappop(heap)
-        if neg_e == math.inf:  # nothing refinable
-            return log_total
-        del results[k]
-        mid = 0.5 * (lo + hi)
-        for s0, s1 in ((lo, mid), (mid, hi)):
-            log_k, log_e, n = _gk_panel(log_f, s0, s1)
-            total_evals += n
-            results[key] = (log_k, log_e)
-            heapq.heappush(heap, (-log_e, key, s0, s1))
-            key += 1
+    pts = np.array(sorted({a, b, *[p for p in split_points if a < p < b]}), dtype=float)
+
+    def log_f_batch(x, _ids):
+        return np.asarray(log_f(x.ravel()), dtype=float).reshape(x.shape)
+
+    return float(batched_log_quad(log_f_batch, pts[:-1], pts[1:],
+                                  np.zeros(pts.size - 1, dtype=np.intp), 1,
+                                  rel_tol, max_evals)[0])

@@ -17,12 +17,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ClassMismatch, ParamError, PreconditionError, QuadratureFailure
 from .handles import FunctionHandle, KnownTruth
 from .labels import ClassLabel
 from .order import DEFAULT_CLASS_TOL, ConditionReport, GridSpec, classify
+from .quadrature import batched_log_quad
 
 
 @dataclass(frozen=True)
@@ -85,45 +85,53 @@ def regularize_origin(U: FunctionHandle, rho: float) -> FunctionHandle:
     )
 
 
+# coarse y-scan that locates the peak of the transform integrand
+_PEAK_SCAN_Y = np.logspace(-6, 3.2, 120)
+
+
+def _log_transform(U: FunctionHandle, s: np.ndarray, cfg: TransformConfig) -> np.ndarray:
+    """log of s * integral_0^inf exp(-x s) U(x) dx for every s > 0 at once.
+
+    Computed as integral_0^inf exp(-y) U(y/s) dy in one batched quadrature.
+    Each upper limit is cut where the integrand has fallen cutoff_nats below
+    its peak on a coarse scan; the initial panels are [0, s, 1, y_hi].
+    """
+    s = np.asarray(s, dtype=float).ravel()
+    ys = _PEAK_SCAN_Y
+    x = ys / s[:, None]
+    with np.errstate(all="ignore"):
+        lg = -ys + np.asarray(U.log_at(x.ravel()), dtype=float).reshape(x.shape)
+    lg = np.where(np.isnan(lg), -np.inf, lg)
+    peak = lg.max(axis=1)
+    if not np.isfinite(peak).all():
+        raise QuadratureFailure("transform integrand has no finite peak")
+    y_hi = np.where(lg >= peak[:, None] - cfg.cutoff_nats, ys, -np.inf).max(axis=1)
+    # extend linearly: beyond the peak the decay is at least e^{-y}
+    y_hi = np.maximum(y_hi + cfg.cutoff_nats, 2.0 * cfg.cutoff_nats)
+    edges = np.column_stack([np.zeros_like(s), np.minimum(s, 1.0), np.maximum(s, 1.0), y_hi])
+    edges = np.minimum(edges, y_hi[:, None])
+    a, b = edges[:, :-1], edges[:, 1:]
+    owner = np.broadcast_to(np.arange(s.size)[:, None], a.shape)
+    keep = b > a
+
+    def log_f(y, ids):
+        x = y / s[ids][:, None]
+        return -y + np.asarray(U.log_at(x.ravel()), dtype=float).reshape(y.shape)
+
+    out = batched_log_quad(log_f, a[keep], b[keep], owner[keep], s.size, cfg.quad_rel_tol)
+    if np.any(out == -np.inf):
+        raise QuadratureFailure("transform quadrature returned a non-positive value")
+    return out
+
+
 def laplace_stieltjes(U: FunctionHandle, s: float,
                       cfg: TransformConfig | None = None) -> float:
-    """s * integral_0^inf exp(-x s) U(x) dx for s > 0.
-
-    Computed as integral_0^inf exp(-y) U(y/s) dy; the upper limit is cut
-    where the integrand has fallen cutoff_nats below its running maximum.
-    """
+    """s * integral_0^inf exp(-x s) U(x) dx for s > 0."""
     cfg = cfg or TransformConfig()
     if s <= 0:
         raise ParamError("transform requires s > 0")
     _check_vanishes_at_origin(U)
-
-    def log_g(y: float) -> float:
-        return -y + float(U.log_at(y / s))
-
-    # locate the integrand mode on a coarse scan, then cut 40 nats below
-    ys = np.logspace(-6, 3.2, 120)
-    with np.errstate(all="ignore"):
-        lg = -ys + np.asarray(U.log_at(ys / s), dtype=float)
-    peak = float(np.nanmax(lg))
-    if not math.isfinite(peak):
-        raise QuadratureFailure("transform integrand has no finite peak")
-    above = ys[lg >= peak - cfg.cutoff_nats]
-    y_hi = float(above.max()) if above.size else 1.0
-    # extend linearly: beyond the peak the decay is at least e^{-y}
-    y_hi = max(y_hi + cfg.cutoff_nats, 2.0 * cfg.cutoff_nats)
-    scale = math.exp(peak)
-
-    def f(y: float) -> float:
-        return math.exp(log_g(y) - peak)
-
-    pts = [p for p in (s, 1.0) if 0.0 < p < y_hi]
-    val, _err = integrate.quad(
-        f, 0.0, y_hi, epsabs=0.0, epsrel=cfg.quad_rel_tol, limit=400,
-        points=pts or None,
-    )
-    if val <= 0.0:
-        raise QuadratureFailure("transform quadrature returned a non-positive value")
-    return scale * val
+    return float(np.exp(_log_transform(U, np.array([s]), cfg)[0]))
 
 
 def transform_handle(U: FunctionHandle, cfg: TransformConfig | None = None,
@@ -132,10 +140,10 @@ def transform_handle(U: FunctionHandle, cfg: TransformConfig | None = None,
     cfg = cfg or TransformConfig()
 
     def log_at_x(x):
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.array([math.log(laplace_stieltjes(U, 1.0 / float(v), cfg))
-                        for v in xa])
-        return out.reshape(np.shape(x)) if np.ndim(x) else np.float64(out[0])
+        _check_vanishes_at_origin(U)
+        xa = np.asarray(x, dtype=float)
+        out = _log_transform(U, 1.0 / xa, cfg).reshape(xa.shape)
+        return out if out.ndim else np.float64(out)
 
     truth = KnownTruth(label=label) if label is not None else None
     return FunctionHandle(

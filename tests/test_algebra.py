@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tailorder as to
-from tailorder.errors import ArityError, ParamError
+from tailorder.errors import ArityError, ParamError, QuadratureFailure
 
 L = to.ClassLabel
 
@@ -169,6 +170,24 @@ def test_convolve_symmetric():
     for x in (7.0, 123.0, 4567.0):
         a, b = to.eval_log(c1, x), to.eval_log(c2, x)
         assert abs(math.exp(a - b) - 1.0) <= 2e-8
+
+
+@pytest.mark.parametrize("a,b", [(0.5, 1.5), (1.0, 2.0), (0.3, 2.7)])
+def test_convolve_ramp_beta_closed_form(a, b):
+    # integral_0^x t**a (x-t)**b dt = x**(a+b+1) * B(a+1, b+1)
+    h = to.convolve(to.make_ramp_power(a), to.make_ramp_power(b))
+    xs = np.array([0.5, 3.0, 100.0, 1e5])
+    log_beta = math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0)
+    want = (a + b + 1.0) * np.log(xs) + log_beta
+    got = np.asarray(h.log_at(xs), dtype=float)
+    np.testing.assert_allclose(np.exp(got - want), 1.0, rtol=1e-8, atol=0)
+
+
+def test_convolve_budget_exhaustion_is_typed():
+    cfg = to.QuadratureConfig(max_evals=100)
+    h = to.convolve(to.make_ramp_power(0.3), to.make_ramp_power(0.3), cfg)
+    with pytest.raises(QuadratureFailure):
+        h.log_at(np.array([0.5, 7.0]))
 
 
 @pytest.mark.parametrize("au,av,want", [

@@ -1,8 +1,12 @@
 import json
 import math
+import os
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tailorder as to
@@ -89,6 +93,50 @@ def test_simulate_rejects_non_tail():
     code, _, _ = run_cli("simulate", "--fn", "two_plus_sin", "--reps", "10",
                          "--seed", "1")
     assert code == 2
+
+
+def test_simulate_generic_quantile_tail(capsys):
+    # log_perturbed_power has no hand-written quantile: the generic
+    # bracket-and-bisect map draws the n x reps block from a 2-D array
+    code = main(["simulate", "--fn", "log_perturbed_power", "--param", "alpha=-2",
+                 "--param", "c=0.5", "--n", "4", "--reps", "25", "--seed", "3"])
+    assert code == 0
+    sim = json.loads(capsys.readouterr().out)["evt"]["simulation"]
+    D = to.distribution_for(to.make_log_perturbed_power(-2.0, 0.5))
+    exact = to.normalized_maxima_cdf(D, 4, np.asarray(sim["abscissas"]))
+    ks = np.abs(np.asarray(sim["empirical_cdfs"][0]) - exact).max()
+    assert ks <= 3.0 / math.sqrt(25)
+
+
+@pytest.mark.parametrize("fn", ["two_plus_sin", "peter_paul"])
+def test_grid_starting_at_one_is_an_input_error(fn):
+    # log 1 = 0 would divide the first sample by zero
+    assert main(["classify", "--fn", fn, "--xmin", "0"]) == 2
+
+
+def test_table_from_x_one_starts_grid_above_it(tmp_path, capsys):
+    path = tmp_path / "from_one.csv"
+    us = [math.log(1e6) * i / 199 for i in range(200)]
+    path.write_text("x,logvalue\n" + "".join(f"{math.exp(u)!r},{0.7 - 1.5 * u!r}\n"
+                                              for u in us))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["classify", "--data", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["provenance"]["grid"]["log10_x_min"] > 0.0
+    assert doc["class"]["rho"] == pytest.approx(-1.5, abs=0.05)
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(to.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tailorder; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_report_peter_paul_k3_and_ratio_witness():

@@ -54,6 +54,31 @@ def test_generic_quantile_bisection(u):
     assert math.exp(to.eval_log(D.base, x)) == pytest.approx(u, rel=1e-6)
 
 
+def _quantile_one_point(base, u):
+    # reference: the same bracket and bisection, one point at a time
+    lo, hi = 1e-12, 4.0
+    while to.eval_log(base, hi) > math.log(u):
+        hi *= 4.0
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if to.eval_log(base, mid) > math.log(u):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def test_generic_quantile_block_matches_pointwise():
+    # block maxima hand the quantile a 2-D (reps, n) array of levels
+    base = to.make_log_perturbed_power(-2.0, 0.5)
+    D = to.distribution_for(base)
+    u = np.array([[1e-9, 1e-4, 0.01], [0.05, 0.15, 0.5]])
+    got = D.quantile(u)
+    assert got.shape == u.shape
+    want = [[_quantile_one_point(base, v) for v in row] for row in u]
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # differentiable sufficient conditions
 # ---------------------------------------------------------------------------

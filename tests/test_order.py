@@ -1,9 +1,14 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tailorder as to
-from tailorder.errors import ClassMismatch, ParamError
+from tailorder.errors import ClassMismatch, ExtrapolationFailure, ParamError, TailOrderError
+from tailorder.order import _extrapolate_intercept
 
 
 def test_grid_validation():
@@ -11,6 +16,47 @@ def test_grid_validation():
         to.GridSpec(log10_x_min=5.0, log10_x_max=3.0)
     with pytest.raises(ParamError):
         to.GridSpec(points=20, windows=8)
+    # the first sample divides by log x_min
+    with pytest.raises(ParamError):
+        to.GridSpec(log10_x_min=0.0)
+
+
+def test_extrapolation_failure_is_typed():
+    with pytest.raises(ExtrapolationFailure):
+        _extrapolate_intercept(np.array([0.0, 1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0, 4.0]))
+
+
+# parameters for the catalog members that have no defaults
+_MEMBER_PARAMS = {
+    "oset_geometric": {"alpha": 0.8, "beta": 0.5, "x_a": 3.0},
+    "oset_tower": {"c": 1.0, "alpha": 1.0},
+    "pareto_tail": {"alpha": 1.5},
+    "power_tail": {"alpha": -2.5},
+    "ramp_power": {"alpha": 0.7},
+}
+
+
+@given(
+    name=st.sampled_from(to.catalog_names()),
+    lo=st.one_of(st.sampled_from([0.0, 1e-12, 1e-6, 1e-3]), st.floats(0.0, 5.0)),
+    span=st.one_of(st.sampled_from([1e-9, 1e-3, 300.0]), st.floats(1e-9, 300.0)),
+    windows=st.integers(2, 40),
+    extra=st.integers(0, 3000),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_classify_decided_or_typed_on_extreme_grids(name, lo, span, windows, extra):
+    # every catalog member on any grid: a label without NaN, or a typed
+    # error; numpy floating-point warnings count as failures
+    handle = to.make_named(name, _MEMBER_PARAMS.get(name))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            grid = to.GridSpec(log10_x_min=lo, log10_x_max=lo + span,
+                               points=16 * windows + extra, windows=windows)
+            label = to.classify(handle, grid)
+        except TailOrderError:
+            return
+    assert not any(isinstance(v, float) and math.isnan(v) for v in label.to_dict().values())
 
 
 def test_estimate_orders_power():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,23 @@ def test_transform_monotone_for_nondecreasing_input():
     ss = np.logspace(1, 6, 40)
     vals = np.asarray(H.log_at(ss), dtype=float)
     assert np.all(np.diff(vals) > 0.0)
+
+
+def test_transform_handle_batch_matches_scalar_transform():
+    U = to.make_ramp_power(2.6)
+    xs = np.logspace(1, 8, 25)
+    batch = np.asarray(to.transform_handle(U).log_at(xs), dtype=float)
+    single = np.log([to.laplace_stieltjes(U, 1.0 / x) for x in xs])
+    np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 2.6, 3.0])
+def test_transform_closed_form_on_a_wide_s_grid(alpha):
+    # Gamma(alpha + 1) * s**-alpha over nine decades of s, in one batch
+    s = np.logspace(-8, 1, 200)
+    got = np.asarray(to.transform_handle(to.make_ramp_power(alpha)).log_at(1.0 / s))
+    want = math.lgamma(alpha + 1.0) - alpha * np.log(s)
+    assert np.abs(got - want).max() <= 1e-8
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
