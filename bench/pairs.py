@@ -7,7 +7,11 @@ Each pair runs ``perfbench/run.py --trace 0`` once in each checkout with the
 same seed, one after the other, alternating which goes first so that a slow
 drift of the machine's speed hits both sides alike. The output holds, per
 workload and end-to-end metric, every run's value and the median and
-quartiles of each side, plus the benchmark's environment stamp.
+quartiles of each side, plus the benchmark's environment stamp. Each
+end-to-end metric also gets the relative change of its median, signed so
+that positive is worse, beside its bound from the change checkout's
+``BENCHMARK.json``; a change beyond the bound is printed and stored as a
+breach.
 """
 
 from __future__ import annotations
@@ -36,6 +40,18 @@ def summary(values: list[float]) -> dict:
     return {"median": q2, "q1": q1, "q3": q3, "runs": values}
 
 
+def bound_check(metrics: dict, declared: dict) -> dict:
+    """Per end-to-end metric: median change for the worse, bound, breach."""
+    out = {}
+    for name, spec in declared.items():
+        base, change = metrics[name]["base"]["median"], metrics[name]["change"]["median"]
+        worse = (change - base) / abs(base) if base else float(change != base)
+        if spec["better"] == "higher":
+            worse = -worse
+        out[name] = {"worse_by": worse, "bound": spec["bound"], "breach": worse > spec["bound"]}
+    return out
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", type=Path, required=True)
@@ -45,6 +61,8 @@ def main() -> None:
     ap.add_argument("--first-seed", type=int, default=1001)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
+    declared = {m["name"]: m for m in
+                json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]}
     doc = {"seconds": args.seconds, "workloads": {}}
     for spec in args.workload:
         workload, _, pairs = spec.partition("=")
@@ -60,7 +78,7 @@ def main() -> None:
                 print(f"{workload} seed {seed} {side}: "
                       f"{result['metrics']['ops_per_s']['value']:.3g} ops/s", file=sys.stderr)
         names = runs["base"][0]["metrics"]
-        doc["workloads"][workload] = {
+        entry = doc["workloads"][workload] = {
             "pairs": int(pairs),
             "seeds": [args.first_seed + i for i in range(int(pairs))],
             "correct": {side: [r["correct"] for r in rs] for side, rs in runs.items()},
@@ -71,6 +89,11 @@ def main() -> None:
                 for name in names
             },
         }
+        entry["bounds"] = bound_check(entry["metrics"], declared)
+        for name, b in entry["bounds"].items():
+            how = "worse" if b["worse_by"] > 0 else "better"
+            print(f"{workload} {name}: median {abs(b['worse_by']):.1%} {how}, bound "
+                  f"{b['bound']:.0%}" + (" BREACH" if b["breach"] else ""), file=sys.stderr)
         args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 

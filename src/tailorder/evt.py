@@ -359,11 +359,15 @@ def frechet_cdf(x, alpha: float) -> np.ndarray:
 
 
 def normalized_maxima_cdf(D: DistributionHandle, n: int, x) -> np.ndarray:
-    """Exact distribution of M_n / a_n at x: (1 - F-bar(a_n x))**n."""
+    """Exact distribution of M_n / a_n at x: (1 - F-bar(a_n x))**n.
+
+    It is the law of draws through D.quantile: 0 below D.quantile(1-), the
+    least value the map returns, where F-bar(floor+) < 1 puts the rest.
+    """
     a_n = float(D.quantile(1.0 / n))
     xa = np.asarray(x, dtype=float)
     out = np.zeros_like(xa)
-    pos = xa * a_n > D.base.support_floor
+    pos = xa * a_n >= float(D.quantile(np.nextafter(1.0, 0.0)))
     tail = np.exp(np.asarray(D.base.log_at(np.where(pos, xa * a_n, 1.0)),
                              dtype=float))
     out[pos] = np.exp(n * np.log1p(-np.minimum(tail[pos], 1.0 - 1e-16)))

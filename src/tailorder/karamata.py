@@ -35,7 +35,7 @@ from .order import (
     rv_ratio_test,
     windowed_limit,
 )
-from .quadrature import cell_log_masses, logsumexp
+from .quadrature import cell_log_masses, cell_pair_log_masses, logsumexp
 
 # |rho| below this uses the vanishing-order representation construction
 KAPPA_ZERO_EPS = 0.02
@@ -46,6 +46,11 @@ _DENOM_FLOOR = 1e-6
 # ---------------------------------------------------------------------------
 # cumulative integrals
 # ---------------------------------------------------------------------------
+
+
+def _moment_log_f(U: FunctionHandle, r: float):
+    """x -> log(x**(r+1) U(x)), the integrand of t**r U dt in u = log t."""
+    return lambda xx: (r + 1.0) * np.log(xx) + np.asarray(U.log_at(xx), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -60,37 +65,27 @@ class CumulativeIntegral:
     source: FunctionHandle
 
     def log_value(self, x) -> np.ndarray:
-        """log integral at arbitrary x inside the grid, exact cell splits."""
-        xa = np.asarray(x, dtype=float)
-        u = np.log(xa)
-        if np.any(u < self.edges_u[0] - 1e-12) or np.any(u > self.edges_u[-1] + 1e-12):
+        """log integral at arbitrary x inside the grid, exact cell splits.
+
+        The partial cells of all x (edge to x for V, x to edge for W) take
+        one call of the cell rule.
+        """
+        u = np.atleast_1d(np.log(np.asarray(x, dtype=float)))
+        edges = self.edges_u
+        if not np.all((u >= edges[0] - 1e-12) & (u <= edges[-1] + 1e-12)):
             raise ParamError(f"{self.kind}_r query outside integration range")
-        u = np.clip(u, self.edges_u[0], self.edges_u[-1])
-        idx = np.clip(np.searchsorted(self.edges_u, u, side="right") - 1, 0,
-                      self.edges_u.size - 2)
-        out = np.empty(u.shape if u.ndim else (1,))
-        uu = np.atleast_1d(u)
-        ii = np.atleast_1d(idx)
-        for k in range(uu.size):
-            i = int(ii[k])
-            if self.kind == "V":
-                base = self.log_values[i]
-                part = self._partial(self.edges_u[i], uu[k])
-            else:
-                base = self.log_values[i + 1]
-                part = self._partial(uu[k], self.edges_u[i + 1])
-            out[k] = np.logaddexp(base, part)
+        u = np.clip(u, edges[0], edges[-1])
+        idx = np.clip(np.searchsorted(edges, u, side="right") - 1, 0, edges.size - 2)
+        if self.kind == "V":
+            base, lo, hi = self.log_values[idx], edges[idx], u
+        else:
+            base, lo, hi = self.log_values[idx + 1], u, edges[idx + 1]
+        part = np.full(u.shape, -math.inf)
+        nonempty = hi > lo
+        part[nonempty] = cell_pair_log_masses(_moment_log_f(self.source, self.r),
+                                              lo[nonempty], hi[nonempty])
+        out = np.logaddexp(base, part)
         return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
-
-    def _partial(self, u0: float, u1: float) -> float:
-        if u1 <= u0:
-            return -math.inf
-        r = self.r
-
-        def log_f(xx):
-            return (r + 1.0) * np.log(xx) + np.asarray(self.source.log_at(xx), dtype=float)
-
-        return float(cell_log_masses(log_f, np.array([u0, u1]))[0])
 
     def as_handle(self) -> FunctionHandle:
         """The cumulative integral as an evaluable handle (for classification)."""
@@ -121,10 +116,7 @@ def cumulative_integral(U: FunctionHandle, kind: str, r: float, b: float,
     if u_max <= u_b:
         raise ParamError("integration range is empty")
     m = cells_per_octave
-
-    def log_f(xx):
-        return (r + 1.0) * np.log(xx) + np.asarray(U.log_at(xx), dtype=float)
-
+    log_f = _moment_log_f(U, r)
     n_cells = int(math.ceil((u_max - u_b) / (LOG2 / m)))
     edges = u_b + np.arange(n_cells + 1) * (LOG2 / m)
     cells = cell_log_masses(log_f, edges)

@@ -17,7 +17,6 @@ adaptive Gauss-Kronrod rule that refines many integrals together.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -53,21 +52,24 @@ def logsumexp(values: np.ndarray) -> float:
     return float(m + math.log(np.exp(v - m).sum()))
 
 
-def cell_log_masses(log_f, u_edges: np.ndarray) -> np.ndarray:
-    """Per-cell log of integral_cell exp(log_f(u)) du on a u-grid.
+def cell_pair_log_masses(log_f, u_lo, u_hi) -> np.ndarray:
+    """Per-cell log of integral exp(log_f(u)) du over cells [u_lo, u_hi].
 
     ``log_f`` maps x arrays to log-integrand values; endpoints are evaluated
-    just inside each cell.
+    just inside each cell, all cells with one ``log_f`` call per side.
     """
-    u_edges = np.asarray(u_edges, dtype=float)
-    du = np.diff(u_edges)
-    x_lo = np.exp(u_edges[:-1]) * (1.0 + _NUDGE)
-    x_hi = np.exp(u_edges[1:]) * (1.0 - _NUDGE)
-    g_lo = log_f(x_lo)
-    g_hi = log_f(x_hi)
+    u_lo = np.asarray(u_lo, dtype=float)
+    u_hi = np.asarray(u_hi, dtype=float)
+    g_lo = log_f(np.exp(u_lo) * (1.0 + _NUDGE))
+    g_hi = log_f(np.exp(u_hi) * (1.0 - _NUDGE))
     with np.errstate(divide="ignore"):
-        out = g_lo + np.log(du) + log_phi(g_hi - g_lo)
-    return out
+        return g_lo + np.log(u_hi - u_lo) + log_phi(g_hi - g_lo)
+
+
+def cell_log_masses(log_f, u_edges: np.ndarray) -> np.ndarray:
+    """Per-cell log masses of the consecutive cells of a u-grid."""
+    u_edges = np.asarray(u_edges, dtype=float)
+    return cell_pair_log_masses(log_f, u_edges[:-1], u_edges[1:])
 
 
 @dataclass(frozen=True)

@@ -266,3 +266,15 @@ def test_peter_paul_subsequences_disagree():
     assert out["max_ks_exact"] >= 0.05
     for pair in out["pairs"]:
         assert pair["ks_empirical"] >= 0.05
+
+
+def test_exact_law_matches_draws_when_tail_starts_below_one():
+    # frozen below e, this tail has F-bar(0+) of about 0.11 < 1/n: the
+    # quantile map returns its least value for most levels, and the exact
+    # law must put the missing mass there, not below every a_n x > 0
+    D = to.distribution_for(to.make_log_perturbed_power(alpha=-2.465, c=0.333))
+    reps = 20_000
+    sim = to.block_maxima_simulate(D, [4], reps=reps, seed=354986116)
+    oracle = to.normalized_maxima_cdf(D, 4, np.asarray(sim.abscissas))
+    emp = np.asarray(sim.empirical_cdfs[0])
+    assert np.abs(emp - oracle).max() <= 3.0 / math.sqrt(reps)

@@ -5,6 +5,7 @@ import pytest
 
 import tailorder as to
 from tailorder.errors import ClassMismatch, DivergentTail, ParamError
+from tailorder.quadrature import cell_log_masses
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +35,83 @@ def test_cumulative_monotone():
     assert np.all(np.diff(ci.log_values[1:]) >= 0.0)
     cw = to.cumulative_integral(to.make_power_tail(-2.0), "W", 0.0, 1.0)
     assert np.all(np.diff(cw.log_values[:-1]) <= 1e-15)
+
+
+def _one_cell_log_value(ci, x: float) -> float:
+    """log_value at one point: edge value plus one single-cell rule call."""
+    u = min(max(math.log(x), ci.edges_u[0]), ci.edges_u[-1])
+    i = min(max(int(np.searchsorted(ci.edges_u, u, side="right")) - 1, 0),
+            ci.edges_u.size - 2)
+    if ci.kind == "V":
+        base, u0, u1 = ci.log_values[i], ci.edges_u[i], u
+    else:
+        base, u0, u1 = ci.log_values[i + 1], u, ci.edges_u[i + 1]
+    part = -math.inf
+    if u1 > u0:
+        def log_f(xx):
+            return (ci.r + 1.0) * np.log(xx) + ci.source.log_at(xx)
+
+        part = float(cell_log_masses(log_f, np.array([u0, u1]))[0])
+    return float(np.logaddexp(base, part))
+
+
+@pytest.mark.parametrize("make,kind,r", [
+    (to.make_peter_paul, "V", 0.0),
+    (lambda: to.make_power_tail(-2.0), "W", 0.0),
+    (to.make_x_pow_sin_x, "V", 0.5),
+    (to.make_exp_neg, "W", 1.0),
+])
+def test_log_value_batched_equals_one_cell_reference(make, kind, r):
+    grid = to.GridSpec(log10_x_min=1.0, log10_x_max=3.0)
+    ci = to.cumulative_integral(make(), kind, r, 2.0, grid)
+    edges = ci.edges_u
+    inner = np.random.default_rng(5).uniform(edges[0], edges[-1], 300)
+    # points on edges, on both range ends and just inside them
+    us = np.concatenate([inner, edges[:20], edges[-20:], edges[::97],
+                         [edges[0] + 1e-13, edges[-1] - 1e-13]])
+    xs = np.exp(us)
+    got = ci.log_value(xs)
+    want = np.array([_one_cell_log_value(ci, float(x)) for x in xs])
+    assert np.array_equal(got, want)
+    assert ci.log_value(float(xs[7])) == want[7]
+
+
+def test_log_value_shapes():
+    ci = to.cumulative_integral(to.make_power_tail(-2.0), "W", 0.0, 1.0)
+    assert type(ci.log_value(10.0)) is float
+    assert type(ci.log_value(np.float64(10.0))) is float
+    xs = np.logspace(0.5, 4.0, 12)
+    flat = ci.log_value(xs)
+    assert flat.shape == (12,)
+    assert ci.log_value(xs.reshape(3, 4)).shape == (3, 4)
+    assert np.array_equal(ci.log_value(xs.reshape(3, 4)).ravel(), flat)
+    assert ci.log_value(np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("x", [0.5, 1e13, [10.0, 1e13], math.nan])
+def test_log_value_rejects_queries_outside_range(x):
+    grid = to.GridSpec(log10_x_min=1.0, log10_x_max=6.0)
+    ci = to.cumulative_integral(to.make_power_tail(-2.0), "V", 0.0, 1.0, grid)
+    with pytest.raises(ParamError):
+        ci.log_value(x)
+
+
+def test_log_value_evaluates_all_points_in_two_calls():
+    base = to.make_x_pow_sin_x()
+    calls = []
+
+    def log_at_logx(u):
+        calls.append(np.size(u))
+        return base.log_at_logx(u)
+
+    counting = to.FunctionHandle(name="counting", log_at_logx=log_at_logx)
+    for kind, r in (("V", 0.0), ("W", -3.0)):
+        ci = to.cumulative_integral(counting, kind, r, 2.0)
+        calls.clear()
+        xs = np.exp(np.linspace(ci.edges_u[0], ci.edges_u[-1], 2000))
+        ci.log_value(xs)
+        assert len(calls) <= 2
+        assert sum(calls) <= 2 * 2000
 
 
 @pytest.mark.parametrize("rho,r", [
