@@ -73,6 +73,8 @@ class FunctionHandle:
     log_domain: tuple[float, float] | None = None
     # jump locations of step functions (float-representable ones)
     jump_xs: tuple = ()
+    # closed-form inverse of a tail: level u in (0,1) -> least x with U(x) <= u
+    quantile: Callable | None = None
 
     def _check_x(self, x) -> None:
         xa = np.asarray(x, dtype=float)
@@ -133,6 +135,7 @@ def make_power_tail(alpha: float) -> FunctionHandle:
         name=f"power_tail(alpha={a:g})",
         log_at_logx=lambda u: a * np.maximum(np.asarray(u, dtype=float), 0.0),
         truth=truth,
+        quantile=(lambda u: u ** (1.0 / a)) if a < 0.0 else None,
     )
 
 
@@ -159,6 +162,7 @@ def make_pareto_tail(alpha: float) -> FunctionHandle:
         name=f"pareto_tail(alpha={a:g})",
         log_at_logx=h.log_at_logx,
         truth=h.truth,
+        quantile=h.quantile,
     )
 
 
@@ -186,11 +190,16 @@ def make_peter_paul() -> FunctionHandle:
     def value_at_x(x):
         return np.ldexp(1.0, -_pp_level_from_x(x))
 
+    def quantile(u):
+        k = np.ceil(-np.log2(u) - 1e-12)
+        return np.exp2(np.maximum(k, 0.0))
+
     return FunctionHandle(
         name="peter_paul",
         log_at_logx=log_at_logx,
         log_at_x=log_at_x,
         value_at_x=value_at_x,
+        quantile=quantile,
         truth=truth,
         differentiable=False,
         jump_xs=tuple(2.0 ** k for k in range(1, 996)),
@@ -326,6 +335,7 @@ def make_exp_neg() -> FunctionHandle:
         log_at_logx=lambda u: -np.exp(np.asarray(u, dtype=float)),
         log_at_x=lambda x: -np.asarray(x, dtype=float),
         truth=truth,
+        quantile=lambda u: -np.log(u),
     )
 
 

@@ -96,8 +96,8 @@ def test_simulate_rejects_non_tail():
 
 
 def test_simulate_generic_quantile_tail(capsys):
-    # log_perturbed_power has no hand-written quantile: the generic
-    # bracket-and-bisect map draws the n x reps block from a 2-D array
+    # log_perturbed_power has no hand-written quantile: the maxima go
+    # through the generic bracket-and-bisect map
     code = main(["simulate", "--fn", "log_perturbed_power", "--param", "alpha=-2",
                  "--param", "c=0.5", "--n", "4", "--reps", "25", "--seed", "3"])
     assert code == 0

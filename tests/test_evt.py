@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tailorder as to
+from tailorder import evt
 from tailorder.errors import NonDifferentiable, ParamError
 
 
@@ -69,7 +71,7 @@ def _quantile_one_point(base, u):
 
 
 def test_generic_quantile_block_matches_pointwise():
-    # block maxima hand the quantile a 2-D (reps, n) array of levels
+    # the quantile keeps the shape of its array of levels
     base = to.make_log_perturbed_power(-2.0, 0.5)
     D = to.distribution_for(base)
     u = np.array([[1e-9, 1e-4, 0.01], [0.05, 0.15, 0.5]])
@@ -77,6 +79,68 @@ def test_generic_quantile_block_matches_pointwise():
     assert got.shape == u.shape
     want = [[_quantile_one_point(base, v) for v in row] for row in u]
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+def _counting(base):
+    # the same tail, counting its log_at_logx calls
+    calls = [0]
+
+    def log_at_logx(u):
+        calls[0] += 1
+        return base.log_at_logx(u)
+
+    return dataclasses.replace(base, log_at_logx=log_at_logx), calls
+
+
+def _quantile_200_steps(base, u):
+    # reference: the vectorized bracket and all 200 bisection steps
+    target = np.log(u).ravel()
+    lo = np.full(target.shape, 1e-12)
+    hi = np.full(target.shape, 4.0)
+    grow = base.log_at(hi) > target
+    while grow.any():
+        hi = np.where(grow, hi * 4.0, hi)
+        grow = base.log_at(hi) > target
+    for _ in range(200):
+        mid = np.sqrt(lo * hi)
+        above = base.log_at(mid) > target
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return hi.reshape(u.shape)
+
+
+def test_generic_quantile_stops_at_bisection_fixed_point():
+    base = to.make_log_perturbed_power(-2.0, 0.5)
+    u = np.concatenate([np.logspace(-30, -0.01, 500), [np.nextafter(1.0, 0.0)]])
+    want = _quantile_200_steps(base, u)
+    counted, calls = _counting(base)
+    got = to.distribution_for(counted).quantile(u)
+    assert got.tobytes() == want.tobytes()
+    # the bracket takes at most 26 growth steps at u = 1e-30; the bisection
+    # reaches its fixed point after about 60 steps instead of running 200
+    assert calls[0] <= 100
+
+
+def test_hand_built_tail_named_like_catalog_gets_generic_quantile():
+    # no dispatch on the name: only a quantile set on the handle is used
+    inner = to.make_log_perturbed_power(-2.0, 0.5)
+    handle = to.FunctionHandle(name="power_tail(alpha=-2)",
+                               log_at_logx=inner.log_at_logx, truth=inner.truth)
+    D = to.distribution_for(handle)
+    for u in (0.01, 1e-6):
+        assert math.exp(to.eval_log(handle, D.quantile(u))) == pytest.approx(u, rel=1e-9)
+
+
+def test_closed_form_quantiles_are_set_by_constructors():
+    assert to.make_power_tail(-2.0).quantile is not None
+    assert to.make_pareto_tail(2.0).quantile is not None
+    assert to.make_peter_paul().quantile is not None
+    assert to.make_exp_neg().quantile is not None
+    assert to.make_power_tail(0.0).quantile is None
+    assert to.make_log_perturbed_power(-2.0, 0.5).quantile is None
+    u = np.array([1e-9, 0.3, 0.9])
+    D = to.distribution_for(to.make_pareto_tail(2.5))
+    assert D.quantile(u).tobytes() == (u ** (-1.0 / 2.5)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -278,3 +342,56 @@ def test_exact_law_matches_draws_when_tail_starts_below_one():
     oracle = to.normalized_maxima_cdf(D, 4, np.asarray(sim.abscissas))
     emp = np.asarray(sim.empirical_cdfs[0])
     assert np.abs(emp - oracle).max() <= 3.0 / math.sqrt(reps)
+
+
+def _ks_to_oracle(D, n, reps, seed):
+    sim = to.block_maxima_simulate(D, [n], reps=reps, seed=seed)
+    oracle = to.normalized_maxima_cdf(D, n, np.asarray(sim.abscissas))
+    return float(np.abs(np.asarray(sim.empirical_cdfs[0]) - oracle).max())
+
+
+@pytest.mark.parametrize("make,n", [
+    (to.make_peter_paul, 256),
+    (to.make_peter_paul, 3072),
+    (to.make_exp_neg, 1000),
+])
+def test_exact_sampler_matches_oracle_at_many_reps(make, n):
+    reps = 200_000
+    assert _ks_to_oracle(to.distribution_for(make()), n, reps, seed=5) \
+        <= 3.0 / math.sqrt(reps)
+
+
+def test_pareto_maxima_at_block_size_one_billion():
+    reps = 20_000
+    D = to.distribution_for(to.make_pareto_tail(1.5))
+    assert _ks_to_oracle(D, 10 ** 9, reps, seed=3) <= 3.0 / math.sqrt(reps)
+
+
+class _ExtremeDraws:
+    # stands in for the generator: both ends of the drawn integer range
+    def integers(self, low, high, size):
+        return np.array([low, high - 1])
+
+
+@pytest.mark.parametrize("n", [1, 10 ** 4, 10 ** 9])
+def test_least_levels_stay_inside_unit_interval(n):
+    levels = evt._least_levels(_ExtremeDraws(), n, 2)
+    assert np.all((levels > 0.0) & (levels < 1.0))
+    for make in (lambda: to.make_pareto_tail(1.0), to.make_peter_paul,
+                 to.make_exp_neg, lambda: to.make_log_perturbed_power(-2.0, 0.5)):
+        x = to.distribution_for(make()).quantile(levels)
+        assert np.all(np.isfinite(x))
+
+
+def test_one_quantile_call_of_reps_points_per_block_size():
+    D = to.distribution_for(to.make_pareto_tail(1.0))
+    sizes = []
+
+    def quantile(u):
+        sizes.append(np.size(u))
+        return D.quantile(u)
+
+    counted = dataclasses.replace(D, quantile=quantile)
+    to.block_maxima_simulate(counted, [2, 1000, 10 ** 9], reps=300, seed=2)
+    # per block size: the scalar a_n, then the reps maxima
+    assert sizes == [1, 300, 1, 300, 1, 300]
