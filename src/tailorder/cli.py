@@ -11,6 +11,7 @@ classification, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -79,7 +80,9 @@ def _parse_params(items) -> dict:
     return out
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on first use and kept for the process."""
     p = _Parser(prog="tailorder", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -159,8 +162,9 @@ def _grid_for(args, handle: FunctionHandle) -> GridSpec:
 
 
 def _base_document(args, handle, descriptor, grid, tol, extra_provenance=None):
-    label = classify(handle, grid, tol)
-    mu, nu = estimate_orders(handle, grid)
+    """(document, label, kappa): kappa is None for tables."""
+    mu, nu = orders = estimate_orders(handle, grid)
+    label = classify(handle, grid, tol, orders=orders)
     kappa = None
     if handle.log_domain is None:  # moment probing integrates from x = 1
         kcfg = KappaConfig(grid=grid)
@@ -184,7 +188,7 @@ def _base_document(args, handle, descriptor, grid, tol, extra_provenance=None):
         estimates=estimates,
         provenance=provenance,
     )
-    return doc, label
+    return doc, label, kappa
 
 
 def _emit(doc: ReportDocument, args) -> None:
@@ -198,7 +202,7 @@ def _emit(doc: ReportDocument, args) -> None:
 def _cmd_classify(args) -> int:
     handle, descriptor = _load_handle(args)
     grid = _grid_for(args, handle)
-    doc, label = _base_document(args, handle, descriptor, grid, args.tol)
+    doc, label, _ = _base_document(args, handle, descriptor, grid, args.tol)
     _emit(doc, args)
     return EXIT_OK if label.is_decided else EXIT_UNDECIDED
 
@@ -206,34 +210,37 @@ def _cmd_classify(args) -> int:
 def _cmd_report(args) -> int:
     handle, descriptor = _load_handle(args)
     grid = _grid_for(args, handle)
-    doc, label = _base_document(args, handle, descriptor, grid, args.tol,
-                                extra_provenance={"b": args.b, "r": args.r})
+    tol = args.tol
+    doc, label, kappa = _base_document(args, handle, descriptor, grid, tol,
+                                       extra_provenance={"b": args.b, "r": args.r})
     if not label.is_decided:
         _emit(doc, args)
         return EXIT_UNDECIDED
+    # every check below gets the label, kappa and scaling-ratio test computed
+    # here instead of recomputing them
     conditions = []
+    rv = None
     if label.tag == TAG_M:
-        rep = kar.extract_representation(handle, args.b, grid, args.tol)
-        conditions.append(kar.verify_representation(handle, rep, grid, args.tol).to_dict())
-        conditions.append(
-            check_second_characterization(handle, grid, KappaConfig(grid=grid),
-                                          args.tol).to_dict()
-        )
-        conditions.append(rv_ratio_test(handle, grid=grid, tol=args.tol).to_dict())
+        rep = kar.extract_representation(handle, args.b, grid, tol, label=label)
+        conditions.append(kar.verify_representation(handle, rep, grid, tol).to_dict())
+        conditions.append(check_second_characterization(
+            handle, grid, KappaConfig(grid=grid), tol, label=label, kappa=kappa).to_dict())
+        rv = rv_ratio_test(handle, grid=grid, tol=tol)
+        conditions.append(rv.to_dict())
         for r in args.r or (-1.0, 0.5, 1.0, 3.0):
-            conditions.append(
-                kar.karamata_theorem_report(handle, r, args.b, grid, args.tol).to_dict()
-            )
+            conditions.append(kar.karamata_theorem_report(
+                handle, r, args.b, grid, tol, label=label, rv=rv).to_dict())
     elif label.tag in (TAG_M_INF, TAG_M_NEG_INF):
-        inf_rep = kar.extract_representation_inf(handle, args.b, grid, args.tol)
+        inf_rep = kar.extract_representation_inf(handle, args.b, grid, tol, label=label)
         conditions.append(inf_rep.report.to_dict())
     if args.tauberian:
-        conditions.append(taub.tauberian_check(handle, grid=grid, tol=args.tol).to_dict())
+        conditions.append(taub.tauberian_check(handle, grid=grid, tol=tol,
+                                               label=label).to_dict())
     evt_section = None
     if handle.truth is not None and handle.truth.is_tail:
         D = evt_mod.distribution_for(handle)
         evt_section = {"domain_attraction": evt_mod.classify_domain_attraction(
-            D, grid, args.tol).to_dict()}
+            D, grid, tol, label=label, rv=rv).to_dict()}
     doc = ReportDocument(
         input=doc.input, class_label=doc.class_label, estimates=doc.estimates,
         conditions=conditions, evt=evt_section, provenance=doc.provenance,
@@ -251,7 +258,7 @@ def _cmd_simulate(args) -> int:
     if handle.truth is None or not handle.truth.is_tail:
         raise ParamError(f"{args.fn} is not a survival function")
     grid = _grid_for(args, handle)
-    doc, label = _base_document(args, handle, descriptor, grid, args.tol)
+    doc, label, _ = _base_document(args, handle, descriptor, grid, args.tol)
     D = evt_mod.distribution_for(handle)
     n_values = args.n or [10000]
     alpha = None

@@ -185,18 +185,23 @@ class DAReport:
 
 def classify_domain_attraction(D: DistributionHandle,
                                grid: GridSpec | None = None,
-                               tol: float = DEFAULT_CLASS_TOL) -> DAReport:
+                               tol: float = DEFAULT_CLASS_TOL, *,
+                               label: ClassLabel | None = None,
+                               rv: ConditionReport | None = None) -> DAReport:
     """Conservative attraction verdict for an infinite-endpoint tail.
 
     Heavy-tailed attraction needs the full scaling-ratio law with a negative
     exponent. Rapid decay alone never certifies the light-tailed limit (the
     inclusion is strict); a passing flatness probe upgrades it to candidate.
+    ``label`` (``classify(D.base, grid, tol)``) and ``rv``
+    (``rv_ratio_test(D.base, grid=grid, tol=tol)``) skip their computation
+    when given.
     """
     if math.isfinite(D.endpoint):
         raise EndpointError("classification requires an infinite endpoint")
     grid = grid or GridSpec()
-    label = classify(D.base, grid, tol)
-    rv = rv_ratio_test(D.base, grid=grid, tol=tol)
+    label = label or classify(D.base, grid, tol)
+    rv = rv or rv_ratio_test(D.base, grid=grid, tol=tol)
     details: dict = {"ratio_regular": rv.passed, "class": label.to_dict()}
     if rv.passed and rv.measured["rho"] is not None and rv.measured["rho"] < -tol:
         alpha = -rv.measured["rho"]
@@ -384,13 +389,15 @@ def block_maxima_simulate(D: DistributionHandle, n_values: Sequence[int],
     so max_i Q(u_i) = Q(min_i u_i), and ``_least_levels`` draws min_i u_i.
     The cost does not grow with n. The counter-based generator is keyed by
     the seed, so results are bit-identical for a fixed seed. The standard
-    rule uses b_n = 0 and a_n = tail-quantile(1/n).
+    rule uses b_n = 0 and a_n = tail-quantile(1/n), so block sizes start at 2.
     """
     if reps < 1:
         raise ParamError("simulation requires reps >= 1")
     ns = [int(n) for n in n_values]
-    if not ns or any(n < 1 for n in ns):
-        raise ParamError("block sizes must be positive")
+    if not ns:
+        raise ParamError("simulation requires at least one block size")
+    if min(ns) < 2:
+        raise ParamError(f"block size {min(ns)} is too small: block maxima need n >= 2")
     if norm_rule not in ("frechet_standard", "custom"):
         raise ParamError(f"unknown normalization rule {norm_rule!r}")
     if norm_rule == "custom" and (custom_norm is None or len(custom_norm) != len(ns)):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ClassMismatch, DivergentTail, ParamError, SingularDenominator
 from .handles import LOG2, FunctionHandle
-from .labels import TAG_M_INF, TAG_M_NEG_INF
+from .labels import TAG_M_INF, TAG_M_NEG_INF, ClassLabel
 from .order import (
     DEFAULT_CLASS_TOL,
     ConditionReport,
@@ -109,8 +109,10 @@ def cumulative_integral(U: FunctionHandle, kind: str, r: float, b: float,
     grid = grid or GridSpec()
     if kind not in ("V", "W"):
         raise ParamError("kind must be 'V' or 'W'")
-    if b <= 0:
-        raise ParamError("cumulative integral requires b > 0")
+    if not math.isfinite(r):
+        raise ParamError(f"cumulative integral requires a finite r, got {r}")
+    if not 0.0 < b < math.inf:
+        raise ParamError("cumulative integral requires 0 < b < inf")
     u_b = math.log(b)
     u_max = grid.log10_x_max * math.log(10.0)
     if u_max <= u_b:
@@ -170,17 +172,30 @@ def _clipped_grid(grid: GridSpec, b: float) -> GridSpec:
                     points=grid.points, windows=grid.windows)
 
 
+def _integral_for(U: FunctionHandle, kind: str, r: float, b: float, grid: GridSpec,
+                  ci: CumulativeIntegral | None) -> CumulativeIntegral:
+    """The cumulative integral of kind V/W of t**(r-1) U from b: ``ci`` or a new one."""
+    if ci is None:
+        return cumulative_integral(U, kind, r - 1.0, b, grid)
+    if ci.source is not U or (ci.kind, ci.r, ci.b) != (kind, r - 1.0, b):
+        raise ParamError(
+            f"precomputed integral is not {kind}_{r - 1.0:g} of {U.name} from b={b:g}")
+    return ci
+
+
 def karamata_limit(U: FunctionHandle, r: float, b: float, side: str,
-                   grid: GridSpec | None = None) -> IndexEstimate:
+                   grid: GridSpec | None = None, *,
+                   ci: CumulativeIntegral | None = None) -> IndexEstimate:
     """Windowed limit of log(cumulative)/log x.
 
     side "lower" uses V_{r-1} (integral from b), side "upper" uses W_{r-1}
-    (tail integral, requires convergence).
+    (tail integral, requires convergence); ``ci`` is that integral when the
+    caller has built it already.
     """
     grid = grid or GridSpec()
     if side not in ("lower", "upper"):
         raise ParamError("side must be 'lower' or 'upper'")
-    ci = cumulative_integral(U, "V" if side == "lower" else "W", r - 1.0, b, grid)
+    ci = _integral_for(U, "V" if side == "lower" else "W", r, b, grid, ci)
     sub = _clipped_grid(grid, b)
     xs = sub.xs()
     ys = np.asarray(ci.log_value(xs), dtype=float) / np.log(xs)
@@ -189,12 +204,17 @@ def karamata_limit(U: FunctionHandle, r: float, b: float, side: str,
 
 def check_condition(U: FunctionHandle, which: str, r: float, b: float,
                     grid: GridSpec | None = None,
-                    tol: float = DEFAULT_CLASS_TOL) -> ConditionReport:
-    """Balance condition: log(cumulative)/log x - log U/log x -> r."""
+                    tol: float = DEFAULT_CLASS_TOL, *,
+                    ci: CumulativeIntegral | None = None) -> ConditionReport:
+    """Balance condition: log(cumulative)/log x - log U/log x -> r.
+
+    C1r uses V_{r-1}, C2r uses W_{r-1}; ``ci`` is that integral when the
+    caller has built it already.
+    """
     grid = grid or GridSpec()
     if which not in ("C1r", "C2r"):
         raise ParamError("which must be 'C1r' or 'C2r'")
-    ci = cumulative_integral(U, "V" if which == "C1r" else "W", r - 1.0, b, grid)
+    ci = _integral_for(U, "V" if which == "C1r" else "W", r, b, grid, ci)
     sub = _clipped_grid(grid, b)
     xs = sub.xs()
     d = (np.asarray(ci.log_value(xs), dtype=float)
@@ -212,35 +232,38 @@ def check_condition(U: FunctionHandle, which: str, r: float, b: float,
 
 def karamata_theorem_report(U: FunctionHandle, r: float, b: float,
                             grid: GridSpec | None = None,
-                            tol: float = DEFAULT_CLASS_TOL) -> ConditionReport:
+                            tol: float = DEFAULT_CLASS_TOL, *,
+                            label: ClassLabel | None = None,
+                            rv: ConditionReport | None = None) -> ConditionReport:
     """Run the integral-ratio branch matching the sign of rho + r.
 
     Branch K1* (rho + r > 0) and K3* (rho + r = 0) check the growth of the
     integral from b plus condition C1r; K2* (rho + r < 0) checks the tail
-    integral plus C2r. On the boundary branch the scaling-ratio test result
-    is attached: the limit holding does not make U ratio-regular.
+    integral plus C2r. Both checks share one cumulative integral. On the
+    boundary branch the scaling-ratio test result is attached: the limit
+    holding does not make U ratio-regular. ``label`` (``classify(U, grid,
+    tol)``) and ``rv`` (``rv_ratio_test(U, grid=grid, tol=tol)``) skip their
+    computation when given.
     """
+    if not math.isfinite(r):
+        raise ParamError(f"integral-ratio check requires a finite r, got {r}")
     grid = grid or GridSpec()
-    label = classify(U, grid, tol)
+    label = label or classify(U, grid, tol)
     if not label.is_m:
         raise ClassMismatch(f"{U.name}: classified {label}, finite order required")
     s = label.rho + r
     measured: dict = {"rho": label.rho, "r": r, "target": s}
-    if s > tol:
-        branch = "K1*"
-        limit = karamata_limit(U, r, b, "lower", grid)
-        cond = check_condition(U, "C1r", r, b, grid, tol)
-    elif s < -tol:
-        branch = "K2*"
-        limit = karamata_limit(U, r, b, "upper", grid)
-        cond = check_condition(U, "C2r", r, b, grid, tol)
+    if s < -tol:
+        branch, kind, side, which = "K2*", "W", "upper", "C2r"
     else:
-        branch = "K3*"
+        branch, kind, side, which = ("K1*" if s > tol else "K3*"), "V", "lower", "C1r"
+    ci = cumulative_integral(U, kind, r - 1.0, b, grid)
+    limit = karamata_limit(U, r, b, side, grid, ci=ci)
+    cond = check_condition(U, which, r, b, grid, tol, ci=ci)
+    if branch == "K3*":
         s = 0.0
         measured["target"] = 0.0
-        limit = karamata_limit(U, r, b, "lower", grid)
-        cond = check_condition(U, "C1r", r, b, grid, tol)
-        rv = rv_ratio_test(U, grid=grid, tol=tol)
+        rv = rv or rv_ratio_test(U, grid=grid, tol=tol)
         measured["ratio_regular"] = rv.passed
     limit_ok = math.isfinite(limit.value) and abs(limit.value - s) <= tol
     measured.update({
@@ -312,17 +335,19 @@ class _SignedLogIntegrator:
 
 def extract_representation(U: FunctionHandle, b: float = 2.0,
                            grid: GridSpec | None = None,
-                           tol: float = DEFAULT_CLASS_TOL) -> RepresentationTriple:
+                           tol: float = DEFAULT_CLASS_TOL, *,
+                           label: ClassLabel | None = None) -> RepresentationTriple:
     """Extract (alpha, beta, eps) with beta = log U / log x by construction.
 
     For orders away from zero: eps(x) = log U(x) / integral_b^x beta/t dt and
     alpha = 0. For vanishing order the construction runs on V(x) = x U(x)
-    (whose order is 1) and folds the change back into alpha.
+    (whose order is 1) and folds the change back into alpha. ``label``
+    (``classify(U, grid, tol)``) skips the classification when given.
     """
     grid = grid or GridSpec()
-    if b <= 1.0:
-        raise ParamError("representation base point requires b > 1")
-    label = classify(U, grid, tol)
+    if not 1.0 < b < math.inf:
+        raise ParamError("representation base point requires 1 < b < inf")
+    label = label or classify(U, grid, tol)
     if not label.is_m:
         raise ClassMismatch(f"{U.name}: classified {label}, finite order required")
     rho = label.rho
@@ -457,10 +482,14 @@ class InfRepresentation:
 
 def extract_representation_inf(U: FunctionHandle, b: float = 2.0,
                                grid: GridSpec | None = None,
-                               tol: float = DEFAULT_CLASS_TOL) -> InfRepresentation:
-    """Exponent function for rapid-decay/growth members; alpha/log x -> inf."""
+                               tol: float = DEFAULT_CLASS_TOL, *,
+                               label: ClassLabel | None = None) -> InfRepresentation:
+    """Exponent function for rapid-decay/growth members; alpha/log x -> inf.
+
+    ``label`` (``classify(U, grid, tol)``) skips the classification when given.
+    """
     grid = grid or GridSpec()
-    label = classify(U, grid, tol)
+    label = label or classify(U, grid, tol)
     if label.tag == TAG_M_INF:
         sign = +1
     elif label.tag == TAG_M_NEG_INF:

@@ -264,11 +264,15 @@ DEFAULT_CLASS_TOL = 0.05
 
 
 def classify(U: FunctionHandle, grid: GridSpec | None = None,
-             tol: float = DEFAULT_CLASS_TOL) -> ClassLabel:
-    """Classify U by the limiting behaviour of log U(x) / log x."""
+             tol: float = DEFAULT_CLASS_TOL, *,
+             orders: tuple[IndexEstimate, IndexEstimate] | None = None) -> ClassLabel:
+    """Classify U by the limiting behaviour of log U(x) / log x.
+
+    ``orders`` is ``estimate_orders(U, grid)`` when the caller has it already.
+    """
     if not tol > 0:
         raise ParamError("classification tolerance must be positive")
-    mu, nu = estimate_orders(U, grid)
+    mu, nu = orders or estimate_orders(U, grid)
     if nu.value == -math.inf:
         return ClassLabel.m_inf()
     if mu.value == math.inf:
@@ -386,14 +390,20 @@ class ConditionReport:
 
 def check_second_characterization(U: FunctionHandle, grid: GridSpec | None = None,
                                   cfg: KappaConfig | None = None,
-                                  tol: float = DEFAULT_CLASS_TOL) -> ConditionReport:
-    """Moment index must be the negative of the growth order."""
+                                  tol: float = DEFAULT_CLASS_TOL, *,
+                                  label: ClassLabel | None = None,
+                                  kappa: IndexEstimate | None = None) -> ConditionReport:
+    """Moment index must be the negative of the growth order.
+
+    ``label`` (``classify(U, grid, tol)``) and ``kappa``
+    (``estimate_kappa(U, cfg)``) skip their computation when given.
+    """
     grid = grid or GridSpec()
     cfg = cfg or KappaConfig(grid=grid)
-    label = classify(U, grid, tol)
+    label = label or classify(U, grid, tol)
     if not label.is_m:
         raise ClassMismatch(f"{U.name}: classified {label}, finite order required")
-    kappa = estimate_kappa(U, cfg)
+    kappa = kappa or estimate_kappa(U, cfg)
     budget = cfg.bisect_tol + tol
     resid = abs(kappa.value + label.rho)
     return ConditionReport(

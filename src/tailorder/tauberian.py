@@ -172,16 +172,18 @@ _TRANSFORM_POINTS = 600
 def tauberian_check(U: FunctionHandle, cfg: TransformConfig | None = None,
                     grid: GridSpec | None = None,
                     tol: float = DEFAULT_CLASS_TOL,
-                    regularize: bool = True) -> ConditionReport:
+                    regularize: bool = True, *,
+                    label: ClassLabel | None = None) -> ConditionReport:
     """Order preservation through the transform, for positive orders.
 
     Classifies s -> transform(1/s) on the s-as-x grid and passes when the
     label matches the input order within tol. The converse's concavity
-    hypothesis is reported as a diagnostic, not asserted.
+    hypothesis is reported as a diagnostic, not asserted. ``label``
+    (``classify(U, grid, tol)``) skips the input's classification when given.
     """
     cfg = cfg or TransformConfig()
     grid = grid or GridSpec()
-    label = classify(U, grid, tol)
+    label = label or classify(U, grid, tol)
     if not label.is_m:
         raise ClassMismatch(f"{U.name}: classified {label}, finite order required")
     if label.rho <= tol:

@@ -212,3 +212,144 @@ def test_plots_sawtooth_for_step_tail(tmp_path):
     vals = [float(r.split(",")[1]) for r in rows]
     assert min(vals) >= -1.0 - 1e-12
     assert max(vals) < -0.75  # n/(n+1) ceiling over the plotted range
+
+
+# ---------------------------------------------------------------------------
+# non-finite and out-of-range arguments
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--r", "nan", "finite r"),
+    ("--r", "inf", "finite r"),
+    ("--r", "-inf", "finite r"),
+    ("--b", "nan", "1 < b < inf"),
+    ("--b", "inf", "1 < b < inf"),
+])
+def test_report_non_finite_r_or_b_is_an_input_error(flag, value, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["report", "--fn", "power_tail", "--param", "alpha=1", f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_simulate_block_size_one_is_an_input_error(capsys):
+    code = main(["simulate", "--fn", "pareto_tail", "--param", "alpha=1", "--n", "1",
+                 "--reps", "10", "--seed", "1"])
+    assert code == 2
+    assert "block size 1" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    from tailorder.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    assert main(["report", "--fn", "power_tail", "--param", "alpha=-2",
+                 "--r", "3", "--r", "2"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert main(["report", "--fn", "pareto_tail", "--param", "alpha=1.5",
+                 "--r", "0.5"]) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert first["input"]["params"] == {"alpha": -2.0}
+    assert first["provenance"]["r"] == [3.0, 2.0]
+    assert second["input"]["params"] == {"alpha": 1.5}
+    assert second["provenance"]["r"] == [0.5]
+    assert [c["measured"]["r"] for c in second["conditions"][3:]] == [0.5]
+    assert main(["classify", "--fn", "peter_paul"]) == 0
+    third = json.loads(capsys.readouterr().out)
+    assert third["input"]["params"] == {}
+    assert "r" not in third["provenance"]
+
+
+# ---------------------------------------------------------------------------
+# report computes each quantity once
+# ---------------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Count calls of module.name through every tailorder binding of it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "tailorder":
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+def test_report_computes_orders_kappa_label_once(monkeypatch, capsys):
+    from tailorder import karamata, order
+
+    counts = {name: _count_calls(monkeypatch, mod, name) for mod, name in [
+        (order, "estimate_orders"), (order, "estimate_kappa"), (order, "classify"),
+        (order, "rv_ratio_test"), (karamata, "cumulative_integral"),
+        (order, "probe_integral_convergence")]}
+    # r = 3: K1* (V); r = 2: K3* (V, ratio test); r = 1: K2* (W, one probe)
+    assert main(["report", "--fn", "power_tail", "--param", "alpha=-2",
+                 "--r", "3", "--r", "2", "--r", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [c["condition"] for c in doc["conditions"][3:]] == ["K1*", "K3*", "K2*"]
+    assert doc["evt"]["domain_attraction"]["kind"] == "Frechet"
+    assert len(counts["estimate_orders"]) == 1
+    assert len(counts["estimate_kappa"]) == 1
+    assert len(counts["classify"]) == 1
+    assert len(counts["rv_ratio_test"]) == 1
+    assert len(counts["cumulative_integral"]) == 3
+    # the probes of one kappa bisection plus the W integral's one probe
+    report_probes = len(counts["probe_integral_convergence"])
+    counts["probe_integral_convergence"].clear()
+    order.estimate_kappa(to.make_power_tail(-2.0), to.KappaConfig(grid=to.GridSpec()))
+    assert report_probes == len(counts["probe_integral_convergence"]) + 1
+
+
+def _library_report(handle, rs, b=2.0, tol=0.05):
+    """conditions and evt of a report, from the library checks on their own."""
+    grid = to.GridSpec()  # the CLI's default grid
+    conditions = []
+    label = to.classify(handle, grid, tol)
+    if label.tag == "M":
+        rep = to.extract_representation(handle, b, grid, tol)
+        conditions += [
+            to.verify_representation(handle, rep, grid, tol).to_dict(),
+            to.check_second_characterization(handle, grid, to.KappaConfig(grid=grid),
+                                             tol).to_dict(),
+            to.rv_ratio_test(handle, grid=grid, tol=tol).to_dict(),
+        ]
+        conditions += [to.karamata_theorem_report(handle, r, b, grid, tol).to_dict()
+                       for r in rs]
+    else:
+        conditions.append(to.extract_representation_inf(handle, b, grid, tol).report.to_dict())
+    evt = None
+    if handle.truth.is_tail:
+        D = to.distribution_for(handle)
+        evt = {"domain_attraction": to.classify_domain_attraction(D, grid, tol).to_dict()}
+    # the CLI's JSON encoding: float keys become strings, tuples lists
+    return json.loads(json.dumps({"conditions": conditions, "evt": evt}))
+
+
+@pytest.mark.parametrize("fn, params, rs", [
+    ("power_tail", {"alpha": 1.0}, [0.5, -2.0, -1.0]),   # K1*, K2*, K3*
+    ("power_tail", {"alpha": -2.0}, [3.0, 1.0]),          # K1*, K2*; Frechet
+    ("peter_paul", {}, [1.0]),                            # K3*, not ratio-regular
+    ("exp_neg", {}, []),                                  # rapid decay, Gumbel candidate
+])
+def test_report_equals_standalone_library_checks(fn, params, rs, capsys):
+    argv = ["report", "--fn", fn]
+    for k, v in params.items():
+        argv += ["--param", f"{k}={v!r}"]
+    for r in rs:
+        argv += ["--r", repr(r)]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    want = _library_report(to.make_named(fn, params), rs)
+    assert doc["conditions"] == want["conditions"]
+    assert doc["evt"] == want["evt"]

@@ -305,6 +305,22 @@ def test_simulation_rejects_bad_reps():
         to.block_maxima_simulate(D, [100], reps=0, seed=1)
 
 
+@pytest.mark.parametrize("n_values", [[1], [100, 1], [0], [-5]])
+def test_simulation_rejects_block_sizes_below_two(n_values):
+    # a block of one value has no maximum to normalize: refused up front,
+    # naming the block size, before any quantile is asked for
+    D = to.distribution_for(to.make_pareto_tail(1.0))
+    bad = min(n_values)
+    with pytest.raises(ParamError, match=f"block size {bad} "):
+        to.block_maxima_simulate(D, n_values, reps=10, seed=1)
+
+
+def test_simulation_rejects_no_block_sizes():
+    D = to.distribution_for(to.make_pareto_tail(1.0))
+    with pytest.raises(ParamError):
+        to.block_maxima_simulate(D, [], reps=10, seed=1)
+
+
 def test_pareto_maxima_near_frechet():
     D = to.distribution_for(to.make_pareto_tail(1.0))
     sim = to.block_maxima_simulate(D, [10_000], reps=2000, seed=7,

@@ -148,6 +148,40 @@ def test_eval_log_domain_error():
         to.eval_log(h, -3.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+def test_domain_check_rejects_non_finite_and_floor(bad):
+    h = to.make_power_tail(-1.0)
+    with pytest.raises(DomainError, match="requires x > 0"):
+        h.log_at(np.array([10.0, bad, 100.0]))
+    with pytest.raises(DomainError, match="requires x > 0"):
+        h.log_at(bad)
+
+
+def test_domain_check_accepts_empty_array():
+    h = to.make_power_tail(-1.0)
+    assert h.log_at(np.array([])).shape == (0,)
+    table = to.from_table(to.TableData(rows=_power_rows()))
+    assert table.log_at(np.empty((0, 3))).shape == (0, 3)
+
+
+def test_domain_check_table_range_ends():
+    h = to.from_table(to.TableData(rows=_power_rows()))
+    lo, hi = h.log_domain
+    x_lo, x_hi = math.exp(lo), math.exp(hi)
+    # both ends of the tabulated range evaluate, together and alone
+    vals = h.log_at(np.array([x_lo, 1e4, x_hi]))
+    assert np.all(np.isfinite(vals))
+    for x in (x_lo, x_hi):
+        assert math.isfinite(to.eval_log(h, x))
+    # a step beyond either end is refused, wherever it sits in the array
+    for bad in (x_lo * (1 - 1e-9), x_hi * (1 + 1e-9)):
+        with pytest.raises(DomainError, match="outside tabulated range"):
+            h.log_at(np.array([1e4, bad, 1e3]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="requires x > 0"):
+            h.log_at(np.array([1e4, bad]))
+
+
 def test_handles_pure():
     h = to.make_two_plus_sin()
     vals = {to.eval_log(h, 123.456) for _ in range(10)}

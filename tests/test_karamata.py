@@ -202,6 +202,44 @@ def test_theorem_report_class_mismatch():
         to.karamata_theorem_report(to.make_exp_neg(), 1.0, 2.0)
 
 
+def test_checks_share_a_precomputed_integral():
+    U = to.make_power_tail(-2.0)
+    w = to.cumulative_integral(U, "W", -0.5, 2.0)
+    assert to.karamata_limit(U, 0.5, 2.0, "upper", ci=w) == to.karamata_limit(
+        U, 0.5, 2.0, "upper")
+    assert to.check_condition(U, "C2r", 0.5, 2.0, ci=w) == to.check_condition(
+        U, "C2r", 0.5, 2.0)
+
+
+@pytest.mark.parametrize("kind, r, b, handle", [
+    ("V", 0.5, 2.0, None),      # V where the check needs W
+    ("W", 0.0, 2.0, None),      # another exponent
+    ("W", 0.5, 3.0, None),      # another base point
+    ("W", 0.5, 2.0, "other"),   # another function
+])
+def test_checks_reject_a_mismatched_integral(kind, r, b, handle):
+    U = to.make_power_tail(-2.0)
+    source = to.make_power_tail(-2.0) if handle else U
+    ci = to.cumulative_integral(source, kind, r - 1.0, b)
+    with pytest.raises(ParamError, match="precomputed integral"):
+        to.karamata_limit(U, 0.5, 2.0, "upper", ci=ci)
+    with pytest.raises(ParamError, match="precomputed integral"):
+        to.check_condition(U, "C2r", 0.5, 2.0, ci=ci)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_exponent_or_base_point_is_refused(bad):
+    U = to.make_power_tail(1.0)
+    with pytest.raises(ParamError, match="finite r"):
+        to.cumulative_integral(U, "V", bad, 2.0)
+    with pytest.raises(ParamError, match="finite r"):
+        to.karamata_theorem_report(U, bad, 2.0)
+    with pytest.raises(ParamError, match="0 < b < inf"):
+        to.cumulative_integral(U, "V", 0.5, bad)
+    with pytest.raises(ParamError, match="1 < b < inf"):
+        to.extract_representation(U, bad)
+
+
 def test_branch_consistency_sweep():
     for h in to.corpus_m_members():
         for s in (-1.5, 0.0, 1.5):
