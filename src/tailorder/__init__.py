@@ -98,7 +98,6 @@ from .order import (
     ConvergenceVerdict,
     GridSpec,
     IndexEstimate,
-    KappaConfig,
     Trend,
     check_second_characterization,
     classify,

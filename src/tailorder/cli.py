@@ -37,7 +37,6 @@ from .handles import FunctionHandle, load_csv, make_named
 from .labels import TAG_M, TAG_M_INF, TAG_M_NEG_INF
 from .order import (
     GridSpec,
-    KappaConfig,
     check_second_characterization,
     classify,
     estimate_kappa,
@@ -167,8 +166,7 @@ def _base_document(args, handle, descriptor, grid, tol, extra_provenance=None):
     label = classify(handle, grid, tol, orders=orders)
     kappa = None
     if handle.log_domain is None:  # moment probing integrates from x = 1
-        kcfg = KappaConfig(grid=grid)
-        kappa = estimate_kappa(handle, kcfg)
+        kappa = estimate_kappa(handle, grid)
     estimates = {
         "mu": estimate_dict(mu),
         "nu": estimate_dict(nu),
@@ -224,7 +222,7 @@ def _cmd_report(args) -> int:
         rep = kar.extract_representation(handle, args.b, grid, tol, label=label)
         conditions.append(kar.verify_representation(handle, rep, grid, tol).to_dict())
         conditions.append(check_second_characterization(
-            handle, grid, KappaConfig(grid=grid), tol, label=label, kappa=kappa).to_dict())
+            handle, grid, tol, label=label, kappa=kappa).to_dict())
         rv = rv_ratio_test(handle, grid=grid, tol=tol)
         conditions.append(rv.to_dict())
         for r in args.r or (-1.0, 0.5, 1.0, 3.0):

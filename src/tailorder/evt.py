@@ -135,8 +135,7 @@ def _log_tail_derivs(base: FunctionHandle, xs: np.ndarray, h: float):
     return d1, d2
 
 
-def von_mises_frechet(D: DistributionHandle, grid: GridSpec | None = None,
-                      h_rule: float = _FD_STEP) -> IndexEstimate:
+def von_mises_frechet(D: DistributionHandle, grid: GridSpec | None = None) -> IndexEstimate:
     """Limit of x F'(x) / F-bar(x), the hazard-ratio index.
 
     Equals -d(log F-bar)/d(log x); estimated with relative-step central
@@ -146,12 +145,11 @@ def von_mises_frechet(D: DistributionHandle, grid: GridSpec | None = None,
         raise NonDifferentiable(f"{D.base.name}: tail is not differentiable")
     grid = grid or GridSpec()
     xs = grid.xs()
-    d1, _ = _log_tail_derivs(D.base, xs, h_rule)
+    d1, _ = _log_tail_derivs(D.base, xs, _FD_STEP)
     return windowed_limit(xs, -d1, grid)
 
 
-def von_mises_gumbel(D: DistributionHandle, grid: GridSpec | None = None,
-                     h_rule: float = _FD_STEP) -> IndexEstimate:
+def von_mises_gumbel(D: DistributionHandle, grid: GridSpec | None = None) -> IndexEstimate:
     """Limit of (F-bar/F')'(x), the reciprocal-hazard flatness probe.
 
     In log coordinates with g = log F-bar: (F-bar/F')' = -1/g' + g''/g'^2.
@@ -160,7 +158,7 @@ def von_mises_gumbel(D: DistributionHandle, grid: GridSpec | None = None,
         raise NonDifferentiable(f"{D.base.name}: tail is not differentiable")
     grid = grid or GridSpec()
     xs = grid.xs()
-    d1, d2 = _log_tail_derivs(D.base, xs, h_rule)
+    d1, d2 = _log_tail_derivs(D.base, xs, _FD_STEP)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = -1.0 / d1 + d2 / (d1 * d1)
     return windowed_limit(xs, vals, grid)
@@ -377,8 +375,6 @@ def _least_levels(rng: np.random.Generator, n: int, reps: int) -> np.ndarray:
 
 def block_maxima_simulate(D: DistributionHandle, n_values: Sequence[int],
                           reps: int, seed: int,
-                          norm_rule: str = "frechet_standard",
-                          custom_norm: Sequence[tuple] | None = None,
                           candidate_alpha: float | None = None,
                           abscissas: Sequence[float] | None = None
                           ) -> SimulationResult:
@@ -388,8 +384,9 @@ def block_maxima_simulate(D: DistributionHandle, n_values: Sequence[int],
     per replication: the quantile map is nonincreasing in the tail level,
     so max_i Q(u_i) = Q(min_i u_i), and ``_least_levels`` draws min_i u_i.
     The cost does not grow with n. The counter-based generator is keyed by
-    the seed, so results are bit-identical for a fixed seed. The standard
-    rule uses b_n = 0 and a_n = tail-quantile(1/n), so block sizes start at 2.
+    the seed, so results are bit-identical for a fixed seed. The maxima are
+    normalized by b_n = 0 and a_n = tail-quantile(1/n), so block sizes start
+    at 2.
     """
     if reps < 1:
         raise ParamError("simulation requires reps >= 1")
@@ -398,23 +395,16 @@ def block_maxima_simulate(D: DistributionHandle, n_values: Sequence[int],
         raise ParamError("simulation requires at least one block size")
     if min(ns) < 2:
         raise ParamError(f"block size {min(ns)} is too small: block maxima need n >= 2")
-    if norm_rule not in ("frechet_standard", "custom"):
-        raise ParamError(f"unknown normalization rule {norm_rule!r}")
-    if norm_rule == "custom" and (custom_norm is None or len(custom_norm) != len(ns)):
-        raise ParamError("custom rule needs one (a_n, b_n) per block size")
     xs = np.asarray(abscissas if abscissas is not None else _DEFAULT_ABSCISSAS,
                     dtype=float)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    a_list, b_list, cdfs, dists = [], [], [], []
-    for j, n in enumerate(ns):
-        if norm_rule == "frechet_standard":
-            a_n, b_n = float(D.quantile(1.0 / n)), 0.0
-        else:
-            a_n, b_n = float(custom_norm[j][0]), float(custom_norm[j][1])
+    a_list, cdfs, dists = [], [], []
+    for n in ns:
+        a_n = float(D.quantile(1.0 / n))
         if not a_n > 0:
             raise QuantileError("normalizing scale must be positive")
         maxima = D.quantile(_least_levels(rng, n, reps))
-        z = np.sort((maxima - b_n) / a_n)
+        z = np.sort(maxima / a_n)
         emp = np.searchsorted(z, xs, side="right") / reps
         cdfs.append(tuple(emp.tolist()))
         if candidate_alpha is not None:
@@ -423,9 +413,8 @@ def block_maxima_simulate(D: DistributionHandle, n_values: Sequence[int],
         else:
             dists.append(None)
         a_list.append(a_n)
-        b_list.append(b_n)
     return SimulationResult(
-        n_values=tuple(ns), a_n=tuple(a_list), b_n=tuple(b_list),
+        n_values=tuple(ns), a_n=tuple(a_list), b_n=(0.0,) * len(ns),
         abscissas=tuple(float(v) for v in xs),
         empirical_cdfs=tuple(cdfs), distances=tuple(dists),
         seed=int(seed), reps=int(reps), candidate_alpha=candidate_alpha,

@@ -101,12 +101,17 @@ class FunctionHandle:
     def log_at_u(self, u):
         """log U(exp(u)); safe for u beyond float-representable x."""
         ua = np.asarray(u, dtype=float)
-        if self.support_floor > 0.0 and np.any(ua <= math.log(self.support_floor)):
-            raise DomainError(f"{self.name}: log-argument below support floor")
-        if self.log_domain is not None:
-            lo, hi = self.log_domain
-            if np.any(ua < lo - 1e-12) or np.any(ua > hi + 1e-12):
-                raise DomainError(f"{self.name}: log-argument outside tabulated range")
+        if ua.size:
+            # the extremes decide: NaN propagates through min and fails the test
+            u_lo, u_hi = ua.min(), ua.max()
+            if not (-math.inf < u_lo and u_hi < math.inf):
+                raise DomainError(f"{self.name}: log-argument must be finite")
+            if self.support_floor > 0.0 and u_lo <= math.log(self.support_floor):
+                raise DomainError(f"{self.name}: log-argument below support floor")
+            if self.log_domain is not None:
+                lo, hi = self.log_domain
+                if u_lo < lo - 1e-12 or u_hi > hi + 1e-12:
+                    raise DomainError(f"{self.name}: log-argument outside tabulated range")
         return self.log_at_logx(ua)
 
     def value(self, x):

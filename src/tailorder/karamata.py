@@ -27,6 +27,7 @@ from .handles import LOG2, FunctionHandle
 from .labels import TAG_M_INF, TAG_M_NEG_INF, ClassLabel
 from .order import (
     DEFAULT_CLASS_TOL,
+    INF_THRESHOLD,
     ConditionReport,
     GridSpec,
     IndexEstimate,
@@ -41,6 +42,8 @@ from .quadrature import cell_log_masses, cell_pair_log_masses, logsumexp
 KAPPA_ZERO_EPS = 0.02
 
 _DENOM_FLOOR = 1e-6
+
+_CELLS_PER_OCTAVE = 512
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +106,7 @@ class CumulativeIntegral:
 
 
 def cumulative_integral(U: FunctionHandle, kind: str, r: float, b: float,
-                        grid: GridSpec | None = None,
-                        cells_per_octave: int = 512) -> CumulativeIntegral:
+                        grid: GridSpec | None = None) -> CumulativeIntegral:
     """Build V_r (kind="V") or W_r (kind="W") on an octave-aligned log grid."""
     grid = grid or GridSpec()
     if kind not in ("V", "W"):
@@ -117,7 +119,7 @@ def cumulative_integral(U: FunctionHandle, kind: str, r: float, b: float,
     u_max = grid.log10_x_max * math.log(10.0)
     if u_max <= u_b:
         raise ParamError("integration range is empty")
-    m = cells_per_octave
+    m = _CELLS_PER_OCTAVE
     log_f = _moment_log_f(U, r)
     n_cells = int(math.ceil((u_max - u_b) / (LOG2 / m)))
     edges = u_b + np.arange(n_cells + 1) * (LOG2 / m)
@@ -172,6 +174,12 @@ def _clipped_grid(grid: GridSpec, b: float) -> GridSpec:
                     points=grid.points, windows=grid.windows)
 
 
+def _ratio_threshold(r: float) -> float:
+    """Runaway bound of the log-integral ratios, above their limits rho + r
+    and r because a finite-order label has |rho| <= INF_THRESHOLD."""
+    return 2.0 * INF_THRESHOLD + abs(r)
+
+
 def _integral_for(U: FunctionHandle, kind: str, r: float, b: float, grid: GridSpec,
                   ci: CumulativeIntegral | None) -> CumulativeIntegral:
     """The cumulative integral of kind V/W of t**(r-1) U from b: ``ci`` or a new one."""
@@ -199,7 +207,7 @@ def karamata_limit(U: FunctionHandle, r: float, b: float, side: str,
     sub = _clipped_grid(grid, b)
     xs = sub.xs()
     ys = np.asarray(ci.log_value(xs), dtype=float) / np.log(xs)
-    return windowed_limit(xs, ys, sub)
+    return windowed_limit(xs, ys, sub, _ratio_threshold(r))
 
 
 def check_condition(U: FunctionHandle, which: str, r: float, b: float,
@@ -219,7 +227,7 @@ def check_condition(U: FunctionHandle, which: str, r: float, b: float,
     xs = sub.xs()
     d = (np.asarray(ci.log_value(xs), dtype=float)
          - np.asarray(U.log_at(xs), dtype=float)) / np.log(xs)
-    est = windowed_limit(xs, d, sub)
+    est = windowed_limit(xs, d, sub, _ratio_threshold(r))
     resid = abs(est.value - r) if math.isfinite(est.value) else math.inf
     return ConditionReport(
         condition=which,

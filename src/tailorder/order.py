@@ -14,7 +14,7 @@ bisecting between the convergent and divergent regimes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -55,11 +55,16 @@ class GridSpec:
     windows: int = 8
 
     def __post_init__(self) -> None:
+        with np.errstate(over="ignore"):
+            x_min = np.power(10.0, self.log10_x_min)
+            x_max = np.power(10.0, self.log10_x_max)
         # the first sample divides by log x_min, which must not round to 0
-        if not np.power(10.0, self.log10_x_min) > 1.0:
+        if not x_min > 1.0:
             raise ParamError("grid requires x_min > 1")
         if not self.log10_x_min < self.log10_x_max:
             raise ParamError("grid requires x_min < x_max")
+        if not x_max < math.inf:
+            raise ParamError(f"grid requires a finite x_max = 10**{self.log10_x_max:g}")
         if self.windows < 2:
             raise ParamError("grid requires at least 2 windows")
         if self.points < 16 * self.windows:
@@ -95,22 +100,6 @@ class ConvergenceVerdict:
     @property
     def is_divergent(self) -> bool:
         return self.tag == "Divergent"
-
-
-@dataclass(frozen=True)
-class KappaConfig:
-    r_lo: float = -64.0
-    r_hi: float = 64.0
-    bisect_tol: float = 0.01
-    grid: GridSpec = field(default_factory=GridSpec)
-    inf_threshold: float = INF_THRESHOLD
-    cells_per_octave: int = 256
-
-    def __post_init__(self) -> None:
-        if not self.r_lo < self.r_hi:
-            raise ParamError("kappa search requires r_lo < r_hi")
-        if not self.bisect_tol > 0:
-            raise ParamError("kappa search requires bisect_tol > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +230,15 @@ def order_samples(U: FunctionHandle, xs) -> np.ndarray:
     return np.asarray(U.log_at(xa), dtype=float) / np.log(xa)
 
 
-def estimate_orders(U: FunctionHandle, grid: GridSpec | None = None,
-                    inf_threshold: float = INF_THRESHOLD
+def estimate_orders(U: FunctionHandle, grid: GridSpec | None = None
                     ) -> tuple[IndexEstimate, IndexEstimate]:
     """(lower order, upper order) of U: liminf / limsup of log U / log x."""
     grid = grid or GridSpec()
     xs = grid.xs()
     rs = np.asarray(U.log_at(xs), dtype=float) / np.log(xs)
     mins, L_min, maxs, L_max, _, _ = _window_stats(xs, rs, grid)
-    mu_val, mu_trend = _combine(mins, L_min, side=-1, inf_threshold=inf_threshold)
-    nu_val, nu_trend = _combine(maxs, L_max, side=+1, inf_threshold=inf_threshold)
+    mu_val, mu_trend = _combine(mins, L_min, side=-1)
+    nu_val, nu_trend = _combine(maxs, L_max, side=+1)
     last = rs[grid.window_slices()[-1]]
     spread = float(last.max() - last.min())
     if spread == 0.0:
@@ -297,11 +285,14 @@ def classify(U: FunctionHandle, grid: GridSpec | None = None,
 
 _RATIO_MARGIN = 5e-4
 _SUSTAIN = 4
+# bisection bracket and width of the moment-index search
+_KAPPA_R_LO = -64.0
+_KAPPA_R_HI = 64.0
+_KAPPA_TOL = 0.01
 
 
 def probe_integral_convergence(U: FunctionHandle, r: float,
-                               grid: GridSpec | None = None,
-                               cells_per_octave: int = 256) -> ConvergenceVerdict:
+                               grid: GridSpec | None = None) -> ConvergenceVerdict:
     """Does integral_1^inf x**(r-1) U(x) dx converge?
 
     Partial integrals at doubling truncations; convergent when octave
@@ -310,12 +301,11 @@ def probe_integral_convergence(U: FunctionHandle, r: float,
     """
     grid = grid or GridSpec()
     n_oct = max(_SUSTAIN + 2, int(math.floor(grid.log10_x_max * math.log(10) / LOG2_)))
-    oi = octave_integral(U, r, k0=0, n_octaves=n_oct, cells_per_octave=cells_per_octave)
-    partials = oi.partials()
+    inc = octave_integral(U, r, n_oct)
+    partials = np.logaddexp.accumulate(inc)
     trace = tuple(
         (float((k + 1) * math.log10(2.0)), float(p)) for k, p in enumerate(partials)
     )
-    inc = oi.octave_log_masses
     # log increment ratios over the last sustained stretch
     tail = inc[-(_SUSTAIN + 1):]
     if np.all(~np.isfinite(tail)):
@@ -332,27 +322,23 @@ def probe_integral_convergence(U: FunctionHandle, r: float,
     return ConvergenceVerdict("Undecided", trace)
 
 
-def estimate_kappa(U: FunctionHandle, cfg: KappaConfig | None = None) -> IndexEstimate:
+def estimate_kappa(U: FunctionHandle, grid: GridSpec | None = None) -> IndexEstimate:
     """Moment index: bisection between convergent and divergent exponents."""
-    cfg = cfg or KappaConfig()
-
-    def probe(r: float) -> ConvergenceVerdict:
-        return probe_integral_convergence(U, r, cfg.grid, cfg.cells_per_octave)
-
-    v_lo = probe(cfg.r_lo)
-    v_hi = probe(cfg.r_hi)
+    grid = grid or GridSpec()
+    lo, hi = _KAPPA_R_LO, _KAPPA_R_HI
+    v_lo = probe_integral_convergence(U, lo, grid)
+    v_hi = probe_integral_convergence(U, hi, grid)
     if not (v_lo.is_convergent or v_lo.is_divergent):
-        raise UndecidedConvergence(f"probe undecided at r_lo={cfg.r_lo}")
+        raise UndecidedConvergence(f"probe undecided at r_lo={lo}")
     if not (v_hi.is_convergent or v_hi.is_divergent):
-        raise UndecidedConvergence(f"probe undecided at r_hi={cfg.r_hi}")
+        raise UndecidedConvergence(f"probe undecided at r_hi={hi}")
     if v_lo.is_divergent:
-        return IndexEstimate(-math.inf, 0.0, Trend.STABLE, cfg.grid)
+        return IndexEstimate(-math.inf, 0.0, Trend.STABLE, grid)
     if v_hi.is_convergent:
-        return IndexEstimate(math.inf, 0.0, Trend.STABLE, cfg.grid)
-    lo, hi = cfg.r_lo, cfg.r_hi
-    while hi - lo > cfg.bisect_tol:
+        return IndexEstimate(math.inf, 0.0, Trend.STABLE, grid)
+    while hi - lo > _KAPPA_TOL:
         mid = 0.5 * (lo + hi)
-        v = probe(mid)
+        v = probe_integral_convergence(U, mid, grid)
         if v.is_convergent:
             lo = mid
         elif v.is_divergent:
@@ -361,8 +347,8 @@ def estimate_kappa(U: FunctionHandle, cfg: KappaConfig | None = None) -> IndexEs
             # undecided sits inside the narrow ratio-margin band around the
             # boundary: the midpoint IS the answer, to within that band
             band = 2.0 * _RATIO_MARGIN / LOG2_
-            return IndexEstimate(mid, band, Trend.STABLE, cfg.grid)
-    return IndexEstimate(0.5 * (lo + hi), hi - lo, Trend.STABLE, cfg.grid)
+            return IndexEstimate(mid, band, Trend.STABLE, grid)
+    return IndexEstimate(0.5 * (lo + hi), hi - lo, Trend.STABLE, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -389,22 +375,20 @@ class ConditionReport:
 
 
 def check_second_characterization(U: FunctionHandle, grid: GridSpec | None = None,
-                                  cfg: KappaConfig | None = None,
                                   tol: float = DEFAULT_CLASS_TOL, *,
                                   label: ClassLabel | None = None,
                                   kappa: IndexEstimate | None = None) -> ConditionReport:
     """Moment index must be the negative of the growth order.
 
     ``label`` (``classify(U, grid, tol)``) and ``kappa``
-    (``estimate_kappa(U, cfg)``) skip their computation when given.
+    (``estimate_kappa(U, grid)``) skip their computation when given.
     """
     grid = grid or GridSpec()
-    cfg = cfg or KappaConfig(grid=grid)
     label = label or classify(U, grid, tol)
     if not label.is_m:
         raise ClassMismatch(f"{U.name}: classified {label}, finite order required")
-    kappa = kappa or estimate_kappa(U, cfg)
-    budget = cfg.bisect_tol + tol
+    kappa = kappa or estimate_kappa(U, grid)
+    budget = _KAPPA_TOL + tol
     resid = abs(kappa.value + label.rho)
     return ConditionReport(
         condition="INDEX-NEGATION",

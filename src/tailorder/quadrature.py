@@ -18,7 +18,6 @@ adaptive Gauss-Kronrod rule that refines many integrals together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,24 +71,12 @@ def cell_log_masses(log_f, u_edges: np.ndarray) -> np.ndarray:
     return cell_pair_log_masses(log_f, u_edges[:-1], u_edges[1:])
 
 
-@dataclass(frozen=True)
-class OctaveIntegral:
-    """Octave-resolved log-space integral of x**(r-1) * U(x) from x = 2**k0."""
-
-    k0: int
-    octave_log_masses: np.ndarray  # one entry per octave [2^k, 2^(k+1)]
-
-    def partials(self) -> np.ndarray:
-        """log I(2**(k0+j)) for j = 1..n_octaves."""
-        out = np.empty(self.octave_log_masses.size)
-        np.logaddexp.accumulate(self.octave_log_masses, out=out)
-        return out
+_CELLS_PER_OCTAVE = 256
 
 
-def octave_integral(handle, r: float, k0: int, n_octaves: int,
-                    cells_per_octave: int = 256) -> OctaveIntegral:
-    """Integrate x**(r-1) U(x) octave by octave from 2**k0, in log space."""
-    m = cells_per_octave
+def octave_integral(handle, r: float, n_octaves: int) -> np.ndarray:
+    """Per-octave log masses of x**(r-1) U(x) over [2**k, 2**(k+1)], k = 0, 1, ..."""
+    m = _CELLS_PER_OCTAVE
     masses = np.empty(n_octaves)
 
     # in u = log x coordinates the integrand carries the Jacobian e^u:
@@ -98,9 +85,9 @@ def octave_integral(handle, r: float, k0: int, n_octaves: int,
         return r * np.log(x) + handle.log_at(x)
 
     for j in range(n_octaves):
-        edges = (k0 + j + np.arange(m + 1) / m) * LOG2_
+        edges = (j + np.arange(m + 1) / m) * LOG2_
         masses[j] = logsumexp(cell_log_masses(log_f, edges))
-    return OctaveIntegral(k0=k0, octave_log_masses=masses)
+    return masses
 
 
 # ---------------------------------------------------------------------------

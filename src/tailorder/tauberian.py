@@ -171,8 +171,7 @@ _TRANSFORM_POINTS = 600
 
 def tauberian_check(U: FunctionHandle, cfg: TransformConfig | None = None,
                     grid: GridSpec | None = None,
-                    tol: float = DEFAULT_CLASS_TOL,
-                    regularize: bool = True, *,
+                    tol: float = DEFAULT_CLASS_TOL, *,
                     label: ClassLabel | None = None) -> ConditionReport:
     """Order preservation through the transform, for positive orders.
 
@@ -194,8 +193,6 @@ def tauberian_check(U: FunctionHandle, cfg: TransformConfig | None = None,
     try:
         _check_vanishes_at_origin(work)
     except PreconditionError:
-        if not regularize:
-            raise
         work = regularize_origin(U, label.rho)
         _check_vanishes_at_origin(work)
     H = transform_handle(work, cfg)

@@ -14,10 +14,17 @@ from tailorder.cli import main
 from tailorder.report import ReportDocument
 
 
+def _child_env():
+    """Environment in which a child process imports this same package."""
+    src = str(Path(to.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 def run_cli(*args):
     proc = subprocess.run(
         [sys.executable, "-m", "tailorder.cli", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_child_env(),
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -128,13 +135,10 @@ def test_table_from_x_one_starts_grid_above_it(tmp_path, capsys):
 
 
 def test_import_does_not_load_scipy():
-    src = str(Path(to.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, tailorder; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=_child_env(), check=True,
     )
     assert proc.stdout.strip() == "[]"
 
@@ -236,6 +240,27 @@ def test_report_non_finite_r_or_b_is_an_input_error(flag, value, message, capsys
     assert message in captured.err
 
 
+@pytest.mark.parametrize("xmax", ["309", "inf"])
+def test_overflowing_x_max_is_an_input_error(xmax):
+    code, out, err = run_cli("classify", "--fn", "power_tail", "--param", "alpha=-2",
+                             "--xmax", xmax)
+    assert code == 2
+    assert out == ""
+    assert "x_max" in err
+    assert "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("r, branch, target", [(100.0, "K1*", 101.0), (-150.0, "K2*", -149.0)])
+def test_report_integral_ratio_far_from_zero_order(r, branch, target, capsys):
+    # |rho + r| far beyond the runaway threshold of the order estimates
+    assert main(["report", "--fn", "power_tail", "--param", "alpha=1", "--r", f"{r:g}"]) == 0
+    cond = json.loads(capsys.readouterr().out)["conditions"][-1]
+    assert cond["condition"] == branch
+    assert cond["passed"]
+    assert cond["measured"]["limit"] == pytest.approx(target, abs=0.05)
+    assert cond["measured"]["condition_passed"]
+
+
 def test_simulate_block_size_one_is_an_input_error(capsys):
     code = main(["simulate", "--fn", "pareto_tail", "--param", "alpha=1", "--n", "1",
                  "--reps", "10", "--seed", "1"])
@@ -307,7 +332,7 @@ def test_report_computes_orders_kappa_label_once(monkeypatch, capsys):
     # the probes of one kappa bisection plus the W integral's one probe
     report_probes = len(counts["probe_integral_convergence"])
     counts["probe_integral_convergence"].clear()
-    order.estimate_kappa(to.make_power_tail(-2.0), to.KappaConfig(grid=to.GridSpec()))
+    order.estimate_kappa(to.make_power_tail(-2.0), to.GridSpec())
     assert report_probes == len(counts["probe_integral_convergence"]) + 1
 
 
@@ -320,8 +345,7 @@ def _library_report(handle, rs, b=2.0, tol=0.05):
         rep = to.extract_representation(handle, b, grid, tol)
         conditions += [
             to.verify_representation(handle, rep, grid, tol).to_dict(),
-            to.check_second_characterization(handle, grid, to.KappaConfig(grid=grid),
-                                             tol).to_dict(),
+            to.check_second_characterization(handle, grid, tol).to_dict(),
             to.rv_ratio_test(handle, grid=grid, tol=tol).to_dict(),
         ]
         conditions += [to.karamata_theorem_report(handle, r, b, grid, tol).to_dict()

@@ -182,6 +182,27 @@ def test_domain_check_table_range_ends():
             h.log_at(np.array([1e4, bad]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_log_at_u_rejects_non_finite(bad):
+    h = to.make_power_tail(1.0)
+    with pytest.raises(DomainError, match="log-argument must be finite"):
+        h.log_at_u(bad)
+    with pytest.raises(DomainError, match="log-argument must be finite"):
+        h.log_at_u(np.array([1.0, bad, 2.0]))
+
+
+def test_log_at_u_empty_array_and_table_range_ends():
+    assert to.make_power_tail(1.0).log_at_u(np.array([])).shape == (0,)
+    h = to.from_table(to.TableData(rows=_power_rows()))
+    lo, hi = h.log_domain
+    assert np.all(np.isfinite(h.log_at_u(np.array([lo, 0.5 * (lo + hi), hi]))))
+    for u in (lo, hi):
+        assert math.isfinite(float(h.log_at_u(u)))
+    for bad in (lo - 1e-9, hi + 1e-9):
+        with pytest.raises(DomainError, match="log-argument outside tabulated range"):
+            h.log_at_u(np.array([0.5 * (lo + hi), bad]))
+
+
 def test_handles_pure():
     h = to.make_two_plus_sin()
     vals = {to.eval_log(h, 123.456) for _ in range(10)}

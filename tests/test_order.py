@@ -232,4 +232,4 @@ def test_kappa_undecided_at_bracket_boundary():
     # moment index exactly at the search edge: the probe cannot take sides
     h = to.make_power_tail(-64.0)
     with pytest.raises(to.UndecidedConvergence):
-        to.estimate_kappa(h, to.KappaConfig(r_lo=-64.0, r_hi=64.0))
+        to.estimate_kappa(h)
