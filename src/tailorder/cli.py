@@ -219,6 +219,12 @@ def _cmd_report(args) -> int:
     conditions = []
     rv = None
     if label.tag == TAG_M:
+        if handle.log_domain is not None:
+            lo, hi = np.exp(handle.log_domain)
+            raise ParamError(
+                "report cannot check a finite-order table: the representation integrates "
+                "from b, and the ratio test and the moment index evaluate U beyond the "
+                f"tabulated range x in [{lo:g}, {hi:g}]")
         rep = kar.extract_representation(handle, args.b, grid, tol, label=label)
         conditions.append(kar.verify_representation(handle, rep, grid, tol).to_dict())
         conditions.append(check_second_characterization(
@@ -307,9 +313,14 @@ def _cmd_plots(args) -> int:
         sub = xs[:: max(1, len(xs) // 200)]
         rows = []
         for t in ts:
-            ratio = np.exp(np.asarray(handle.log_at(sub * t), dtype=float)
-                           - np.asarray(handle.log_at(sub), dtype=float))
-            rows.extend((float(t), float(x), float(v)) for x, v in zip(sub, ratio))
+            xs_t = sub
+            if handle.log_domain is not None:  # only x with x * t inside the table
+                lo, hi = handle.log_domain
+                log_xt = np.log(sub * t)
+                xs_t = sub[(log_xt >= lo) & (log_xt <= hi)]
+            ratio = np.exp(np.asarray(handle.log_at(xs_t * t), dtype=float)
+                           - np.asarray(handle.log_at(xs_t), dtype=float))
+            rows.extend((float(t), float(x), float(v)) for x, v in zip(xs_t, ratio))
         _write_csv(out_dir / "ratio.csv", ["t", "x", "ratio"], rows)
     except OSError as exc:
         raise FormatError(f"cannot write plot data: {exc}") from None

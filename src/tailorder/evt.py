@@ -231,7 +231,6 @@ def default_a_family() -> list[tuple[str, Callable]]:
 
 def gpd_ratio_probe(D: DistributionHandle, xi: float, a_fn: Callable,
                     x_probe: Sequence[float] | None = None,
-                    u_grid: np.ndarray | None = None,
                     tol: float = 0.01) -> ConditionReport:
     """Stability of F-bar(u + x a(u)) / F-bar(u) against the GPD target.
 
@@ -245,8 +244,7 @@ def gpd_ratio_probe(D: DistributionHandle, xi: float, a_fn: Callable,
                     dtype=float)
     if np.any(1.0 + xi * xs <= 0.0):
         raise ParamError("probe points must satisfy 1 + xi*x > 0")
-    us = np.asarray(u_grid if u_grid is not None else np.logspace(2, 7, 64),
-                    dtype=float)
+    us = np.logspace(2, 7, 64)
     # for step tails, place thresholds just below the jumps: the excess
     # window x*a(u) is far narrower than any geometric spacing, and the
     # jumps are exactly where the excess law breaks

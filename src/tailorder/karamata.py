@@ -17,7 +17,7 @@ conditions C1r/C2r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -151,7 +151,7 @@ def cumulative_integral(U: FunctionHandle, kind: str, r: float, b: float,
             break
     else:
         raise DivergentTail(f"tail integral of t**{r:g} * {U.name}: no decay reached")
-    all_edges = np.concatenate([ext_edges[0]] + [e for e in ext_edges[1:]])
+    all_edges = np.concatenate(ext_edges)
     all_cells = np.concatenate(ext_cells)
     rev = np.empty(all_cells.size)
     np.logaddexp.accumulate(all_cells[::-1], out=rev)
@@ -170,72 +170,63 @@ def _clipped_grid(grid: GridSpec, b: float) -> GridSpec:
     lo = max(grid.log10_x_min, math.log10(max(4.0 * b, 10.0)))
     if lo >= grid.log10_x_max - 0.5:
         raise ParamError("grid too short beyond the base point b")
-    return GridSpec(log10_x_min=lo, log10_x_max=grid.log10_x_max,
-                    points=grid.points, windows=grid.windows)
+    return replace(grid, log10_x_min=lo)
 
 
-def _ratio_threshold(r: float) -> float:
-    """Runaway bound of the log-integral ratios, above their limits rho + r
-    and r because a finite-order label has |rho| <= INF_THRESHOLD."""
-    return 2.0 * INF_THRESHOLD + abs(r)
+def _ratio_checks(U: FunctionHandle, ci: CumulativeIntegral, r: float, grid: GridSpec,
+                  tol: float) -> tuple[IndexEstimate, ConditionReport]:
+    """Windowed limit of log(ci)/log x, and the balance condition
+    log(ci)/log x - log U/log x -> r, from one reading of ci and of U.
 
-
-def _integral_for(U: FunctionHandle, kind: str, r: float, b: float, grid: GridSpec,
-                  ci: CumulativeIntegral | None) -> CumulativeIntegral:
-    """The cumulative integral of kind V/W of t**(r-1) U from b: ``ci`` or a new one."""
-    if ci is None:
-        return cumulative_integral(U, kind, r - 1.0, b, grid)
-    if ci.source is not U or (ci.kind, ci.r, ci.b) != (kind, r - 1.0, b):
-        raise ParamError(
-            f"precomputed integral is not {kind}_{r - 1.0:g} of {U.name} from b={b:g}")
-    return ci
-
-
-def karamata_limit(U: FunctionHandle, r: float, b: float, side: str,
-                   grid: GridSpec | None = None, *,
-                   ci: CumulativeIntegral | None = None) -> IndexEstimate:
-    """Windowed limit of log(cumulative)/log x.
-
-    side "lower" uses V_{r-1} (integral from b), side "upper" uses W_{r-1}
-    (tail integral, requires convergence); ``ci`` is that integral when the
-    caller has built it already.
+    ``ci`` is V_{r-1} (condition C1r) or W_{r-1} (condition C2r) from its
+    base point. The runaway bound of both ratios lies above their limits
+    rho + r and r, because a finite-order label has |rho| <= INF_THRESHOLD.
     """
-    grid = grid or GridSpec()
-    if side not in ("lower", "upper"):
-        raise ParamError("side must be 'lower' or 'upper'")
-    ci = _integral_for(U, "V" if side == "lower" else "W", r, b, grid, ci)
-    sub = _clipped_grid(grid, b)
+    sub = _clipped_grid(grid, ci.b)
     xs = sub.xs()
-    ys = np.asarray(ci.log_value(xs), dtype=float) / np.log(xs)
-    return windowed_limit(xs, ys, sub, _ratio_threshold(r))
-
-
-def check_condition(U: FunctionHandle, which: str, r: float, b: float,
-                    grid: GridSpec | None = None,
-                    tol: float = DEFAULT_CLASS_TOL, *,
-                    ci: CumulativeIntegral | None = None) -> ConditionReport:
-    """Balance condition: log(cumulative)/log x - log U/log x -> r.
-
-    C1r uses V_{r-1}, C2r uses W_{r-1}; ``ci`` is that integral when the
-    caller has built it already.
-    """
-    grid = grid or GridSpec()
-    if which not in ("C1r", "C2r"):
-        raise ParamError("which must be 'C1r' or 'C2r'")
-    ci = _integral_for(U, "V" if which == "C1r" else "W", r, b, grid, ci)
-    sub = _clipped_grid(grid, b)
-    xs = sub.xs()
-    d = (np.asarray(ci.log_value(xs), dtype=float)
-         - np.asarray(U.log_at(xs), dtype=float)) / np.log(xs)
-    est = windowed_limit(xs, d, sub, _ratio_threshold(r))
+    log_x = np.log(xs)
+    log_ci = np.asarray(ci.log_value(xs), dtype=float)
+    threshold = 2.0 * INF_THRESHOLD + abs(r)
+    limit = windowed_limit(xs, log_ci / log_x, sub, threshold)
+    est = windowed_limit(xs, (log_ci - np.asarray(U.log_at(xs), dtype=float)) / log_x,
+                         sub, threshold)
     resid = abs(est.value - r) if math.isfinite(est.value) else math.inf
-    return ConditionReport(
-        condition=which,
+    cond = ConditionReport(
+        condition="C1r" if ci.kind == "V" else "C2r",
         passed=bool(resid <= tol),
         measured={"limit": est.value, "target": r, "residual": resid,
                   "spread": est.spread, "trend": est.trend.value},
         tolerance=tol,
     )
+    return limit, cond
+
+
+def karamata_limit(U: FunctionHandle, r: float, b: float, side: str,
+                   grid: GridSpec | None = None) -> IndexEstimate:
+    """Windowed limit of log(cumulative)/log x.
+
+    side "lower" uses V_{r-1} (integral from b), side "upper" uses W_{r-1}
+    (tail integral, requires convergence).
+    """
+    grid = grid or GridSpec()
+    if side not in ("lower", "upper"):
+        raise ParamError("side must be 'lower' or 'upper'")
+    ci = cumulative_integral(U, "V" if side == "lower" else "W", r - 1.0, b, grid)
+    return _ratio_checks(U, ci, r, grid, DEFAULT_CLASS_TOL)[0]
+
+
+def check_condition(U: FunctionHandle, which: str, r: float, b: float,
+                    grid: GridSpec | None = None,
+                    tol: float = DEFAULT_CLASS_TOL) -> ConditionReport:
+    """Balance condition: log(cumulative)/log x - log U/log x -> r.
+
+    C1r uses V_{r-1}, C2r uses W_{r-1}.
+    """
+    grid = grid or GridSpec()
+    if which not in ("C1r", "C2r"):
+        raise ParamError("which must be 'C1r' or 'C2r'")
+    ci = cumulative_integral(U, "V" if which == "C1r" else "W", r - 1.0, b, grid)
+    return _ratio_checks(U, ci, r, grid, tol)[1]
 
 
 def karamata_theorem_report(U: FunctionHandle, r: float, b: float,
@@ -247,7 +238,7 @@ def karamata_theorem_report(U: FunctionHandle, r: float, b: float,
 
     Branch K1* (rho + r > 0) and K3* (rho + r = 0) check the growth of the
     integral from b plus condition C1r; K2* (rho + r < 0) checks the tail
-    integral plus C2r. Both checks share one cumulative integral. On the
+    integral plus C2r. Both checks read one cumulative integral. On the
     boundary branch the scaling-ratio test result is attached: the limit
     holding does not make U ratio-regular. ``label`` (``classify(U, grid,
     tol)``) and ``rv`` (``rv_ratio_test(U, grid=grid, tol=tol)``) skip their
@@ -262,12 +253,11 @@ def karamata_theorem_report(U: FunctionHandle, r: float, b: float,
     s = label.rho + r
     measured: dict = {"rho": label.rho, "r": r, "target": s}
     if s < -tol:
-        branch, kind, side, which = "K2*", "W", "upper", "C2r"
+        branch, kind = "K2*", "W"
     else:
-        branch, kind, side, which = ("K1*" if s > tol else "K3*"), "V", "lower", "C1r"
-    ci = cumulative_integral(U, kind, r - 1.0, b, grid)
-    limit = karamata_limit(U, r, b, side, grid, ci=ci)
-    cond = check_condition(U, which, r, b, grid, tol, ci=ci)
+        branch, kind = ("K1*" if s > tol else "K3*"), "V"
+    limit, cond = _ratio_checks(U, cumulative_integral(U, kind, r - 1.0, b, grid),
+                                r, grid, tol)
     if branch == "K3*":
         s = 0.0
         measured["target"] = 0.0
@@ -324,21 +314,14 @@ class RepresentationTriple:
     rho: float
 
 
-class _SignedLogIntegrator:
-    """Trapezoid cumulative of f(e^u) du for a bounded signed integrand."""
-
-    def __init__(self, f_of_u, u_lo: float, u_hi: float, n: int):
-        self.us = np.linspace(u_lo, u_hi, n)
-        vals = np.asarray(f_of_u(self.us), dtype=float)
-        du = np.diff(self.us)
-        self.cum = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * du)]
-        )
-        self.vals = vals
-
-    def at_u(self, u):
-        ua = np.asarray(u, dtype=float)
-        return np.interp(ua, self.us, self.cum)
+def _trapezoid_cumulative(f_of_u, u_lo: float, u_hi: float,
+                          n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(us, cum): n nodes on [u_lo, u_hi] and the trapezoid cumulative of
+    f(e^u) du at them, for a bounded signed integrand."""
+    us = np.linspace(u_lo, u_hi, n)
+    vals = np.asarray(f_of_u(us), dtype=float)
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(us))])
+    return us, cum
 
 
 def extract_representation(U: FunctionHandle, b: float = 2.0,
@@ -347,10 +330,12 @@ def extract_representation(U: FunctionHandle, b: float = 2.0,
                            label: ClassLabel | None = None) -> RepresentationTriple:
     """Extract (alpha, beta, eps) with beta = log U / log x by construction.
 
-    For orders away from zero: eps(x) = log U(x) / integral_b^x beta/t dt and
-    alpha = 0. For vanishing order the construction runs on V(x) = x U(x)
-    (whose order is 1) and folds the change back into alpha. ``label``
-    (``classify(U, grid, tol)``) skips the classification when given.
+    The construction runs on W(x) = x**s U(x): eps(x) = log W(x) /
+    integral_{b_eff}^x beta_W(t)/t dt. For orders away from zero s = 0,
+    alpha = 0 and b_eff is the first node past b where that integral leaves
+    zero. For vanishing order s = 1 (W has order 1), b_eff = b, and alpha
+    folds the factor x back out. ``label`` (``classify(U, grid, tol)``)
+    skips the classification when given.
     """
     grid = grid or GridSpec()
     if not 1.0 < b < math.inf:
@@ -360,68 +345,39 @@ def extract_representation(U: FunctionHandle, b: float = 2.0,
         raise ClassMismatch(f"{U.name}: classified {label}, finite order required")
     rho = label.rho
     kappa_zero = abs(rho) <= KAPPA_ZERO_EPS
-    u_b = math.log(b)
+    s = 1.0 if kappa_zero else 0.0
     u_max = grid.log10_x_max * math.log(10.0)
     n = max(grid.points, 2000) * 4
 
-    def beta_u(u):
-        ua = np.asarray(u, dtype=float)
-        return np.asarray(U.log_at_u(ua), dtype=float) / ua
+    def beta_w_u(u):
+        return (s * u + np.asarray(U.log_at_u(u), dtype=float)) / u
 
+    b_eff = b
     if not kappa_zero:
-        integ = _SignedLogIntegrator(beta_u, u_b, u_max, n)
-        denom_edges = integ.cum
-        ok = np.abs(denom_edges) > _DENOM_FLOOR
+        us, cum = _trapezoid_cumulative(beta_w_u, math.log(b), u_max, n)
+        ok = np.abs(cum) > _DENOM_FLOOR
         if not ok.any():
             raise SingularDenominator(
                 f"{U.name}: exponent integral below {_DENOM_FLOOR} on the whole range"
             )
-        first = int(np.argmax(ok))
-        b_eff = float(math.exp(integ.us[first])) if first > 0 else b
-        if first > 0:
-            integ = _SignedLogIntegrator(beta_u, math.log(b_eff), u_max, n)
+        # cum[0] is 0, so the first usable node lies past b
+        b_eff = float(math.exp(us[np.argmax(ok)]))
+    log_b_eff = math.log(b_eff)
+    us, cum = _trapezoid_cumulative(beta_w_u, log_b_eff, u_max, n)
 
-        def beta_integral(x):
-            return integ.at_u(np.log(np.asarray(x, dtype=float)))
-
-        def eps_fn(x):
-            xa = np.asarray(x, dtype=float)
-            return np.asarray(U.log_at(xa), dtype=float) / beta_integral(xa)
-
-        def alpha_fn(x):
-            return np.zeros_like(np.asarray(x, dtype=float))
-
-        def beta_fn(x):
-            xa = np.asarray(x, dtype=float)
-            return np.asarray(U.log_at(xa), dtype=float) / np.log(xa)
-
-        return RepresentationTriple(
-            b=b, b_effective=b_eff, kappa_zero_mode=False,
-            alpha_fn=alpha_fn, beta_fn=beta_fn, eps_fn=eps_fn,
-            beta_integral=beta_integral, rho=rho,
-        )
-
-    # vanishing order: run the construction on V(x) = x U(x), order 1
-    def beta_v_u(u):
-        ua = np.asarray(u, dtype=float)
-        return (ua + np.asarray(U.log_at_u(ua), dtype=float)) / ua
-
-    integ_v = _SignedLogIntegrator(beta_v_u, u_b, u_max, n)
-    d = b
-    log_d = u_b
-
-    def denom_v(x):
-        return integ_v.at_u(np.log(np.asarray(x, dtype=float)))
+    def denom(x):
+        return np.interp(np.log(np.asarray(x, dtype=float)), us, cum)
 
     def eps_fn(x):
         xa = np.asarray(x, dtype=float)
-        log_v = np.log(xa) + np.asarray(U.log_at(xa), dtype=float)
-        return log_v / denom_v(xa)
+        return (np.asarray(U.log_at(xa), dtype=float) + s * np.log(xa)) / denom(xa)
 
     def alpha_fn(x):
         xa = np.asarray(x, dtype=float)
+        if not kappa_zero:
+            return np.zeros_like(xa)
         e = eps_fn(xa)
-        return (e - 1.0) * np.log(xa) - e * log_d
+        return (e - 1.0) * np.log(xa) - e * log_b_eff
 
     def beta_fn(x):
         xa = np.asarray(x, dtype=float)
@@ -429,10 +385,10 @@ def extract_representation(U: FunctionHandle, b: float = 2.0,
 
     def beta_integral(x):
         xa = np.asarray(x, dtype=float)
-        return denom_v(xa) - (np.log(xa) - log_d)
+        return denom(xa) - s * (np.log(xa) - log_b_eff)
 
     return RepresentationTriple(
-        b=b, b_effective=d, kappa_zero_mode=True,
+        b=b, b_effective=b_eff, kappa_zero_mode=kappa_zero,
         alpha_fn=alpha_fn, beta_fn=beta_fn, eps_fn=eps_fn,
         beta_integral=beta_integral, rho=rho,
     )
@@ -447,14 +403,14 @@ def verify_representation(U: FunctionHandle, rep: RepresentationTriple,
     """Check pointwise reconstruction and the three exponent limits."""
     grid = grid or GridSpec()
     lo = max(grid.log10_x_min, math.log10(rep.b_effective) + 0.3)
-    sub = GridSpec(log10_x_min=lo, log10_x_max=grid.log10_x_max,
-                   points=grid.points, windows=grid.windows)
+    sub = replace(grid, log10_x_min=lo)
     xs = sub.xs()
     log_u = np.asarray(U.log_at(xs), dtype=float)
-    recon = rep.alpha_fn(xs) + rep.eps_fn(xs) * rep.beta_integral(xs)
+    alpha, eps = rep.alpha_fn(xs), rep.eps_fn(xs)
+    recon = alpha + eps * rep.beta_integral(xs)
     resid = np.max(np.abs(log_u - recon) / np.maximum(1.0, np.abs(log_u)))
-    alpha_est = windowed_limit(xs, rep.alpha_fn(xs) / np.log(xs), sub)
-    eps_est = windowed_limit(xs, rep.eps_fn(xs), sub)
+    alpha_est = windowed_limit(xs, alpha / np.log(xs), sub)
+    eps_est = windowed_limit(xs, eps, sub)
     beta_est = windowed_limit(xs, rep.beta_fn(xs), sub)
     ok = (
         resid <= RECONSTRUCTION_RTOL
@@ -509,9 +465,9 @@ def extract_representation_inf(U: FunctionHandle, b: float = 2.0,
         return -sign * np.asarray(U.log_at(np.asarray(x, dtype=float)), dtype=float)
 
     xs = grid.xs()
-    est = windowed_limit(xs, alpha_fn(xs) / np.log(xs), grid)
-    last_mean = float(np.mean(alpha_fn(xs[grid.window_slices()[-1]])
-                              / np.log(xs[grid.window_slices()[-1]])))
+    ratio = alpha_fn(xs) / np.log(xs)
+    est = windowed_limit(xs, ratio, grid)
+    last_mean = float(np.mean(ratio[grid.window_slices()[-1]]))
     report = ConditionReport(
         condition="REP-INF",
         passed=bool(est.value == math.inf or last_mean > INF_ALPHA_FLOOR),

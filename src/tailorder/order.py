@@ -411,6 +411,12 @@ def rv_ratio_test(U: FunctionHandle, t_values: Sequence[float] | None = None,
     if any(t <= 0 for t in ts):
         raise ParamError("ratio test requires t > 0")
     xs = grid.xs()
+    x_max = float(xs[-1])
+    for t in ts:
+        if not math.isfinite(x_max * t):
+            raise ParamError(
+                f"ratio test at t={t:g} needs U at x_max * t = {x_max:g} * {t:g}, "
+                "beyond the float range; lower x_max or t")
     per_t = {}
     rho_num = rho_den = 0.0
     failed_t = None

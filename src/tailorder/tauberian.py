@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClassMismatch, ParamError, PreconditionError, QuadratureFailure
-from .handles import FunctionHandle, KnownTruth
+from .handles import FunctionHandle
 from .labels import ClassLabel
 from .order import DEFAULT_CLASS_TOL, ConditionReport, GridSpec, classify
 from .quadrature import batched_log_quad
@@ -134,8 +134,7 @@ def laplace_stieltjes(U: FunctionHandle, s: float,
     return float(np.exp(_log_transform(U, np.array([s]), cfg)[0]))
 
 
-def transform_handle(U: FunctionHandle, cfg: TransformConfig | None = None,
-                     label: ClassLabel | None = None) -> FunctionHandle:
+def transform_handle(U: FunctionHandle, cfg: TransformConfig | None = None) -> FunctionHandle:
     """Handle for s -> transform(1/s): large s probes the small-s regime."""
     cfg = cfg or TransformConfig()
 
@@ -145,12 +144,10 @@ def transform_handle(U: FunctionHandle, cfg: TransformConfig | None = None,
         out = _log_transform(U, 1.0 / xa, cfg).reshape(xa.shape)
         return out if out.ndim else np.float64(out)
 
-    truth = KnownTruth(label=label) if label is not None else None
     return FunctionHandle(
         name=f"transform_inv({U.name})",
         log_at_logx=lambda u: log_at_x(np.exp(np.asarray(u, dtype=float))),
         log_at_x=log_at_x,
-        truth=truth,
     )
 
 

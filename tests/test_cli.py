@@ -250,6 +250,44 @@ def test_overflowing_x_max_is_an_input_error(xmax):
     assert "RuntimeWarning" not in err
 
 
+def test_ratio_test_beyond_the_float_range_is_an_input_error():
+    # x_max = 1e308 is a legal grid end, but U(x_max * 2) is not representable
+    code, out, err = run_cli("report", "--fn", "power_tail", "--param", "alpha=-2",
+                             "--xmax", "308")
+    assert code == 2
+    assert out == ""
+    assert "t=2" in err and "x_max" in err
+    assert "RuntimeWarning" not in err
+
+
+@pytest.fixture(scope="module")
+def power_csv(tmp_path_factory):
+    # U(x) = 3 x**-1.5 tabulated on [10, 1e6]
+    path = tmp_path_factory.mktemp("data") / "power.csv"
+    us = [math.log(10.0) + (math.log(1e6) - math.log(10.0)) * i / 299 for i in range(300)]
+    path.write_text("x,logvalue\n" + "".join(f"{math.exp(u)!r},{math.log(3.0) - 1.5 * u!r}\n"
+                                              for u in us))
+    return str(path)
+
+
+def test_report_refuses_a_finite_order_table(power_csv, capsys):
+    code = main(["report", "--data", power_csv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "x in [10, 1e+06]" in captured.err
+
+
+def test_plots_ratio_rows_stay_inside_the_table(power_csv, tmp_path):
+    out = tmp_path / "plots"
+    assert main(["plots", "--data", power_csv, "--plots", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "ratio.csv").read_text().splitlines()[1:]]
+    assert {float(t) for t, _, _ in rows} == {2.0, 5.0, 10.0}
+    for t, x, ratio in rows:
+        assert float(x) * float(t) <= 1e6 * (1.0 + 1e-12)
+        assert float(ratio) == pytest.approx(float(t) ** -1.5, rel=1e-9)
+
+
 @pytest.mark.parametrize("r, branch, target", [(100.0, "K1*", 101.0), (-150.0, "K2*", -149.0)])
 def test_report_integral_ratio_far_from_zero_order(r, branch, target, capsys):
     # |rho + r| far beyond the runaway threshold of the order estimates

@@ -202,29 +202,31 @@ def test_theorem_report_class_mismatch():
         to.karamata_theorem_report(to.make_exp_neg(), 1.0, 2.0)
 
 
-def test_checks_share_a_precomputed_integral():
-    U = to.make_power_tail(-2.0)
-    w = to.cumulative_integral(U, "W", -0.5, 2.0)
-    assert to.karamata_limit(U, 0.5, 2.0, "upper", ci=w) == to.karamata_limit(
-        U, 0.5, 2.0, "upper")
-    assert to.check_condition(U, "C2r", 0.5, 2.0, ci=w) == to.check_condition(
-        U, "C2r", 0.5, 2.0)
+@pytest.mark.parametrize("r, branch", [(3.0, "K1*"), (2.0, "K3*"), (0.5, "K2*")])
+def test_theorem_report_reads_one_integral_once(monkeypatch, r, branch):
+    from tailorder import karamata
 
-
-@pytest.mark.parametrize("kind, r, b, handle", [
-    ("V", 0.5, 2.0, None),      # V where the check needs W
-    ("W", 0.0, 2.0, None),      # another exponent
-    ("W", 0.5, 3.0, None),      # another base point
-    ("W", 0.5, 2.0, "other"),   # another function
-])
-def test_checks_reject_a_mismatched_integral(kind, r, b, handle):
     U = to.make_power_tail(-2.0)
-    source = to.make_power_tail(-2.0) if handle else U
-    ci = to.cumulative_integral(source, kind, r - 1.0, b)
-    with pytest.raises(ParamError, match="precomputed integral"):
-        to.karamata_limit(U, 0.5, 2.0, "upper", ci=ci)
-    with pytest.raises(ParamError, match="precomputed integral"):
-        to.check_condition(U, "C2r", 0.5, 2.0, ci=ci)
+    label = to.classify(U)
+    rv = to.rv_ratio_test(U)
+    built, read = [], []
+    original_build = karamata.cumulative_integral
+    original_read = karamata.CumulativeIntegral.log_value
+
+    def build(*args, **kwargs):
+        built.append(args)
+        return original_build(*args, **kwargs)
+
+    def read_value(self, x):
+        read.append(np.size(x))
+        return original_read(self, x)
+
+    monkeypatch.setattr(karamata, "cumulative_integral", build)
+    monkeypatch.setattr(karamata.CumulativeIntegral, "log_value", read_value)
+    rep = to.karamata_theorem_report(U, r, 2.0, label=label, rv=rv)
+    assert rep.condition == branch and rep.passed
+    assert len(built) == 1
+    assert len(read) == 1
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
