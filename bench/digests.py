@@ -1,0 +1,74 @@
+"""Exit code and sha256 of the output of every README CLI command.
+
+    python3 bench/digests.py [--checkout DIR]
+
+Runs each command of the README's CLI section as ``python -m tailorder.cli``
+on the package in ``DIR/src`` (default: the checkout holding this script),
+inside a fresh temporary directory. Prints one line per command: its exit
+code, the sha256 of its stdout and the command. ``plots`` adds one line per
+CSV file it writes. ``classify --data`` reads ``samples.csv``, a fixed table
+of 3 x**-1.5 that the script writes first. Two checkouts whose printouts are
+equal run the README commands to the same bytes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+COMMANDS = (
+    "classify --fn power_tail --param alpha=-2",
+    "classify --data samples.csv",
+    "report --fn peter_paul --r 1 --b 2",
+    "report --fn power_tail --param alpha=1.0 --tauberian",
+    "simulate --fn pareto_tail --param alpha=1 --n 10000 --reps 2000 --seed 7",
+    "simulate --fn peter_paul --reps 2000 --seed 11 --subsequences",
+    "plots --fn peter_paul --plots out/",
+)
+PLOT_FILES = ("orders.csv", "kappa_trace.csv", "ratio.csv")
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def write_samples(path: Path) -> None:
+    rows = ["x,value"]
+    for i in range(400):
+        x = 10.0 ** (0.5 + 5.5 * i / 399)
+        rows.append(f"{x!r},{3.0 * x ** -1.5!r}")
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+def digests(checkout: Path) -> list[str]:
+    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        write_samples(work / "samples.csv")
+        for command in COMMANDS:
+            proc = subprocess.run([sys.executable, "-m", "tailorder.cli", *command.split()],
+                                  cwd=work, env=env, capture_output=True)
+            lines.append(f"{proc.returncode} {sha256(proc.stdout)} {command}")
+        for name in PLOT_FILES:
+            path = work / "out" / name
+            digest = sha256(path.read_bytes()) if path.exists() else "missing"
+            lines.append(f"- {digest} out/{name}")
+    return lines
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parents[1],
+                    help="checkout whose src/ is run (default: this one)")
+    args = ap.parse_args()
+    print("\n".join(digests(args.checkout)))
+
+
+if __name__ == "__main__":
+    main()

@@ -11,7 +11,6 @@ domain-of-attraction verdicts, threshold-excess probes, block maxima).
 
 from .algebra import (
     OpKind,
-    QuadratureConfig,
     compose,
     convolve,
     predicted_class,
@@ -61,7 +60,6 @@ from .handles import (
     TableData,
     catalog_names,
     corpus_m_members,
-    eval_log,
     from_table,
     load_csv,
     make_exp_neg,
@@ -111,7 +109,6 @@ from .order import (
 )
 from .report import ReportDocument
 from .tauberian import (
-    TransformConfig,
     laplace_stieltjes,
     regularize_origin,
     tauberian_check,

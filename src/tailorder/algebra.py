@@ -18,7 +18,6 @@ than a guess.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -41,16 +40,6 @@ class OpKind(str, Enum):
     PRODUCT = "Product"
     CONVOLVE = "Convolve"
     COMPOSE = "Compose"
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-8
-    max_evals: int = 100_000
-
-    def __post_init__(self) -> None:
-        if not self.rel_tol > 0 or self.max_evals < 100:
-            raise ParamError("bad quadrature configuration")
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +250,13 @@ def _convolution_panels(xs: np.ndarray):
     return a[keep], b[keep], ids[keep]
 
 
-def convolve(U: FunctionHandle, V: FunctionHandle,
-             cfg: QuadratureConfig | None = None) -> FunctionHandle:
+def convolve(U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
     """Handle for the convolution integral_0^x U(t) V(x-t) dt.
 
     All x of one evaluation are integrated together by one batched adaptive
     log-space quadrature, each x from dyadic panels on [0, x/2] and [x/2, x]
     where the two asymptotic regimes live.
     """
-    cfg = cfg or QuadratureConfig()
     if U.support_floor > 0 or V.support_floor > 0:
         raise DomainError("convolve requires operands defined on (0, inf)")
     label = _convolve_label(_label_of(U), _label_of(V))
@@ -284,8 +271,7 @@ def convolve(U: FunctionHandle, V: FunctionHandle,
             return (np.asarray(U.log_at(t.ravel()), dtype=float)
                     + np.asarray(V.log_at((xt - t).ravel()), dtype=float)).reshape(t.shape)
 
-        out = batched_log_quad(log_f, *_convolution_panels(xs), xs.size,
-                               cfg.rel_tol, cfg.max_evals).reshape(xa.shape)
+        out = batched_log_quad(log_f, *_convolution_panels(xs), xs.size).reshape(xa.shape)
         return out if out.ndim else np.float64(out)
 
     def log_at_logx(u):

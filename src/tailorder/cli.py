@@ -141,23 +141,19 @@ def _load_handle(args) -> tuple[FunctionHandle, dict]:
 
 
 def _grid_for(args, handle: FunctionHandle) -> GridSpec:
-    lo, hi, pts = args.xmin, args.xmax, args.points
+    """GridSpec's defaults with the given options; a table clips the x range."""
+    given = {"log10_x_min": args.xmin, "log10_x_max": args.xmax, "points": args.points}
+    given = {name: v for name, v in given.items() if v is not None}
     if handle.log_domain is not None:
-        dlo, dhi = handle.log_domain
-        lo = max(lo if lo is not None else dlo / math.log(10.0), dlo / math.log(10.0), 0.0)
-        hi = min(hi if hi is not None else dhi / math.log(10.0), dhi / math.log(10.0))
-        pts = pts or 2000
+        dlo, dhi = (v / math.log(10.0) for v in handle.log_domain)
+        lo = max(given.get("log10_x_min", dlo), dlo, 0.0)
+        hi = min(given.get("log10_x_max", dhi), dhi)
         if lo == 0.0 and args.xmin is None:
             # the table reaches down to x = 1, where the order ratio divides
             # by log x = 0: start one grid step above it
-            lo = hi / max(pts - 1, 1)
-        return GridSpec(log10_x_min=lo, log10_x_max=hi, points=pts, windows=8)
-    return GridSpec(
-        log10_x_min=lo if lo is not None else 1.0,
-        log10_x_max=hi if hi is not None else 8.0,
-        points=pts or 2000,
-        windows=8,
-    )
+            lo = hi / max(given.get("points", GridSpec.points) - 1, 1)
+        given.update(log10_x_min=lo, log10_x_max=hi)
+    return GridSpec(**given)
 
 
 def _base_document(args, handle, descriptor, grid, tol, extra_provenance=None):

@@ -14,6 +14,7 @@ rapid decay is necessary but not sufficient.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -286,17 +287,17 @@ def gpd_ratio_probe(D: DistributionHandle, xi: float, a_fn: Callable,
     )
 
 
-def excess_family_violation(D: DistributionHandle, xi: float = 0.5,
+def excess_family_violation(D: DistributionHandle,
                             x_probe: Sequence[float] | None = None,
                             threshold: float = 0.1) -> dict:
-    """Max trailing spread per default scale family member.
+    """Max trailing spread per default scale family member, at xi = 0.5.
 
     A tail violating the excess law keeps spread above the threshold for
     every member; returns per-member worst spreads and the overall verdict.
     """
     out = {}
     for name, fn in default_a_family():
-        rep = gpd_ratio_probe(D, xi, fn, x_probe=x_probe, tol=threshold)
+        rep = gpd_ratio_probe(D, 0.5, fn, x_probe=x_probe, tol=threshold)
         worst = min(info["spread"] for info in rep.measured["per_x"].values())
         out[name] = worst
     return {"per_member_min_spread": out,
@@ -357,7 +358,7 @@ def normalized_maxima_cdf(D: DistributionHandle, n: int, x) -> np.ndarray:
     return out
 
 
-_DEFAULT_ABSCISSAS = tuple(np.logspace(-2, 2, 201))
+_ABSCISSAS = tuple(np.logspace(-2, 2, 201))
 
 
 def _least_levels(rng: np.random.Generator, n: int, reps: int) -> np.ndarray:
@@ -373,9 +374,7 @@ def _least_levels(rng: np.random.Generator, n: int, reps: int) -> np.ndarray:
 
 def block_maxima_simulate(D: DistributionHandle, n_values: Sequence[int],
                           reps: int, seed: int,
-                          candidate_alpha: float | None = None,
-                          abscissas: Sequence[float] | None = None
-                          ) -> SimulationResult:
+                          candidate_alpha: float | None = None) -> SimulationResult:
     """Replicated block maxima, normalized, with empirical distributions.
 
     Draws the maximum of n iid values from its exact law with one uniform
@@ -388,13 +387,15 @@ def block_maxima_simulate(D: DistributionHandle, n_values: Sequence[int],
     """
     if reps < 1:
         raise ParamError("simulation requires reps >= 1")
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2 ** 128):
+        raise ParamError(f"seed {seed} is out of range: the generator needs an integer "
+                         "0 <= seed < 2**128")
     ns = [int(n) for n in n_values]
     if not ns:
         raise ParamError("simulation requires at least one block size")
     if min(ns) < 2:
         raise ParamError(f"block size {min(ns)} is too small: block maxima need n >= 2")
-    xs = np.asarray(abscissas if abscissas is not None else _DEFAULT_ABSCISSAS,
-                    dtype=float)
+    xs = np.asarray(_ABSCISSAS, dtype=float)
     rng = np.random.Generator(np.random.Philox(key=seed))
     a_list, cdfs, dists = [], [], []
     for n in ns:
@@ -420,7 +421,7 @@ def block_maxima_simulate(D: DistributionHandle, n_values: Sequence[int],
 
 
 def subsequence_witness(D: DistributionHandle, k_values: Sequence[int] = (8, 10),
-                        factor: int = 3, reps: int | None = None,
+                        reps: int | None = None,
                         seed: int | None = None) -> dict:
     """Two-subsequence non-convergence witness for lattice-type tails.
 
@@ -428,10 +429,10 @@ def subsequence_witness(D: DistributionHandle, k_values: Sequence[int] = (8, 10)
     a genuine limit would make the two agree. Optionally confirms by
     simulation when reps and seed are given.
     """
-    xs = np.asarray(_DEFAULT_ABSCISSAS, dtype=float)
+    xs = np.asarray(_ABSCISSAS, dtype=float)
     out: dict = {"pairs": []}
     for k in k_values:
-        n1, n2 = 2 ** k, factor * 2 ** k
+        n1, n2 = 2 ** k, 3 * 2 ** k
         c1 = normalized_maxima_cdf(D, n1, xs)
         c2 = normalized_maxima_cdf(D, n2, xs)
         ks = float(np.abs(c1 - c2).max())

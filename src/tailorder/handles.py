@@ -122,11 +122,6 @@ class FunctionHandle:
         return np.exp(self.log_at(x))
 
 
-def eval_log(handle: FunctionHandle, x: float) -> float:
-    """log U(x) as a plain float; DomainError outside the handle's domain."""
-    return float(handle.log_at(float(x)))
-
-
 # ---------------------------------------------------------------------------
 # corpus constructors
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ bisecting between the convergent and divergent regimes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -55,6 +56,13 @@ class GridSpec:
     windows: int = 8
 
     def __post_init__(self) -> None:
+        if not all(isinstance(v, numbers.Integral) for v in (self.points, self.windows)):
+            raise ParamError(f"grid requires whole numbers of points and windows, "
+                             f"got {self.points} and {self.windows}")
+        if self.windows < 2:
+            raise ParamError("grid requires at least 2 windows")
+        if self.points < 16 * self.windows:
+            raise ParamError("grid requires points >= 16 * windows")
         with np.errstate(over="ignore"):
             x_min = np.power(10.0, self.log10_x_min)
             x_max = np.power(10.0, self.log10_x_max)
@@ -65,10 +73,6 @@ class GridSpec:
             raise ParamError("grid requires x_min < x_max")
         if not x_max < math.inf:
             raise ParamError(f"grid requires a finite x_max = 10**{self.log10_x_max:g}")
-        if self.windows < 2:
-            raise ParamError("grid requires at least 2 windows")
-        if self.points < 16 * self.windows:
-            raise ParamError("grid requires points >= 16 * windows")
 
     def xs(self) -> np.ndarray:
         return np.logspace(self.log10_x_min, self.log10_x_max, self.points)
@@ -258,8 +262,8 @@ def classify(U: FunctionHandle, grid: GridSpec | None = None,
 
     ``orders`` is ``estimate_orders(U, grid)`` when the caller has it already.
     """
-    if not tol > 0:
-        raise ParamError("classification tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ParamError(f"classification tolerance must be positive and finite, got {tol:g}")
     mu, nu = orders or estimate_orders(U, grid)
     if nu.value == -math.inf:
         return ClassLabel.m_inf()
@@ -451,14 +455,15 @@ def rv_ratio_test(U: FunctionHandle, t_values: Sequence[float] | None = None,
     )
 
 
-def remark_mix_demo(U: FunctionHandle, ns: Sequence[int] = (2, 3, 4)) -> list[tuple[float, float]]:
+def remark_mix_demo(U: FunctionHandle) -> list[tuple[float, float]]:
     """Targeted probes inside the vanishing 1/x intervals of remark7_mix.
 
     Grid classification reports rapid decay because geometric grids miss the
-    intervals; probing x = n + n**-n / 2 exhibits order ratio ~ -1 there.
+    intervals; probing x = n + n**-n / 2 for n = 2, 3, 4 exhibits order ratio
+    ~ -1 there.
     """
     out = []
-    for n in ns:
+    for n in (2, 3, 4):
         x = n + 0.5 * n ** (-float(n))
         out.append((x, float(order_samples(U, [x])[0])))
     return out

@@ -13,8 +13,8 @@ only, never asserted.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,27 +23,6 @@ from .handles import FunctionHandle
 from .labels import ClassLabel
 from .order import DEFAULT_CLASS_TOL, ConditionReport, GridSpec, classify
 from .quadrature import batched_log_quad
-
-
-@dataclass(frozen=True)
-class TransformConfig:
-    """s-grid and quadrature policy for the transform."""
-
-    log10_s_hi: float = -1.0
-    log10_s_lo: float = -8.0
-    s_points: int = 200
-    quad_rel_tol: float = 1e-8
-    cutoff_nats: float = 40.0
-
-    def __post_init__(self) -> None:
-        if not self.log10_s_lo < self.log10_s_hi:
-            raise ParamError("transform grid requires s_lo < s_hi")
-        if self.s_points < 2 or self.quad_rel_tol <= 0 or self.cutoff_nats <= 0:
-            raise ParamError("bad transform configuration")
-
-    def s_grid(self) -> np.ndarray:
-        # strictly decreasing toward 0+
-        return np.logspace(self.log10_s_hi, self.log10_s_lo, self.s_points)
 
 
 ORIGIN_PROBE_X = 1e-300
@@ -87,13 +66,15 @@ def regularize_origin(U: FunctionHandle, rho: float) -> FunctionHandle:
 
 # coarse y-scan that locates the peak of the transform integrand
 _PEAK_SCAN_Y = np.logspace(-6, 3.2, 120)
+# the integrand is cut this many nats below its peak
+_CUTOFF_NATS = 40.0
 
 
-def _log_transform(U: FunctionHandle, s: np.ndarray, cfg: TransformConfig) -> np.ndarray:
+def _log_transform(U: FunctionHandle, s: np.ndarray) -> np.ndarray:
     """log of s * integral_0^inf exp(-x s) U(x) dx for every s > 0 at once.
 
     Computed as integral_0^inf exp(-y) U(y/s) dy in one batched quadrature.
-    Each upper limit is cut where the integrand has fallen cutoff_nats below
+    Each upper limit is cut where the integrand has fallen _CUTOFF_NATS below
     its peak on a coarse scan; the initial panels are [0, s, 1, y_hi].
     """
     s = np.asarray(s, dtype=float).ravel()
@@ -105,9 +86,9 @@ def _log_transform(U: FunctionHandle, s: np.ndarray, cfg: TransformConfig) -> np
     peak = lg.max(axis=1)
     if not np.isfinite(peak).all():
         raise QuadratureFailure("transform integrand has no finite peak")
-    y_hi = np.where(lg >= peak[:, None] - cfg.cutoff_nats, ys, -np.inf).max(axis=1)
+    y_hi = np.where(lg >= peak[:, None] - _CUTOFF_NATS, ys, -np.inf).max(axis=1)
     # extend linearly: beyond the peak the decay is at least e^{-y}
-    y_hi = np.maximum(y_hi + cfg.cutoff_nats, 2.0 * cfg.cutoff_nats)
+    y_hi = np.maximum(y_hi + _CUTOFF_NATS, 2.0 * _CUTOFF_NATS)
     edges = np.column_stack([np.zeros_like(s), np.minimum(s, 1.0), np.maximum(s, 1.0), y_hi])
     edges = np.minimum(edges, y_hi[:, None])
     a, b = edges[:, :-1], edges[:, 1:]
@@ -118,30 +99,27 @@ def _log_transform(U: FunctionHandle, s: np.ndarray, cfg: TransformConfig) -> np
         x = y / s[ids][:, None]
         return -y + np.asarray(U.log_at(x.ravel()), dtype=float).reshape(y.shape)
 
-    out = batched_log_quad(log_f, a[keep], b[keep], owner[keep], s.size, cfg.quad_rel_tol)
+    out = batched_log_quad(log_f, a[keep], b[keep], owner[keep], s.size)
     if np.any(out == -np.inf):
         raise QuadratureFailure("transform quadrature returned a non-positive value")
     return out
 
 
-def laplace_stieltjes(U: FunctionHandle, s: float,
-                      cfg: TransformConfig | None = None) -> float:
-    """s * integral_0^inf exp(-x s) U(x) dx for s > 0."""
-    cfg = cfg or TransformConfig()
-    if s <= 0:
-        raise ParamError("transform requires s > 0")
+def laplace_stieltjes(U: FunctionHandle, s: float) -> float:
+    """s * integral_0^inf exp(-x s) U(x) dx for 0 < s < inf."""
+    if not 0.0 < s < math.inf:
+        raise ParamError(f"transform requires 0 < s < inf, got s = {s:g}")
     _check_vanishes_at_origin(U)
-    return float(np.exp(_log_transform(U, np.array([s]), cfg)[0]))
+    return float(np.exp(_log_transform(U, np.array([s]))[0]))
 
 
-def transform_handle(U: FunctionHandle, cfg: TransformConfig | None = None) -> FunctionHandle:
+def transform_handle(U: FunctionHandle) -> FunctionHandle:
     """Handle for s -> transform(1/s): large s probes the small-s regime."""
-    cfg = cfg or TransformConfig()
 
     def log_at_x(x):
         _check_vanishes_at_origin(U)
         xa = np.asarray(x, dtype=float)
-        out = _log_transform(U, 1.0 / xa, cfg).reshape(xa.shape)
+        out = _log_transform(U, 1.0 / xa).reshape(xa.shape)
         return out if out.ndim else np.float64(out)
 
     return FunctionHandle(
@@ -166,8 +144,7 @@ def _concavity_probe(U: FunctionHandle, alpha: float) -> dict:
 _TRANSFORM_POINTS = 600
 
 
-def tauberian_check(U: FunctionHandle, cfg: TransformConfig | None = None,
-                    grid: GridSpec | None = None,
+def tauberian_check(U: FunctionHandle, grid: GridSpec | None = None,
                     tol: float = DEFAULT_CLASS_TOL, *,
                     label: ClassLabel | None = None) -> ConditionReport:
     """Order preservation through the transform, for positive orders.
@@ -177,7 +154,6 @@ def tauberian_check(U: FunctionHandle, cfg: TransformConfig | None = None,
     hypothesis is reported as a diagnostic, not asserted. ``label``
     (``classify(U, grid, tol)``) skips the input's classification when given.
     """
-    cfg = cfg or TransformConfig()
     grid = grid or GridSpec()
     label = label or classify(U, grid, tol)
     if not label.is_m:
@@ -192,9 +168,8 @@ def tauberian_check(U: FunctionHandle, cfg: TransformConfig | None = None,
     except PreconditionError:
         work = regularize_origin(U, label.rho)
         _check_vanishes_at_origin(work)
-    H = transform_handle(work, cfg)
-    sub = GridSpec(log10_x_min=grid.log10_x_min, log10_x_max=grid.log10_x_max,
-                   points=min(grid.points, _TRANSFORM_POINTS), windows=grid.windows)
+    H = transform_handle(work)
+    sub = dataclasses.replace(grid, points=min(grid.points, _TRANSFORM_POINTS))
     h_label = classify(H, sub, tol)
     ok = h_label.is_m and abs(h_label.rho - label.rho) <= tol
     return ConditionReport(

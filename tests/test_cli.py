@@ -306,6 +306,22 @@ def test_simulate_block_size_one_is_an_input_error(capsys):
     assert "block size 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--fn", "pareto_tail", "--param", "alpha=1", "--reps", "10", "--seed", "-1"],
+     "seed -1 "),
+    (["simulate", "--fn", "pareto_tail", "--param", "alpha=1", "--reps", "10",
+      "--seed", str(2 ** 128)], f"seed {2 ** 128} "),
+    (["classify", "--fn", "power_tail", "--param", "alpha=-2", "--points", "0"], "points"),
+    (["classify", "--fn", "x_pow_sin_x", "--tol", "inf"], "tolerance"),
+], ids=["seed-negative", "seed-2**128", "points-0", "tol-inf"])
+def test_out_of_range_option_is_an_input_error(argv, message, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_parser_is_built_once_and_keeps_no_state(capsys):
     from tailorder.cli import _build_parser
 

@@ -35,7 +35,7 @@ def test_pareto_quantile_inverts_tail():
     D = to.distribution_for(to.make_pareto_tail(2.0))
     for u in (0.5, 0.01, 1e-6):
         x = D.quantile(u)
-        assert math.exp(to.eval_log(D.base, x)) == pytest.approx(u, rel=1e-12)
+        assert math.exp(D.base.log_at(x)) == pytest.approx(u, rel=1e-12)
 
 
 def test_peter_paul_quantile_levels():
@@ -53,17 +53,17 @@ def test_generic_quantile_bisection(u):
     # (the tail is frozen at ~0.736 below x = e)
     D = to.distribution_for(to.make_log_perturbed_power(-1.0, 1.0))
     x = D.quantile(u)
-    assert math.exp(to.eval_log(D.base, x)) == pytest.approx(u, rel=1e-6)
+    assert math.exp(D.base.log_at(x)) == pytest.approx(u, rel=1e-6)
 
 
 def _quantile_one_point(base, u):
     # reference: the same bracket and bisection, one point at a time
     lo, hi = 1e-12, 4.0
-    while to.eval_log(base, hi) > math.log(u):
+    while base.log_at(hi) > math.log(u):
         hi *= 4.0
     for _ in range(200):
         mid = math.sqrt(lo * hi)
-        if to.eval_log(base, mid) > math.log(u):
+        if base.log_at(mid) > math.log(u):
             lo = mid
         else:
             hi = mid
@@ -128,7 +128,7 @@ def test_hand_built_tail_named_like_catalog_gets_generic_quantile():
                                log_at_logx=inner.log_at_logx, truth=inner.truth)
     D = to.distribution_for(handle)
     for u in (0.01, 1e-6):
-        assert math.exp(to.eval_log(handle, D.quantile(u))) == pytest.approx(u, rel=1e-9)
+        assert math.exp(handle.log_at(D.quantile(u))) == pytest.approx(u, rel=1e-9)
 
 
 def test_closed_form_quantiles_are_set_by_constructors():
@@ -319,6 +319,15 @@ def test_simulation_rejects_no_block_sizes():
     D = to.distribution_for(to.make_pareto_tail(1.0))
     with pytest.raises(ParamError):
         to.block_maxima_simulate(D, [], reps=10, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 128, 1.5, None],
+                         ids=["negative", "2**128", "float", "none"])
+def test_simulation_rejects_a_seed_the_generator_cannot_take(seed):
+    D = to.distribution_for(to.make_pareto_tail(1.0))
+    with pytest.raises(ParamError, match=f"seed {seed} "):
+        to.block_maxima_simulate(D, [10], 5, seed)
+    assert to.block_maxima_simulate(D, [10], 5, 2 ** 128 - 1).seed == 2 ** 128 - 1
 
 
 def test_pareto_maxima_near_frechet():

@@ -17,8 +17,8 @@ from tailorder.errors import (
 
 def test_power_tail_eval():
     h = to.make_power_tail(-2.0)
-    assert to.eval_log(h, 10.0) == pytest.approx(-2.0 * math.log(10.0), abs=1e-14)
-    assert to.eval_log(h, 0.5) == 0.0  # flat below 1
+    assert h.log_at(10.0) == pytest.approx(-2.0 * math.log(10.0), abs=1e-14)
+    assert h.log_at(0.5) == 0.0  # flat below 1
     assert h.truth.rho == -2.0 and h.truth.kappa == 2.0
     assert h.truth.is_tail
 
@@ -44,17 +44,17 @@ def test_power_tail_truth(alpha, rho, kappa, is_tail):
 def test_peter_paul_levels(x, value):
     h = to.make_peter_paul()
     assert h.value(x) == value
-    assert to.eval_log(h, x) == pytest.approx(math.log(value), abs=1e-12)
+    assert h.log_at(x) == pytest.approx(math.log(value), abs=1e-12)
 
 
 def test_peter_paul_eval_log_example():
     h = to.make_peter_paul()
-    assert to.eval_log(h, 6.0) == pytest.approx(-2.0 * math.log(2.0), abs=1e-14)
+    assert h.log_at(6.0) == pytest.approx(-2.0 * math.log(2.0), abs=1e-14)
 
 
 def test_exp_tail_eval():
-    assert to.eval_log(to.make_exp_neg(), 100.0) == -100.0
-    assert to.eval_log(to.make_exp_pos(), 100.0) == 100.0
+    assert to.make_exp_neg().log_at(100.0) == -100.0
+    assert to.make_exp_pos().log_at(100.0) == 100.0
 
 
 @given(n=st.integers(min_value=0, max_value=900),
@@ -73,14 +73,14 @@ def test_step_handles_right_continuous():
     assert pp.value(8.0) == 0.125  # jump point takes the new level
     g = to.make_oset_geometric(1.0, 0.0, 2.0)
     # first breakpoint x_1 = 4, level jumps to 4
-    assert math.exp(to.eval_log(g, 4.0)) == pytest.approx(4.0, rel=1e-12)
-    assert to.eval_log(g, 3.999999) == 0.0
+    assert math.exp(g.log_at(4.0)) == pytest.approx(4.0, rel=1e-12)
+    assert g.log_at(3.999999) == 0.0
 
 
 def test_oset_geometric_levels():
     g = to.make_oset_geometric(1.0, 0.0, 2.0)
     # x_1 = 4, x_2 = 16: U = x_1 on [4, 16)
-    assert math.exp(to.eval_log(g, 10.0)) == pytest.approx(4.0, rel=1e-12)
+    assert math.exp(g.log_at(10.0)) == pytest.approx(4.0, rel=1e-12)
     assert g.truth.mu == pytest.approx(0.5)
     assert g.truth.nu == pytest.approx(1.0)
     h = to.make_oset_geometric(1.0, -2.0, 2.0)
@@ -92,7 +92,7 @@ def test_oset_geometric_levels():
 def test_oset_tower_levels():
     h = to.make_oset_tower(1.0, -1.0)
     # x_2 = 2, so U(1.5) = 2**-1
-    assert math.exp(to.eval_log(h, 1.5)) == pytest.approx(0.5, rel=1e-12)
+    assert math.exp(h.log_at(1.5)) == pytest.approx(0.5, rel=1e-12)
     assert h.truth.mu == -math.inf and h.truth.nu == pytest.approx(-1.0)
     assert h.truth.is_tail
     h2 = to.make_oset_tower(1.5, 1.0)
@@ -120,14 +120,14 @@ def test_remark_mix_branches():
     h = to.make_remark7_mix()
     # inside the interval (3, 3 + 3**-3) the value is 1/x
     x = 3.0 + 0.5 * 3.0 ** -3
-    assert to.eval_log(h, x) == pytest.approx(-math.log(x), abs=1e-12)
+    assert h.log_at(x) == pytest.approx(-math.log(x), abs=1e-12)
     # just outside: exponential branch
-    assert to.eval_log(h, 3.5) == pytest.approx(-3.5, abs=1e-12)
+    assert h.log_at(3.5) == pytest.approx(-3.5, abs=1e-12)
 
 
 def test_floor_log_tail():
     h = to.make_floor_log_tail()
-    assert to.eval_log(h, 10.5) == pytest.approx(-10.0 * math.log(10.5), abs=1e-10)
+    assert h.log_at(10.5) == pytest.approx(-10.0 * math.log(10.5), abs=1e-10)
     assert h.truth.is_tail
 
 
@@ -143,9 +143,9 @@ def test_make_named_catalog():
 def test_eval_log_domain_error():
     h = to.make_power_tail(-1.0)
     with pytest.raises(DomainError):
-        to.eval_log(h, 0.0)
+        h.log_at(0.0)
     with pytest.raises(DomainError):
-        to.eval_log(h, -3.0)
+        h.log_at(-3.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
@@ -172,7 +172,7 @@ def test_domain_check_table_range_ends():
     vals = h.log_at(np.array([x_lo, 1e4, x_hi]))
     assert np.all(np.isfinite(vals))
     for x in (x_lo, x_hi):
-        assert math.isfinite(to.eval_log(h, x))
+        assert math.isfinite(h.log_at(x))
     # a step beyond either end is refused, wherever it sits in the array
     for bad in (x_lo * (1 - 1e-9), x_hi * (1 + 1e-9)):
         with pytest.raises(DomainError, match="outside tabulated range"):
@@ -205,7 +205,7 @@ def test_log_at_u_empty_array_and_table_range_ends():
 
 def test_handles_pure():
     h = to.make_two_plus_sin()
-    vals = {to.eval_log(h, 123.456) for _ in range(10)}
+    vals = {h.log_at(123.456) for _ in range(10)}
     assert len(vals) == 1
 
 
@@ -239,16 +239,16 @@ def _power_rows(alpha=-2.0, n=9):
 def test_from_table_interpolates_loglog():
     h = to.from_table(to.TableData(rows=_power_rows()))
     # exact on nodes and on power-law segments between them
-    assert to.eval_log(h, 1e4) == pytest.approx(-8.0 * math.log(10.0), abs=1e-9)
-    assert to.eval_log(h, 3.1623e3) == pytest.approx(-2.0 * math.log(3.1623e3), rel=1e-6)
+    assert h.log_at(1e4) == pytest.approx(-8.0 * math.log(10.0), abs=1e-9)
+    assert h.log_at(3.1623e3) == pytest.approx(-2.0 * math.log(3.1623e3), rel=1e-6)
 
 
 def test_from_table_range_errors():
     h = to.from_table(to.TableData(rows=_power_rows()))
     with pytest.raises(DomainError):
-        to.eval_log(h, 1e9)
+        h.log_at(1e9)
     with pytest.raises(DomainError):
-        to.eval_log(h, 0.5)
+        h.log_at(0.5)
 
 
 def test_from_table_minimum_rows():
@@ -275,7 +275,7 @@ def test_load_csv(tmp_path):
     p.write_text("x,value\n" + "\n".join(
         f"{10.0 ** k!r},{(10.0 ** k) ** -2!r}" for k in range(9)) + "\n")
     h = to.load_csv(p)
-    assert to.eval_log(h, 100.0) == pytest.approx(-4.0 * math.log(10.0), abs=1e-9)
+    assert h.log_at(100.0) == pytest.approx(-4.0 * math.log(10.0), abs=1e-9)
 
 
 def test_load_csv_log_kind(tmp_path):
@@ -283,7 +283,7 @@ def test_load_csv_log_kind(tmp_path):
     p.write_text("x,logvalue\n" + "\n".join(
         f"{10.0 ** k!r},{-2.0 * k * math.log(10.0)!r}" for k in range(9)) + "\n")
     h = to.load_csv(p)
-    assert to.eval_log(h, 1e3) == pytest.approx(-6.0 * math.log(10.0), abs=1e-9)
+    assert h.log_at(1e3) == pytest.approx(-6.0 * math.log(10.0), abs=1e-9)
 
 
 def test_load_csv_bad_header(tmp_path):

@@ -21,6 +21,15 @@ def test_grid_validation():
         to.GridSpec(log10_x_min=0.0)
 
 
+@pytest.mark.parametrize("field, value", [("points", 2000.5), ("windows", 8.5),
+                                          ("points", 2000.0)])
+def test_grid_counts_must_be_integers(field, value):
+    with pytest.raises(ParamError, match="whole numbers"):
+        to.GridSpec(**{field: value})
+    # numpy integers count as integers
+    assert to.GridSpec(points=np.int64(2000), windows=np.int64(8)).xs().size == 2000
+
+
 def test_extrapolation_failure_is_typed():
     with pytest.raises(ExtrapolationFailure):
         _extrapolate_intercept(np.array([0.0, 1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0, 4.0]))
@@ -117,6 +126,12 @@ def test_classify_tolerance_validation():
         to.classify(to.make_power_tail(1.0), tol=0.0)
 
 
+def test_classify_tolerance_must_be_finite():
+    # an infinite tolerance would call every window gap a finite order
+    with pytest.raises(ParamError, match="got inf"):
+        to.classify(to.make_x_pow_sin_x(), tol=math.inf)
+
+
 @pytest.mark.parametrize("r,tag", [
     (1.0, "Convergent"),   # exponent 1 - 2 below the integrability line
     (3.0, "Divergent"),
@@ -182,7 +197,7 @@ def test_dominance():
     x_end = to.GridSpec().xs()[-1]
     for upper, lower in pairs:
         assert upper.truth.rho > lower.truth.rho
-        ratio = math.exp(to.eval_log(lower, x_end) - to.eval_log(upper, x_end))
+        ratio = math.exp(lower.log_at(x_end) - upper.log_at(x_end))
         assert ratio < 1e-3
 
 
