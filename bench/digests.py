@@ -1,14 +1,18 @@
-"""Exit code and sha256 of the output of every README CLI command.
+"""Exit code and sha256 of the output of every README CLI command and a few more.
 
     python3 bench/digests.py [--checkout DIR]
 
-Runs each command of the README's CLI section as ``python -m tailorder.cli``
-on the package in ``DIR/src`` (default: the checkout holding this script),
-inside a fresh temporary directory. Prints one line per command: its exit
-code, the sha256 of its stdout and the command. ``plots`` adds one line per
-CSV file it writes. ``classify --data`` reads ``samples.csv``, a fixed table
-of 3 x**-1.5 that the script writes first. Two checkouts whose printouts are
-equal run the README commands to the same bytes.
+Runs each command as ``python -m tailorder.cli`` on the package in
+``DIR/src`` (default: the checkout holding this script), inside a fresh
+temporary directory. The commands are those of the README's CLI section,
+then five that reach paths the README does not: the von Mises derivatives
+(``report --fn exp_neg``), the attraction verdict of a heavy tail, the
+generic bisection quantile, and the parameter checks of ``oset_geometric``
+and ``log_perturbed_power``. Prints one line per command: its exit code,
+the sha256 of its stdout and the command. ``plots`` adds one line per CSV
+file it writes. ``classify --data`` reads ``samples.csv``, a fixed table of
+3 x**-1.5 that the script writes first. Two checkouts whose printouts are
+equal run these commands to the same bytes.
 """
 
 from __future__ import annotations
@@ -29,6 +33,11 @@ COMMANDS = (
     "simulate --fn pareto_tail --param alpha=1 --n 10000 --reps 2000 --seed 7",
     "simulate --fn peter_paul --reps 2000 --seed 11 --subsequences",
     "plots --fn peter_paul --plots out/",
+    "report --fn exp_neg",
+    "report --fn pareto_tail --param alpha=1.5",
+    "simulate --fn log_perturbed_power --param alpha=-2 --param c=0.5 --n 4 --reps 25 --seed 1",
+    "classify --fn oset_geometric --param alpha=1 --param beta=0 --param x_a=2",
+    "classify --fn log_perturbed_power --param alpha=-1 --param c=1",
 )
 PLOT_FILES = ("orders.csv", "kappa_trace.csv", "ratio.csv")
 

@@ -23,7 +23,6 @@ from .errors import (
     ClassMismatch,
     DivergentTail,
     DomainError,
-    EndpointError,
     ExtrapolationFailure,
     FormatError,
     NonDifferentiable,

@@ -145,8 +145,7 @@ def _label_of(h: FunctionHandle) -> ClassLabel:
     return ClassLabel.undecided()
 
 
-def _derived(name: str, log_at_logx, label: ClassLabel, *,
-             support_floor: float = 0.0, log_at_x=None,
+def _derived(name: str, log_at_logx, label: ClassLabel, *, log_at_x=None,
              differentiable: bool = True) -> FunctionHandle:
     truth = KnownTruth(
         label=label,
@@ -154,10 +153,8 @@ def _derived(name: str, log_at_logx, label: ClassLabel, *,
         kappa=-label.rho if label.is_m else None,
         mu=label.mu, nu=label.nu,
     )
-    return FunctionHandle(
-        name=name, log_at_logx=log_at_logx, support_floor=support_floor,
-        truth=truth, log_at_x=log_at_x, differentiable=differentiable,
-    )
+    return FunctionHandle(name=name, log_at_logx=log_at_logx, truth=truth,
+                          log_at_x=log_at_x, differentiable=differentiable)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +170,6 @@ def scale_add(a: float, U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
     label = _scale_add_label(a, _label_of(U), _label_of(V))
     if a == 0.0:
         return _derived(f"0*{U.name}+{V.name}", V.log_at_logx, label,
-                        support_floor=V.support_floor,
                         differentiable=V.differentiable)
     log_a = math.log(a)
 
@@ -182,7 +178,6 @@ def scale_add(a: float, U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
 
     return _derived(
         f"{a:g}*{U.name}+{V.name}", log_at_logx, label,
-        support_floor=max(U.support_floor, V.support_floor),
         differentiable=U.differentiable and V.differentiable,
     )
 
@@ -191,7 +186,7 @@ def reciprocal(U: FunctionHandle) -> FunctionHandle:
     label = _reciprocal_label(_label_of(U))
     return _derived(
         f"1/({U.name})", lambda u: -U.log_at_logx(u), label,
-        support_floor=U.support_floor, differentiable=U.differentiable,
+        differentiable=U.differentiable,
     )
 
 
@@ -203,7 +198,6 @@ def product(U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
 
     return _derived(
         f"({U.name})*({V.name})", log_at_logx, label,
-        support_floor=max(U.support_floor, V.support_floor),
         differentiable=U.differentiable and V.differentiable,
     )
 
@@ -211,19 +205,15 @@ def product(U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
 def compose(U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
     """Handle for U(V(x)); prediction requires the inner function to diverge."""
     label = _compose_label(_label_of(U), _label_of(V))
-    floor_u = math.log(U.support_floor) if U.support_floor > 0 else -math.inf
 
     def log_at_logx(u):
         inner = np.asarray(V.log_at_logx(u), dtype=float)
-        if np.any(inner <= floor_u):
-            raise DomainError(
-                f"compose: inner value below support floor of {U.name}"
-            )
+        if np.any(inner == -math.inf):
+            raise DomainError(f"compose: inner value 0 lies outside the domain of {U.name}")
         return U.log_at_logx(inner)
 
     return _derived(
         f"({U.name})o({V.name})", log_at_logx, label,
-        support_floor=V.support_floor,
         differentiable=U.differentiable and V.differentiable,
     )
 
@@ -257,8 +247,6 @@ def convolve(U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
     log-space quadrature, each x from dyadic panels on [0, x/2] and [x/2, x]
     where the two asymptotic regimes live.
     """
-    if U.support_floor > 0 or V.support_floor > 0:
-        raise DomainError("convolve requires operands defined on (0, inf)")
     label = _convolve_label(_label_of(U), _label_of(V))
 
     def log_at_x(x):

@@ -37,6 +37,7 @@ from .handles import FunctionHandle, load_csv, make_named
 from .labels import TAG_M, TAG_M_INF, TAG_M_NEG_INF
 from .order import (
     GridSpec,
+    check_ratio_scales,
     check_second_characterization,
     classify,
     estimate_kappa,
@@ -289,10 +290,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 def _cmd_plots(args) -> int:
     handle, _descriptor = _load_handle(args)
     grid = _grid_for(args, handle)
+    xs = grid.xs()
+    ts = check_ratio_scales(args.t or [2.0, 5.0, 10.0], float(xs[-1]))
     out_dir = Path(args.plots)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        xs = grid.xs()
         rs = np.asarray(handle.log_at(xs), dtype=float) / np.log(xs)
         _write_csv(out_dir / "orders.csv", ["x", "log_u_over_log_x"],
                    zip(map(float, xs), map(float, rs)))
@@ -305,7 +307,6 @@ def _cmd_plots(args) -> int:
                 rows.append((float(r), verdict.tag, float(verdict.trace[-1][1])))
             _write_csv(out_dir / "kappa_trace.csv",
                        ["r", "verdict", "log_partial_integral"], rows)
-        ts = args.t or [2.0, 5.0, 10.0]
         sub = xs[:: max(1, len(xs) // 200)]
         rows = []
         for t in ts:

@@ -63,7 +63,3 @@ class NonDifferentiable(TailOrderError):
 
 class QuantileError(TailOrderError):
     """Quantile evaluation failed or was called with bad arguments."""
-
-
-class EndpointError(TailOrderError):
-    """Distribution endpoint is finite where an infinite endpoint is required."""

@@ -20,12 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    EndpointError,
-    NonDifferentiable,
-    ParamError,
-    QuantileError,
-)
+from .errors import NonDifferentiable, ParamError, QuantileError
 from .handles import FunctionHandle
 from .labels import TAG_M_INF, ClassLabel
 from .order import (
@@ -59,11 +54,10 @@ class GPDSpec:
 
 @dataclass(frozen=True)
 class DistributionHandle:
-    """A survival function with quantile access and infinite endpoint."""
+    """A survival function on (0, inf) with quantile access."""
 
     base: FunctionHandle
     quantile: Callable  # tail level u in (0,1) -> x with F-bar(x) = u
-    endpoint: float = math.inf
 
     @property
     def differentiable(self) -> bool:
@@ -80,17 +74,15 @@ def _check_u(u) -> np.ndarray:
 def _generic_quantile(base: FunctionHandle) -> Callable:
     """Quantile map by bracketing and bisection in x, all points at once.
 
-    Each point's bracket grows by x4 from [floor, 4] until the tail falls to
+    Each point's bracket grows by x4 from [1e-12, 4] until the tail falls to
     the level, then geometric bisection steps follow, each one ``log_at``
     call over all points, until a step changes no bracket (at most 200).
     """
-    lo0 = max(base.support_floor, 1e-12)
-    hi0 = max(4.0, lo0 * 4.0)
 
     def q(ua: np.ndarray):
         target = np.log(ua).ravel()
-        lo = np.full(target.shape, lo0)
-        hi = np.full(target.shape, hi0)
+        lo = np.full(target.shape, 1e-12)
+        hi = np.full(target.shape, 4.0)
         grow = np.asarray(base.log_at(hi), dtype=float) > target
         while grow.any():
             hi = np.where(grow, hi * 4.0, hi)
@@ -125,18 +117,14 @@ def distribution_for(handle: FunctionHandle) -> DistributionHandle:
 
 def _log_tail_derivs(base: FunctionHandle, xs: np.ndarray, h: float):
     """First and second u-derivatives of g(u) = log F-bar(e^u), 5-point."""
-    u = np.log(xs)
-    g_m2 = np.asarray(base.log_at_u(u - 2 * h), dtype=float)
-    g_m1 = np.asarray(base.log_at_u(u - h), dtype=float)
-    g_0 = np.asarray(base.log_at_u(u), dtype=float)
-    g_p1 = np.asarray(base.log_at_u(u + h), dtype=float)
-    g_p2 = np.asarray(base.log_at_u(u + 2 * h), dtype=float)
+    u = np.log(xs) + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])[:, None]
+    g_m2, g_m1, g_0, g_p1, g_p2 = np.asarray(base.log_at_u(u), dtype=float)
     d1 = (8.0 * (g_p1 - g_m1) - (g_p2 - g_m2)) / (12.0 * h)
     d2 = (-g_p2 + 16.0 * g_p1 - 30.0 * g_0 + 16.0 * g_m1 - g_m2) / (12.0 * h * h)
     return d1, d2
 
 
-def von_mises_frechet(D: DistributionHandle, grid: GridSpec | None = None) -> IndexEstimate:
+def von_mises_frechet(D: DistributionHandle, grid: GridSpec = GridSpec()) -> IndexEstimate:
     """Limit of x F'(x) / F-bar(x), the hazard-ratio index.
 
     Equals -d(log F-bar)/d(log x); estimated with relative-step central
@@ -144,20 +132,18 @@ def von_mises_frechet(D: DistributionHandle, grid: GridSpec | None = None) -> In
     """
     if not D.differentiable:
         raise NonDifferentiable(f"{D.base.name}: tail is not differentiable")
-    grid = grid or GridSpec()
     xs = grid.xs()
     d1, _ = _log_tail_derivs(D.base, xs, _FD_STEP)
     return windowed_limit(xs, -d1, grid)
 
 
-def von_mises_gumbel(D: DistributionHandle, grid: GridSpec | None = None) -> IndexEstimate:
+def von_mises_gumbel(D: DistributionHandle, grid: GridSpec = GridSpec()) -> IndexEstimate:
     """Limit of (F-bar/F')'(x), the reciprocal-hazard flatness probe.
 
     In log coordinates with g = log F-bar: (F-bar/F')' = -1/g' + g''/g'^2.
     """
     if not D.differentiable:
         raise NonDifferentiable(f"{D.base.name}: tail is not differentiable")
-    grid = grid or GridSpec()
     xs = grid.xs()
     d1, d2 = _log_tail_derivs(D.base, xs, _FD_STEP)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -183,11 +169,11 @@ class DAReport:
 
 
 def classify_domain_attraction(D: DistributionHandle,
-                               grid: GridSpec | None = None,
+                               grid: GridSpec = GridSpec(),
                                tol: float = DEFAULT_CLASS_TOL, *,
                                label: ClassLabel | None = None,
                                rv: ConditionReport | None = None) -> DAReport:
-    """Conservative attraction verdict for an infinite-endpoint tail.
+    """Conservative attraction verdict for a tail on (0, inf).
 
     Heavy-tailed attraction needs the full scaling-ratio law with a negative
     exponent. Rapid decay alone never certifies the light-tailed limit (the
@@ -196,9 +182,6 @@ def classify_domain_attraction(D: DistributionHandle,
     (``rv_ratio_test(D.base, grid=grid, tol=tol)``) skip their computation
     when given.
     """
-    if math.isfinite(D.endpoint):
-        raise EndpointError("classification requires an infinite endpoint")
-    grid = grid or GridSpec()
     label = label or classify(D.base, grid, tol)
     rv = rv or rv_ratio_test(D.base, grid=grid, tol=tol)
     details: dict = {"ratio_regular": rv.passed, "class": label.to_dict()}
@@ -231,7 +214,7 @@ def default_a_family() -> list[tuple[str, Callable]]:
 
 
 def gpd_ratio_probe(D: DistributionHandle, xi: float, a_fn: Callable,
-                    x_probe: Sequence[float] | None = None,
+                    x_probe: Sequence[float] = (0.5, 1.0, 2.0, 4.0, 8.0),
                     tol: float = 0.01) -> ConditionReport:
     """Stability of F-bar(u + x a(u)) / F-bar(u) against the GPD target.
 
@@ -241,8 +224,7 @@ def gpd_ratio_probe(D: DistributionHandle, xi: float, a_fn: Callable,
     is the violation signature.
     """
     spec = GPDSpec(xi=xi)
-    xs = np.asarray(x_probe if x_probe is not None else [0.5, 1.0, 2.0, 4.0, 8.0],
-                    dtype=float)
+    xs = np.asarray(x_probe, dtype=float)
     if np.any(1.0 + xi * xs <= 0.0):
         raise ParamError("probe points must satisfy 1 + xi*x > 0")
     us = np.logspace(2, 7, 64)
@@ -288,7 +270,7 @@ def gpd_ratio_probe(D: DistributionHandle, xi: float, a_fn: Callable,
 
 
 def excess_family_violation(D: DistributionHandle,
-                            x_probe: Sequence[float] | None = None,
+                            x_probe: Sequence[float] = (0.5, 1.0, 2.0, 4.0, 8.0),
                             threshold: float = 0.1) -> dict:
     """Max trailing spread per default scale family member, at xi = 0.5.
 

@@ -1,6 +1,6 @@
 """Evaluable positive functions with known asymptotic ground truth.
 
-Everything evaluates in log space: a handle maps x > support_floor to
+Everything evaluates in log space: a handle maps x in (0, inf) to
 log U(x), so members that decay or grow faster than any power remain finite
 on the whole probing range (x up to 1e300). Linear values are a derived
 convenience and may legitimately overflow.
@@ -53,7 +53,7 @@ class KnownTruth:
 
 @dataclass(frozen=True)
 class FunctionHandle:
-    """Immutable positive function on (support_floor, inf), log-space view.
+    """Immutable positive function on (0, inf), log-space view.
 
     ``log_at_logx`` is the primitive: u = log x -> log U(exp(u)). It must be
     vectorized over numpy arrays. ``log_at_x`` optionally overrides direct-x
@@ -64,7 +64,6 @@ class FunctionHandle:
 
     name: str
     log_at_logx: Callable
-    support_floor: float = 0.0
     truth: KnownTruth | None = None
     differentiable: bool = True
     log_at_x: Callable | None = None
@@ -82,17 +81,15 @@ class FunctionHandle:
         if xa.size == 0:
             return
         x_lo, x_hi = xa.min(), xa.max()
-        if not (self.support_floor < x_lo and x_hi < math.inf):
-            raise DomainError(
-                f"{self.name}: evaluation requires x > {self.support_floor}"
-            )
+        if not (0.0 < x_lo and x_hi < math.inf):
+            raise DomainError(f"{self.name}: evaluation requires x > 0.0")
         if self.log_domain is not None:
             lo, hi = self.log_domain
             if math.log(x_lo) < lo - 1e-12 or math.log(x_hi) > hi + 1e-12:
                 raise DomainError(f"{self.name}: x outside tabulated range")
 
     def log_at(self, x):
-        """log U(x) for x > support_floor (scalar or array)."""
+        """log U(x) for x > 0 (scalar or array)."""
         self._check_x(x)
         if self.log_at_x is not None:
             return self.log_at_x(np.asarray(x, dtype=float))
@@ -106,8 +103,6 @@ class FunctionHandle:
             u_lo, u_hi = ua.min(), ua.max()
             if not (-math.inf < u_lo and u_hi < math.inf):
                 raise DomainError(f"{self.name}: log-argument must be finite")
-            if self.support_floor > 0.0 and u_lo <= math.log(self.support_floor):
-                raise DomainError(f"{self.name}: log-argument below support floor")
             if self.log_domain is not None:
                 lo, hi = self.log_domain
                 if u_lo < lo - 1e-12 or u_hi > hi + 1e-12:
@@ -130,6 +125,8 @@ class FunctionHandle:
 def make_power_tail(alpha: float) -> FunctionHandle:
     """U = 1 on (0,1), x**alpha on [1,inf)."""
     a = float(alpha)
+    if not math.isfinite(a):
+        raise ParamError("power_tail requires a finite alpha")
     truth = KnownTruth(
         label=ClassLabel.m(a), rho=a, kappa=-a, mu=a, nu=a,
         is_tail=(a <= 0.0), is_rv=True,
@@ -145,8 +142,8 @@ def make_power_tail(alpha: float) -> FunctionHandle:
 def make_ramp_power(alpha: float) -> FunctionHandle:
     """U = x**alpha on all of (0,inf); vanishes at the origin for alpha > 0."""
     a = float(alpha)
-    if a <= 0.0:
-        raise ParamError("ramp_power requires alpha > 0")
+    if not 0.0 < a < math.inf:
+        raise ParamError("ramp_power requires a finite alpha > 0")
     truth = KnownTruth(label=ClassLabel.m(a), rho=a, kappa=-a, mu=a, nu=a, is_rv=True)
     return FunctionHandle(
         name=f"ramp_power(alpha={a:g})",
@@ -158,8 +155,8 @@ def make_ramp_power(alpha: float) -> FunctionHandle:
 def make_pareto_tail(alpha: float) -> FunctionHandle:
     """Survival function x**(-alpha) on [1,inf), 1 below."""
     a = float(alpha)
-    if a <= 0.0:
-        raise ParamError("pareto_tail requires alpha > 0")
+    if not 0.0 < a < math.inf:
+        raise ParamError("pareto_tail requires a finite alpha > 0")
     h = make_power_tail(-a)
     return FunctionHandle(
         name=f"pareto_tail(alpha={a:g})",
@@ -232,12 +229,12 @@ def make_oset_geometric(alpha: float, beta: float, x_a: float) -> FunctionHandle
     Levels x_n**(alpha*(1+beta)); oscillates between two growth orders.
     """
     a, b, xa = float(alpha), float(beta), float(x_a)
-    if a <= 0.0:
-        raise ParamError("oset_geometric requires alpha > 0")
-    if b == -1.0:
-        raise ParamError("oset_geometric requires beta != -1")
-    if xa <= 1.0:
-        raise ParamError("oset_geometric requires x_a > 1")
+    if not 0.0 < a < math.inf:
+        raise ParamError("oset_geometric requires a finite alpha > 0")
+    if not (math.isfinite(b) and b != -1.0):
+        raise ParamError("oset_geometric requires a finite beta != -1")
+    if not 1.0 < xa < math.inf:
+        raise ParamError("oset_geometric requires a finite x_a > 1")
     top = a * (1.0 + b)
     bottom = top / (1.0 + a)
     if 1.0 + b > 0:
@@ -257,6 +254,10 @@ def make_oset_geometric(alpha: float, beta: float, x_a: float) -> FunctionHandle
         bps.append(un)
         lv.append(top * un)
         n += 1
+    if not bps:
+        raise ParamError(
+            f"oset_geometric requires x_a**(1+alpha) <= exp({_U_MAX:g}): with x_a={xa:g} "
+            "the first breakpoint lies beyond the probing range")
     return _step_handle(
         f"oset_geometric(alpha={a:g},beta={b:g},x_a={xa:g})", bps, lv, truth
     )
@@ -269,11 +270,11 @@ TOWER_C_MAX = math.e * LOG2
 def make_oset_tower(c: float, alpha: float) -> FunctionHandle:
     """Step function with tower breakpoints x_1 = 1, x_{n+1} = 2**(x_n/c)."""
     cc, a = float(c), float(alpha)
-    if cc <= 0.0:
+    if not cc > 0.0:
         raise ParamError("oset_tower requires c > 0")
-    if a == 0.0:
-        raise ParamError("oset_tower requires alpha != 0")
-    if cc >= TOWER_C_MAX:
+    if not (math.isfinite(a) and a != 0.0):
+        raise ParamError("oset_tower requires a finite alpha != 0")
+    if not cc < TOWER_C_MAX:
         raise ParamError(
             f"oset_tower requires c < e*log(2) ~ {TOWER_C_MAX:.4f}: "
             "the breakpoint recursion stalls at a fixed point otherwise"
@@ -414,8 +415,10 @@ def make_remark7_mix() -> FunctionHandle:
 def make_log_perturbed_power(alpha: float = -1.0, c: float = 1.0) -> FunctionHandle:
     """U = x**alpha * (1 + c / log x) for x >= e, frozen below e."""
     a, cc = float(alpha), float(c)
-    if cc < 0.0 or 1.0 + cc <= 0.0:
-        raise ParamError("log_perturbed_power requires c >= 0")
+    if not math.isfinite(a):
+        raise ParamError("log_perturbed_power requires a finite alpha")
+    if not 0.0 <= cc < math.inf:
+        raise ParamError("log_perturbed_power requires a finite c >= 0")
     truth = KnownTruth(
         label=ClassLabel.m(a), rho=a, kappa=-a, mu=a, nu=a,
         is_tail=(a < 0), is_rv=True,
@@ -517,7 +520,6 @@ def from_table(data: TableData) -> FunctionHandle:
     return FunctionHandle(
         name="table",
         log_at_logx=log_at_logx,
-        support_floor=0.0,
         log_domain=(float(us[0]), float(us[-1])),
         differentiable=False,
     )

@@ -106,9 +106,8 @@ class CumulativeIntegral:
 
 
 def cumulative_integral(U: FunctionHandle, kind: str, r: float, b: float,
-                        grid: GridSpec | None = None) -> CumulativeIntegral:
+                        grid: GridSpec = GridSpec()) -> CumulativeIntegral:
     """Build V_r (kind="V") or W_r (kind="W") on an octave-aligned log grid."""
-    grid = grid or GridSpec()
     if kind not in ("V", "W"):
         raise ParamError("kind must be 'V' or 'W'")
     if not math.isfinite(r):
@@ -202,13 +201,12 @@ def _ratio_checks(U: FunctionHandle, ci: CumulativeIntegral, r: float, grid: Gri
 
 
 def karamata_limit(U: FunctionHandle, r: float, b: float, side: str,
-                   grid: GridSpec | None = None) -> IndexEstimate:
+                   grid: GridSpec = GridSpec()) -> IndexEstimate:
     """Windowed limit of log(cumulative)/log x.
 
     side "lower" uses V_{r-1} (integral from b), side "upper" uses W_{r-1}
     (tail integral, requires convergence).
     """
-    grid = grid or GridSpec()
     if side not in ("lower", "upper"):
         raise ParamError("side must be 'lower' or 'upper'")
     ci = cumulative_integral(U, "V" if side == "lower" else "W", r - 1.0, b, grid)
@@ -216,13 +214,12 @@ def karamata_limit(U: FunctionHandle, r: float, b: float, side: str,
 
 
 def check_condition(U: FunctionHandle, which: str, r: float, b: float,
-                    grid: GridSpec | None = None,
+                    grid: GridSpec = GridSpec(),
                     tol: float = DEFAULT_CLASS_TOL) -> ConditionReport:
     """Balance condition: log(cumulative)/log x - log U/log x -> r.
 
     C1r uses V_{r-1}, C2r uses W_{r-1}.
     """
-    grid = grid or GridSpec()
     if which not in ("C1r", "C2r"):
         raise ParamError("which must be 'C1r' or 'C2r'")
     ci = cumulative_integral(U, "V" if which == "C1r" else "W", r - 1.0, b, grid)
@@ -230,7 +227,7 @@ def check_condition(U: FunctionHandle, which: str, r: float, b: float,
 
 
 def karamata_theorem_report(U: FunctionHandle, r: float, b: float,
-                            grid: GridSpec | None = None,
+                            grid: GridSpec = GridSpec(),
                             tol: float = DEFAULT_CLASS_TOL, *,
                             label: ClassLabel | None = None,
                             rv: ConditionReport | None = None) -> ConditionReport:
@@ -246,7 +243,6 @@ def karamata_theorem_report(U: FunctionHandle, r: float, b: float,
     """
     if not math.isfinite(r):
         raise ParamError(f"integral-ratio check requires a finite r, got {r}")
-    grid = grid or GridSpec()
     label = label or classify(U, grid, tol)
     if not label.is_m:
         raise ClassMismatch(f"{U.name}: classified {label}, finite order required")
@@ -325,7 +321,7 @@ def _trapezoid_cumulative(f_of_u, u_lo: float, u_hi: float,
 
 
 def extract_representation(U: FunctionHandle, b: float = 2.0,
-                           grid: GridSpec | None = None,
+                           grid: GridSpec = GridSpec(),
                            tol: float = DEFAULT_CLASS_TOL, *,
                            label: ClassLabel | None = None) -> RepresentationTriple:
     """Extract (alpha, beta, eps) with beta = log U / log x by construction.
@@ -337,7 +333,6 @@ def extract_representation(U: FunctionHandle, b: float = 2.0,
     folds the factor x back out. ``label`` (``classify(U, grid, tol)``)
     skips the classification when given.
     """
-    grid = grid or GridSpec()
     if not 1.0 < b < math.inf:
         raise ParamError("representation base point requires 1 < b < inf")
     label = label or classify(U, grid, tol)
@@ -398,10 +393,9 @@ RECONSTRUCTION_RTOL = 1e-7
 
 
 def verify_representation(U: FunctionHandle, rep: RepresentationTriple,
-                          grid: GridSpec | None = None,
+                          grid: GridSpec = GridSpec(),
                           tol: float = DEFAULT_CLASS_TOL) -> ConditionReport:
     """Check pointwise reconstruction and the three exponent limits."""
-    grid = grid or GridSpec()
     lo = max(grid.log10_x_min, math.log10(rep.b_effective) + 0.3)
     sub = replace(grid, log10_x_min=lo)
     xs = sub.xs()
@@ -445,14 +439,13 @@ class InfRepresentation:
 
 
 def extract_representation_inf(U: FunctionHandle, b: float = 2.0,
-                               grid: GridSpec | None = None,
+                               grid: GridSpec = GridSpec(),
                                tol: float = DEFAULT_CLASS_TOL, *,
                                label: ClassLabel | None = None) -> InfRepresentation:
     """Exponent function for rapid-decay/growth members; alpha/log x -> inf.
 
     ``label`` (``classify(U, grid, tol)``) skips the classification when given.
     """
-    grid = grid or GridSpec()
     label = label or classify(U, grid, tol)
     if label.tag == TAG_M_INF:
         sign = +1

@@ -83,10 +83,6 @@ class ClassLabel:
     def is_decided(self) -> bool:
         return self.tag != TAG_UNDECIDED
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.tag in (TAG_M_INF, TAG_M_NEG_INF)
-
     # -- serialization ------------------------------------------------
     def to_dict(self) -> dict:
         out: dict = {"tag": self.tag}
@@ -96,15 +92,6 @@ class ClassLabel:
             out["mu"] = self.mu
             out["nu"] = self.nu
         return out
-
-    @staticmethod
-    def from_dict(d: dict) -> "ClassLabel":
-        extra = set(d) - {"tag", "rho", "mu", "nu"}
-        if extra:
-            raise ParamError(f"unknown label fields {sorted(extra)}")
-        return ClassLabel(
-            d["tag"], rho=d.get("rho"), mu=d.get("mu"), nu=d.get("nu")
-        )
 
     def __str__(self) -> str:
         if self.tag == TAG_M:

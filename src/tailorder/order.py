@@ -234,10 +234,9 @@ def order_samples(U: FunctionHandle, xs) -> np.ndarray:
     return np.asarray(U.log_at(xa), dtype=float) / np.log(xa)
 
 
-def estimate_orders(U: FunctionHandle, grid: GridSpec | None = None
+def estimate_orders(U: FunctionHandle, grid: GridSpec = GridSpec()
                     ) -> tuple[IndexEstimate, IndexEstimate]:
     """(lower order, upper order) of U: liminf / limsup of log U / log x."""
-    grid = grid or GridSpec()
     xs = grid.xs()
     rs = np.asarray(U.log_at(xs), dtype=float) / np.log(xs)
     mins, L_min, maxs, L_max, _, _ = _window_stats(xs, rs, grid)
@@ -255,7 +254,7 @@ def estimate_orders(U: FunctionHandle, grid: GridSpec | None = None
 DEFAULT_CLASS_TOL = 0.05
 
 
-def classify(U: FunctionHandle, grid: GridSpec | None = None,
+def classify(U: FunctionHandle, grid: GridSpec = GridSpec(),
              tol: float = DEFAULT_CLASS_TOL, *,
              orders: tuple[IndexEstimate, IndexEstimate] | None = None) -> ClassLabel:
     """Classify U by the limiting behaviour of log U(x) / log x.
@@ -296,14 +295,13 @@ _KAPPA_TOL = 0.01
 
 
 def probe_integral_convergence(U: FunctionHandle, r: float,
-                               grid: GridSpec | None = None) -> ConvergenceVerdict:
+                               grid: GridSpec = GridSpec()) -> ConvergenceVerdict:
     """Does integral_1^inf x**(r-1) U(x) dx converge?
 
     Partial integrals at doubling truncations; convergent when octave
     increments decay geometrically (sustained ratio below 1), divergent when
     they fail to decay, undecided in the razor-thin band between.
     """
-    grid = grid or GridSpec()
     n_oct = max(_SUSTAIN + 2, int(math.floor(grid.log10_x_max * math.log(10) / LOG2_)))
     inc = octave_integral(U, r, n_oct)
     partials = np.logaddexp.accumulate(inc)
@@ -326,9 +324,8 @@ def probe_integral_convergence(U: FunctionHandle, r: float,
     return ConvergenceVerdict("Undecided", trace)
 
 
-def estimate_kappa(U: FunctionHandle, grid: GridSpec | None = None) -> IndexEstimate:
+def estimate_kappa(U: FunctionHandle, grid: GridSpec = GridSpec()) -> IndexEstimate:
     """Moment index: bisection between convergent and divergent exponents."""
-    grid = grid or GridSpec()
     lo, hi = _KAPPA_R_LO, _KAPPA_R_HI
     v_lo = probe_integral_convergence(U, lo, grid)
     v_hi = probe_integral_convergence(U, hi, grid)
@@ -378,7 +375,7 @@ class ConditionReport:
         }
 
 
-def check_second_characterization(U: FunctionHandle, grid: GridSpec | None = None,
+def check_second_characterization(U: FunctionHandle, grid: GridSpec = GridSpec(),
                                   tol: float = DEFAULT_CLASS_TOL, *,
                                   label: ClassLabel | None = None,
                                   kappa: IndexEstimate | None = None) -> ConditionReport:
@@ -387,7 +384,6 @@ def check_second_characterization(U: FunctionHandle, grid: GridSpec | None = Non
     ``label`` (``classify(U, grid, tol)``) and ``kappa``
     (``estimate_kappa(U, grid)``) skip their computation when given.
     """
-    grid = grid or GridSpec()
     label = label or classify(U, grid, tol)
     if not label.is_m:
         raise ClassMismatch(f"{U.name}: classified {label}, finite order required")
@@ -402,25 +398,29 @@ def check_second_characterization(U: FunctionHandle, grid: GridSpec | None = Non
     )
 
 
-def rv_ratio_test(U: FunctionHandle, t_values: Sequence[float] | None = None,
-                  grid: GridSpec | None = None,
+def check_ratio_scales(t_values: Sequence[float], x_max: float) -> list[float]:
+    """The ratio-test scales t as floats, each finite and positive with x_max * t finite."""
+    ts = [float(t) for t in t_values]
+    for t in ts:
+        if not 0.0 < t < math.inf:
+            raise ParamError(f"ratio test requires a finite t > 0, got t={t:g}")
+        if not math.isfinite(x_max * t):
+            raise ParamError(
+                f"ratio test at t={t:g} needs U at x_max * t = {x_max:g} * {t:g}, "
+                "beyond the float range; lower x_max or t")
+    return ts
+
+
+def rv_ratio_test(U: FunctionHandle, t_values: Sequence[float] = (2.0, 5.0, 10.0),
+                  grid: GridSpec = GridSpec(),
                   tol: float = DEFAULT_CLASS_TOL) -> ConditionReport:
     """Test the scaling-ratio law U(xt)/U(x) -> t**rho for each t.
 
     Passes (ratio-regular with a common rho) only when every per-t log ratio
     stabilises and the implied rho values agree.
     """
-    grid = grid or GridSpec()
-    ts = [float(t) for t in (t_values if t_values is not None else (2.0, 5.0, 10.0))]
-    if any(t <= 0 for t in ts):
-        raise ParamError("ratio test requires t > 0")
     xs = grid.xs()
-    x_max = float(xs[-1])
-    for t in ts:
-        if not math.isfinite(x_max * t):
-            raise ParamError(
-                f"ratio test at t={t:g} needs U at x_max * t = {x_max:g} * {t:g}, "
-                "beyond the float range; lower x_max or t")
+    ts = check_ratio_scales(t_values, float(xs[-1]))
     per_t = {}
     rho_num = rho_den = 0.0
     failed_t = None

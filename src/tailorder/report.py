@@ -51,11 +51,10 @@ class ReportDocument:
     conditions: list = field(default_factory=list)
     evt: dict | None = None
     provenance: dict = field(default_factory=dict)
-    schema_version: str = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "input": self.input,
             "class": self.class_label,
             "estimates": self.estimates,

@@ -30,8 +30,6 @@ ORIGIN_TOL_LOG = math.log(1e-9)
 
 
 def _check_vanishes_at_origin(U: FunctionHandle) -> None:
-    if U.support_floor > 0.0:
-        raise PreconditionError(f"{U.name}: not defined near the origin")
     try:
         v = float(U.log_at(ORIGIN_PROBE_X))
     except Exception as exc:
@@ -57,9 +55,8 @@ def regularize_origin(U: FunctionHandle, rho: float) -> FunctionHandle:
         return np.where(ua >= 0.0, U.log_at_logx(np.maximum(ua, 0.0)),
                         log_u1 + rho * ua)
 
-    truth = U.truth if U.truth is not None else None
     return FunctionHandle(
-        name=f"origin_reg({U.name})", log_at_logx=log_at_logx, truth=truth,
+        name=f"origin_reg({U.name})", log_at_logx=log_at_logx, truth=U.truth,
         differentiable=U.differentiable,
     )
 
@@ -144,7 +141,7 @@ def _concavity_probe(U: FunctionHandle, alpha: float) -> dict:
 _TRANSFORM_POINTS = 600
 
 
-def tauberian_check(U: FunctionHandle, grid: GridSpec | None = None,
+def tauberian_check(U: FunctionHandle, grid: GridSpec = GridSpec(),
                     tol: float = DEFAULT_CLASS_TOL, *,
                     label: ClassLabel | None = None) -> ConditionReport:
     """Order preservation through the transform, for positive orders.
@@ -154,7 +151,6 @@ def tauberian_check(U: FunctionHandle, grid: GridSpec | None = None,
     hypothesis is reported as a diagnostic, not asserted. ``label``
     (``classify(U, grid, tol)``) skips the input's classification when given.
     """
-    grid = grid or GridSpec()
     label = label or classify(U, grid, tol)
     if not label.is_m:
         raise ClassMismatch(f"{U.name}: classified {label}, finite order required")

@@ -299,6 +299,16 @@ def test_report_integral_ratio_far_from_zero_order(r, branch, target, capsys):
     assert cond["measured"]["condition_passed"]
 
 
+@pytest.mark.parametrize("t", ["0", "-2", "nan", "inf", "1e308"])
+def test_plots_bad_ratio_scale_is_refused_before_any_file(t, tmp_path, capsys):
+    out = tmp_path / "plots"
+    code = main(["plots", "--fn", "power_tail", "--param", "alpha=-2",
+                 "--plots", str(out), "--t", "2", "--t", t])
+    assert code == 2
+    assert f"t={float(t):g}" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_simulate_block_size_one_is_an_input_error(capsys):
     code = main(["simulate", "--fn", "pareto_tail", "--param", "alpha=1", "--n", "1",
                  "--reps", "10", "--seed", "1"])
@@ -313,7 +323,19 @@ def test_simulate_block_size_one_is_an_input_error(capsys):
       "--seed", str(2 ** 128)], f"seed {2 ** 128} "),
     (["classify", "--fn", "power_tail", "--param", "alpha=-2", "--points", "0"], "points"),
     (["classify", "--fn", "x_pow_sin_x", "--tol", "inf"], "tolerance"),
-], ids=["seed-negative", "seed-2**128", "points-0", "tol-inf"])
+    (["classify", "--fn", "oset_geometric", "--param", "alpha=1", "--param", "beta=0",
+      "--param", "x_a=1e300"], "oset_geometric requires x_a**(1+alpha) <= exp(691): "
+     "with x_a=1e+300"),
+    (["classify", "--fn", "oset_geometric", "--param", "alpha=1", "--param", "beta=0",
+      "--param", "x_a=inf"], "oset_geometric requires a finite x_a > 1"),
+    (["classify", "--fn", "oset_geometric", "--param", "alpha=1", "--param", "beta=0",
+      "--param", "x_a=nan"], "oset_geometric requires a finite x_a > 1"),
+    (["classify", "--fn", "log_perturbed_power", "--param", "alpha=-1", "--param", "c=nan"],
+     "log_perturbed_power requires a finite c >= 0"),
+    (["classify", "--fn", "log_perturbed_power", "--param", "alpha=-1", "--param", "c=inf"],
+     "log_perturbed_power requires a finite c >= 0"),
+], ids=["seed-negative", "seed-2**128", "points-0", "tol-inf", "x_a-1e300", "x_a-inf",
+        "x_a-nan", "c-nan", "c-inf"])
 def test_out_of_range_option_is_an_input_error(argv, message, capsys):
     code = main(argv)
     captured = capsys.readouterr()

@@ -232,13 +232,6 @@ def test_da_exp_candidate_only():
     assert rep.kind == "GumbelInfCandidate"  # membership is never asserted
 
 
-def test_da_requires_infinite_endpoint():
-    base = to.make_pareto_tail(2.0)
-    D = to.DistributionHandle(base=base, quantile=lambda u: u, endpoint=5.0)
-    with pytest.raises(to.EndpointError):
-        to.classify_domain_attraction(D)
-
-
 def test_quantile_level_validation():
     D = to.distribution_for(to.make_pareto_tail(2.0))
     with pytest.raises(to.QuantileError):

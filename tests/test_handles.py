@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,27 @@ def test_oset_param_errors(bad):
         bad()
 
 
+@pytest.mark.parametrize("name, params, message", [
+    ("oset_geometric", {"alpha": 1.0, "beta": 0.0, "x_a": 1e300}, "x_a=1e+300"),
+    ("oset_geometric", {"alpha": 1.0, "beta": 0.0, "x_a": math.inf}, "x_a"),
+    ("oset_geometric", {"alpha": 1.0, "beta": 0.0, "x_a": math.nan}, "x_a"),
+    ("oset_geometric", {"alpha": math.nan, "beta": 0.0, "x_a": 2.0}, "alpha"),
+    ("oset_geometric", {"alpha": 1.0, "beta": math.inf, "x_a": 2.0}, "beta"),
+    ("log_perturbed_power", {"alpha": -1.0, "c": math.nan}, "c >= 0"),
+    ("log_perturbed_power", {"alpha": -1.0, "c": math.inf}, "c >= 0"),
+    ("log_perturbed_power", {"alpha": math.nan, "c": 1.0}, "alpha"),
+    ("power_tail", {"alpha": math.nan}, "alpha"),
+    ("power_tail", {"alpha": -math.inf}, "alpha"),
+    ("ramp_power", {"alpha": math.inf}, "alpha"),
+    ("pareto_tail", {"alpha": math.nan}, "alpha"),
+    ("oset_tower", {"c": math.nan, "alpha": 1.0}, "c > 0"),
+    ("oset_tower", {"c": 1.0, "alpha": math.nan}, "alpha"),
+])
+def test_non_finite_or_out_of_range_parameter_is_named(name, params, message):
+    with pytest.raises(ParamError, match=f"^{name} requires .*{re.escape(message)}"):
+        to.make_named(name, params)
+
+
 def test_remark_mix_branches():
     h = to.make_remark7_mix()
     # inside the interval (3, 3 + 3**-3) the value is 1/x
@@ -189,6 +211,32 @@ def test_log_at_u_rejects_non_finite(bad):
         h.log_at_u(bad)
     with pytest.raises(DomainError, match="log-argument must be finite"):
         h.log_at_u(np.array([1.0, bad, 2.0]))
+
+
+# valid parameters for the catalog members that take any
+_VALID_PARAMS = {
+    "log_perturbed_power": {"alpha": -2.0, "c": 0.5},
+    "oset_geometric": {"alpha": 1.0, "beta": 0.0, "x_a": 2.0},
+    "oset_tower": {"c": 1.0, "alpha": -1.0},
+    "pareto_tail": {"alpha": 1.5},
+    "power_tail": {"alpha": -2.0},
+    "ramp_power": {"alpha": 1.0},
+}
+
+
+@pytest.mark.parametrize("name", to.catalog_names())
+def test_every_member_refuses_points_outside_its_domain(name):
+    h = to.make_named(name, _VALID_PARAMS.get(name))
+    for x in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="requires x > 0"):
+            h.log_at(x)
+        with pytest.raises(DomainError, match="requires x > 0"):
+            h.log_at(np.array([10.0, x]))
+    for u in (math.nan, -math.inf, math.inf):
+        with pytest.raises(DomainError, match="log-argument must be finite"):
+            h.log_at_u(u)
+        with pytest.raises(DomainError, match="log-argument must be finite"):
+            h.log_at_u(np.array([1.0, u]))
 
 
 def test_log_at_u_empty_array_and_table_range_ends():

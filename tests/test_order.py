@@ -228,6 +228,12 @@ def test_rv_ratio_two_plus_sin_fails_but_classifies():
     assert to.classify(h).tag == "M"
 
 
+@pytest.mark.parametrize("t", [0.0, -2.0, math.nan, math.inf])
+def test_rv_ratio_bad_scale_is_named(t):
+    with pytest.raises(ParamError, match=f"finite t > 0, got t={t:g}"):
+        to.rv_ratio_test(to.make_power_tail(-2.0), [2.0, t])
+
+
 def test_remark_mix_grid_vs_targeted():
     h = to.make_remark7_mix()
     # the grid sees only the rapid-decay branch
