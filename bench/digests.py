@@ -11,14 +11,16 @@ generic bisection quantile, and the parameter checks of ``oset_geometric``
 and ``log_perturbed_power``. Prints one line per command: its exit code,
 the sha256 of its stdout and the command. ``plots`` adds one line per CSV
 file it writes. ``classify --data`` reads ``samples.csv``, a fixed table of
-3 x**-1.5 that the script writes first. Two checkouts whose printouts are
-equal run these commands to the same bytes.
+3 x**-1.5 that the script writes first, and then ``samples_log.csv``, the
+same table as ``x,logvalue`` rows, so both CSV kinds are pinned. Two
+checkouts whose printouts are equal run these commands to the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -38,6 +40,7 @@ COMMANDS = (
     "simulate --fn log_perturbed_power --param alpha=-2 --param c=0.5 --n 4 --reps 25 --seed 1",
     "classify --fn oset_geometric --param alpha=1 --param beta=0 --param x_a=2",
     "classify --fn log_perturbed_power --param alpha=-1 --param c=1",
+    "classify --data samples_log.csv",
 )
 PLOT_FILES = ("orders.csv", "kappa_trace.csv", "ratio.csv")
 
@@ -46,12 +49,15 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def write_samples(path: Path) -> None:
-    rows = ["x,value"]
+def write_samples(work: Path) -> None:
+    """Write 3 x**-1.5 at 400 points as samples.csv and samples_log.csv."""
+    linear, log = ["x,value"], ["x,logvalue"]
     for i in range(400):
         x = 10.0 ** (0.5 + 5.5 * i / 399)
-        rows.append(f"{x!r},{3.0 * x ** -1.5!r}")
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        linear.append(f"{x!r},{3.0 * x ** -1.5!r}")
+        log.append(f"{x!r},{math.log(3.0 * x ** -1.5)!r}")
+    for name, rows in (("samples.csv", linear), ("samples_log.csv", log)):
+        (work / name).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
 def digests(checkout: Path) -> list[str]:
@@ -59,7 +65,7 @@ def digests(checkout: Path) -> list[str]:
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        write_samples(work / "samples.csv")
+        write_samples(work)
         for command in COMMANDS:
             proc = subprocess.run([sys.executable, "-m", "tailorder.cli", *command.split()],
                                   cwd=work, env=env, capture_output=True)

@@ -56,7 +56,6 @@ from .evt import (
 from .handles import (
     FunctionHandle,
     KnownTruth,
-    TableData,
     catalog_names,
     corpus_m_members,
     from_table,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,6 +25,9 @@ LOG2 = math.log(2.0)
 
 # Largest log-argument we ever need: x up to ~1e300.
 _U_MAX = 691.0
+
+# Most breakpoints a step-function constructor builds below exp(_U_MAX).
+_MAX_BREAKPOINTS = 10_000
 
 # Relative nudge pushing a query on a float-rounded breakpoint to the correct
 # (right-continuous) side.
@@ -55,15 +58,16 @@ class KnownTruth:
 class FunctionHandle:
     """Immutable positive function on (0, inf), log-space view.
 
-    ``log_at_logx`` is the primitive: u = log x -> log U(exp(u)). It must be
-    vectorized over numpy arrays. ``log_at_x`` optionally overrides direct-x
-    evaluation with an exact path (used by step functions to decide levels
-    without an exp/log round trip). ``value_at_x`` optionally provides exact
-    linear values.
+    A handle is defined by one vectorized rule: ``log_at_x`` (x -> log U(x))
+    or ``log_at_logx`` (u = log x -> log U(exp(u))). The other coordinate is
+    derived by composing with log or exp; a handle given only ``log_at_x``
+    gets ``log_at_logx = log_at_x(exp(u))``. Both are given only where each
+    is exact in its own coordinate (step levels decided without an exp/log
+    round trip). ``value_at_x`` optionally provides exact linear values.
     """
 
     name: str
-    log_at_logx: Callable
+    log_at_logx: Callable | None = None
     truth: KnownTruth | None = None
     differentiable: bool = True
     log_at_x: Callable | None = None
@@ -74,6 +78,13 @@ class FunctionHandle:
     jump_xs: tuple = ()
     # closed-form inverse of a tail: level u in (0,1) -> least x with U(x) <= u
     quantile: Callable | None = None
+
+    def __post_init__(self) -> None:
+        if self.log_at_logx is None:
+            log_at_x = self.log_at_x
+            if log_at_x is None:
+                raise ParamError(f"{self.name}: a handle needs log_at_x or log_at_logx")
+            object.__setattr__(self, "log_at_logx", lambda u: log_at_x(np.exp(u)))
 
     def _check_x(self, x) -> None:
         # the extremes decide: NaN propagates through min and fails the test
@@ -96,13 +107,17 @@ class FunctionHandle:
         return self.log_at_logx(np.log(np.asarray(x, dtype=float)))
 
     def log_at_u(self, u):
-        """log U(exp(u)); safe for u beyond float-representable x."""
+        """log U(exp(u)) for u whose exp(u) is a positive finite float."""
         ua = np.asarray(u, dtype=float)
         if ua.size:
             # the extremes decide: NaN propagates through min and fails the test
             u_lo, u_hi = ua.min(), ua.max()
             if not (-math.inf < u_lo and u_hi < math.inf):
                 raise DomainError(f"{self.name}: log-argument must be finite")
+            with np.errstate(over="ignore", under="ignore"):
+                x_lo, x_hi = np.exp(u_lo), np.exp(u_hi)
+            if not (0.0 < x_lo and x_hi < math.inf):
+                raise DomainError(f"{self.name}: exp(u) must be a positive finite float")
             if self.log_domain is not None:
                 lo, hi = self.log_domain
                 if u_lo < lo - 1e-12 or u_hi > hi + 1e-12:
@@ -245,21 +260,22 @@ def make_oset_geometric(alpha: float, beta: float, x_a: float) -> FunctionHandle
         label=ClassLabel.oscillating(mu, nu), mu=mu, nu=nu,
         is_tail=(1.0 + b < 0), is_rv=False,
     )
-    bps, lv = [], []
-    n = 1
-    while True:
-        un = (1.0 + a) ** n * math.log(xa)
-        if un > _U_MAX:
-            break
-        bps.append(un)
-        lv.append(top * un)
-        n += 1
+    log_xa = math.log(xa)
+    # breakpoints (1+alpha)**n * log(x_a) <= _U_MAX in closed form, up to rounding
+    count = math.log(_U_MAX / log_xa) / math.log1p(a)
+    if count > _MAX_BREAKPOINTS:
+        raise ParamError(
+            f"oset_geometric requires at most {_MAX_BREAKPOINTS} breakpoints below "
+            f"exp({_U_MAX:g}): alpha={a:g} with x_a={xa:g} gives {count:.4g}")
+    bps = [un for un in ((1.0 + a) ** n * log_xa for n in range(1, math.floor(count) + 2))
+           if un <= _U_MAX]
     if not bps:
         raise ParamError(
             f"oset_geometric requires x_a**(1+alpha) <= exp({_U_MAX:g}): with x_a={xa:g} "
             "the first breakpoint lies beyond the probing range")
     return _step_handle(
-        f"oset_geometric(alpha={a:g},beta={b:g},x_a={xa:g})", bps, lv, truth
+        f"oset_geometric(alpha={a:g},beta={b:g},x_a={xa:g})", bps, [top * un for un in bps],
+        truth,
     )
 
 
@@ -287,12 +303,15 @@ def make_oset_tower(c: float, alpha: float) -> FunctionHandle:
         label=ClassLabel.oscillating(mu, nu), mu=mu, nu=nu,
         is_tail=(a < 0), is_rv=False,
     )
-    bps, lv = [], []
-    u = 0.0
+    bps, u = [], 0.0
     while u <= _U_MAX:
+        if len(bps) == _MAX_BREAKPOINTS:
+            raise ParamError(
+                f"oset_tower requires at most {_MAX_BREAKPOINTS} breakpoints below "
+                f"exp({_U_MAX:g}): c={cc:g} lies too close to e*log(2)")
         bps.append(u)
-        lv.append(a * math.exp(u) * LOG2)
         u = math.exp(u) * LOG2 / cc
+    lv = [a * math.exp(un) * LOG2 for un in bps]
     return _step_handle(f"oset_tower(c={cc:g},alpha={a:g})", bps, lv, truth)
 
 
@@ -303,7 +322,6 @@ def make_two_plus_sin() -> FunctionHandle:
     )
     return FunctionHandle(
         name="two_plus_sin",
-        log_at_logx=lambda u: np.log(2.0 + np.sin(np.exp(np.asarray(u, dtype=float)))),
         log_at_x=lambda x: np.log(2.0 + np.sin(np.asarray(x, dtype=float))),
         truth=truth,
     )
@@ -314,14 +332,8 @@ def make_x_pow_sin_x() -> FunctionHandle:
     truth = KnownTruth(
         label=ClassLabel.oscillating(-1.0, 1.0), mu=-1.0, nu=1.0, is_rv=False
     )
-
-    def log_at_logx(u):
-        ua = np.asarray(u, dtype=float)
-        return np.sin(np.exp(ua)) * ua
-
     return FunctionHandle(
         name="x_pow_sin_x",
-        log_at_logx=log_at_logx,
         log_at_x=lambda x: np.sin(np.asarray(x, dtype=float))
         * np.log(np.asarray(x, dtype=float)),
         truth=truth,
@@ -336,7 +348,6 @@ def make_exp_neg() -> FunctionHandle:
     )
     return FunctionHandle(
         name="exp_neg",
-        log_at_logx=lambda u: -np.exp(np.asarray(u, dtype=float)),
         log_at_x=lambda x: -np.asarray(x, dtype=float),
         truth=truth,
         quantile=lambda u: -np.log(u),
@@ -351,7 +362,6 @@ def make_exp_pos() -> FunctionHandle:
     )
     return FunctionHandle(
         name="exp_pos",
-        log_at_logx=lambda u: np.exp(np.asarray(u, dtype=float)),
         log_at_x=lambda x: np.asarray(x, dtype=float).copy(),
         truth=truth,
     )
@@ -366,12 +376,13 @@ def make_floor_log_tail() -> FunctionHandle:
 
     def log_at_x(x):
         xa = np.asarray(x, dtype=float)
-        n = np.floor(xa * (1.0 + 1e-13))
-        return np.where(xa < 1.0, 0.0, -n * np.log(np.maximum(xa, 1.0)))
+        # past x ~ 1e305 the level lies below the float range: log U = -inf
+        with np.errstate(over="ignore"):
+            n = np.floor(xa * (1.0 + 1e-13))
+            return np.where(xa < 1.0, 0.0, -n * np.log(np.maximum(xa, 1.0)))
 
     return FunctionHandle(
         name="floor_log_tail",
-        log_at_logx=lambda u: log_at_x(np.exp(np.minimum(np.asarray(u, dtype=float), 709.0))),
         log_at_x=log_at_x,
         truth=truth,
         differentiable=False,
@@ -405,7 +416,6 @@ def make_remark7_mix() -> FunctionHandle:
 
     return FunctionHandle(
         name="remark7_mix",
-        log_at_logx=lambda u: log_at_x(np.exp(np.minimum(np.asarray(u, dtype=float), 709.0))),
         log_at_x=log_at_x,
         truth=truth,
         differentiable=False,
@@ -476,46 +486,27 @@ def make_named(name: str, params: dict | None = None) -> FunctionHandle:
 MIN_TABLE_ROWS = 8
 
 
-@dataclass(frozen=True)
-class TableData:
-    """Sampled positive function; interpolation is linear in log-log."""
+def from_table(xs, log_values) -> FunctionHandle:
+    """Handle interpolating log U linearly in log x between the table's rows.
 
-    rows: tuple = field(default_factory=tuple)  # (x, kind, v) with kind linear|log
-
-    def __post_init__(self) -> None:
-        xs = []
-        for row in self.rows:
-            if len(row) != 3:
-                raise FormatError("table rows must be (x, kind, v)")
-            x, kind, v = row
-            if kind not in ("linear", "log"):
-                raise FormatError(f"unknown value kind {kind!r}")
-            if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
-                raise FormatError("table abscissas must be positive finite reals")
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise FormatError("table values must be finite reals")
-            if kind == "linear" and v <= 0.0:
-                raise PositivityViolation(f"non-positive linear value at x={x}")
-            xs.append(float(x))
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise FormatError("table abscissas must be strictly increasing")
-
-    def log_points(self) -> tuple[np.ndarray, np.ndarray]:
-        us = np.array([math.log(x) for x, _, _ in self.rows])
-        vs = np.array(
-            [math.log(v) if kind == "linear" else float(v) for _, kind, v in self.rows]
-        )
-        return us, vs
-
-
-def from_table(data: TableData) -> FunctionHandle:
-    """Handle interpolating the table linearly in (log x, log U)."""
-    if len(data.rows) < MIN_TABLE_ROWS:
-        raise FormatError(f"need at least {MIN_TABLE_ROWS} rows, got {len(data.rows)}")
-    us, vs = data.log_points()
+    ``xs`` must be finite, positive and strictly increasing, ``log_values``
+    finite, with at least MIN_TABLE_ROWS rows of each.
+    """
+    xa, va = np.asarray(xs, dtype=float), np.asarray(log_values, dtype=float)
+    if xa.ndim != 1 or xa.shape != va.shape:
+        raise FormatError("a table needs one log value per abscissa")
+    if xa.size < MIN_TABLE_ROWS:
+        raise FormatError(f"need at least {MIN_TABLE_ROWS} rows, got {xa.size}")
+    if not np.all(np.isfinite(xa) & (xa > 0.0)):
+        raise FormatError("table abscissas must be positive finite reals")
+    if not np.all(np.isfinite(va)):
+        raise FormatError("table values must be finite reals")
+    if np.any(np.diff(xa) <= 0.0):
+        raise FormatError("table abscissas must be strictly increasing")
+    us = np.array([math.log(x) for x in xa])
 
     def log_at_logx(u):
-        return np.interp(np.asarray(u, dtype=float), us, vs)
+        return np.interp(np.asarray(u, dtype=float), us, va)
 
     return FunctionHandle(
         name="table",
@@ -526,7 +517,7 @@ def from_table(data: TableData) -> FunctionHandle:
 
 
 def load_csv(path) -> FunctionHandle:
-    """Read `x,value` or `x,logvalue` CSV into an interpolating handle."""
+    """Read an `x,value` or `x,logvalue` CSV into an interpolating handle."""
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -534,13 +525,10 @@ def load_csv(path) -> FunctionHandle:
             if header is None:
                 raise FormatError("empty CSV file")
             header = [h.strip() for h in header]
-            if header == ["x", "value"]:
-                kind = "linear"
-            elif header == ["x", "logvalue"]:
-                kind = "log"
-            else:
+            if header not in (["x", "value"], ["x", "logvalue"]):
                 raise FormatError(f"bad CSV header {header!r}")
-            rows = []
+            linear = header[1] == "value"
+            xs, vs = [], []
             for lineno, rec in enumerate(reader, start=2):
                 if not rec:
                     continue
@@ -550,10 +538,15 @@ def load_csv(path) -> FunctionHandle:
                     x, v = float(rec[0]), float(rec[1])
                 except ValueError:
                     raise FormatError(f"line {lineno}: non-numeric field") from None
-                rows.append((x, kind, v))
+                if linear and math.isfinite(v):
+                    if v <= 0.0:
+                        raise PositivityViolation(f"non-positive linear value at x={x}")
+                    v = math.log(v)
+                xs.append(x)
+                vs.append(v)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
-    return from_table(TableData(rows=tuple(rows)))
+    return from_table(xs, vs)
 
 
 def corpus_m_members() -> list[FunctionHandle]:

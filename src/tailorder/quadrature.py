@@ -144,15 +144,18 @@ def _gk_panels(log_f, a: np.ndarray, b: np.ndarray, ids: np.ndarray):
         return shift + np.log(k15 * half), shift + np.log(np.abs(k15 - g7) * half)
 
 
-def batched_log_quad(log_f, a, b, ids, n: int, rel_tol: float = 1e-8,
-                     max_evals: int = 100_000) -> np.ndarray:
+# relative error at which an adaptive Gauss-Kronrod integral is done
+_REL_TOL = 1e-8
+
+
+def batched_log_quad(log_f, a, b, ids, n: int, max_evals: int = 100_000) -> np.ndarray:
     """log of integral exp(log_f) for n integrals at once, by adaptive G7-K15.
 
     The initial panels [a[p], b[p]] of integral ids[p] partition its range.
     Each round evaluates every new panel of every unfinished integral with
     one ``log_f(x[P, 15], ids[P])`` call and reduces per-integral totals and
     error bounds |K15 - G7| in log space. An integral is done once its error
-    is at most rel_tol of its total; for the others, every panel carrying more
+    is at most _REL_TOL of its total; for the others, every panel carrying more
     than its share of the allowed error (and always the worst one) is halved.
     QuadratureFailure when an unfinished integral has used max_evals
     integrand evaluations. An integral without panels is 0 (log -inf).
@@ -160,7 +163,7 @@ def batched_log_quad(log_f, a, b, ids, n: int, rel_tol: float = 1e-8,
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     ids = np.asarray(ids, dtype=np.intp).ravel()
-    log_tol = math.log(rel_tol)
+    log_tol = math.log(_REL_TOL)
     out = np.full(n, -np.inf)
     counts = np.bincount(ids, minlength=n)
     active = counts > 0
@@ -201,8 +204,7 @@ def batched_log_quad(log_f, a, b, ids, n: int, rel_tol: float = 1e-8,
         log_err = np.concatenate([log_err[stay], new_err])
 
 
-def adaptive_log_quad(log_f, a: float, b: float, rel_tol: float = 1e-8,
-                      max_evals: int = 100_000,
+def adaptive_log_quad(log_f, a: float, b: float, max_evals: int = 100_000,
                       split_points: tuple = ()) -> float:
     """log of integral_a^b exp(log_f(x)) dx, one integral of batched_log_quad.
 
@@ -216,4 +218,4 @@ def adaptive_log_quad(log_f, a: float, b: float, rel_tol: float = 1e-8,
 
     return float(batched_log_quad(log_f_batch, pts[:-1], pts[1:],
                                   np.zeros(pts.size - 1, dtype=np.intp), 1,
-                                  rel_tol, max_evals)[0])
+                                  max_evals)[0])

@@ -121,7 +121,6 @@ def transform_handle(U: FunctionHandle) -> FunctionHandle:
 
     return FunctionHandle(
         name=f"transform_inv({U.name})",
-        log_at_logx=lambda u: log_at_x(np.exp(np.asarray(u, dtype=float))),
         log_at_x=log_at_x,
     )
 

@@ -132,6 +132,9 @@ def test_oset_param_errors(bad):
     ("pareto_tail", {"alpha": math.nan}, "alpha"),
     ("oset_tower", {"c": math.nan, "alpha": 1.0}, "c > 0"),
     ("oset_tower", {"c": 1.0, "alpha": math.nan}, "alpha"),
+    # too many breakpoints below exp(691): refused before they are built
+    ("oset_geometric", {"alpha": 1e-6, "beta": 0.0, "x_a": 2.0}, "alpha=1e-06 with x_a=2"),
+    ("oset_tower", {"c": to.handles.TOWER_C_MAX * (1 - 1e-12), "alpha": 1.0}, "c=1.88417"),
 ])
 def test_non_finite_or_out_of_range_parameter_is_named(name, params, message):
     with pytest.raises(ParamError, match=f"^{name} requires .*{re.escape(message)}"):
@@ -182,12 +185,12 @@ def test_domain_check_rejects_non_finite_and_floor(bad):
 def test_domain_check_accepts_empty_array():
     h = to.make_power_tail(-1.0)
     assert h.log_at(np.array([])).shape == (0,)
-    table = to.from_table(to.TableData(rows=_power_rows()))
+    table = to.from_table(*_power_table())
     assert table.log_at(np.empty((0, 3))).shape == (0, 3)
 
 
 def test_domain_check_table_range_ends():
-    h = to.from_table(to.TableData(rows=_power_rows()))
+    h = to.from_table(*_power_table())
     lo, hi = h.log_domain
     x_lo, x_hi = math.exp(lo), math.exp(hi)
     # both ends of the tabulated range evaluate, together and alone
@@ -237,11 +240,32 @@ def test_every_member_refuses_points_outside_its_domain(name):
             h.log_at_u(u)
         with pytest.raises(DomainError, match="log-argument must be finite"):
             h.log_at_u(np.array([1.0, u]))
+    # exp(u) overflows or underflows: x = exp(u) is not in (0, inf)
+    for u in (720.0, -800.0):
+        with pytest.raises(DomainError, match=r"exp\(u\) must be a positive finite float"):
+            h.log_at_u(u)
+        with pytest.raises(DomainError, match=r"exp\(u\) must be a positive finite float"):
+            h.log_at_u(np.array([1.0, u]))
+
+
+@pytest.mark.parametrize("make", [
+    to.make_two_plus_sin, to.make_x_pow_sin_x, to.make_exp_neg, to.make_exp_pos,
+    to.make_floor_log_tail, to.make_remark7_mix,
+])
+def test_u_rule_is_the_x_rule_at_exp_u(make):
+    h = make()
+    u = np.linspace(-700.0, 709.0, 301)
+    assert h.log_at_u(u).tobytes() == h.log_at(np.exp(u)).tobytes()
+
+
+def test_handle_needs_a_rule():
+    with pytest.raises(ParamError, match="needs log_at_x or log_at_logx"):
+        to.FunctionHandle(name="bare")
 
 
 def test_log_at_u_empty_array_and_table_range_ends():
     assert to.make_power_tail(1.0).log_at_u(np.array([])).shape == (0,)
-    h = to.from_table(to.TableData(rows=_power_rows()))
+    h = to.from_table(*_power_table())
     lo, hi = h.log_domain
     assert np.all(np.isfinite(h.log_at_u(np.array([lo, 0.5 * (lo + hi), hi]))))
     for u in (lo, hi):
@@ -280,19 +304,20 @@ def test_last_window_mean_tracks_order():
 # ---------------------------------------------------------------------------
 
 
-def _power_rows(alpha=-2.0, n=9):
-    return tuple((10.0 ** k, "linear", (10.0 ** k) ** alpha) for k in range(n))
+def _power_table(alpha=-2.0, n=9):
+    xs = [10.0 ** k for k in range(n)]
+    return xs, [math.log(x ** alpha) for x in xs]
 
 
 def test_from_table_interpolates_loglog():
-    h = to.from_table(to.TableData(rows=_power_rows()))
+    h = to.from_table(*_power_table())
     # exact on nodes and on power-law segments between them
     assert h.log_at(1e4) == pytest.approx(-8.0 * math.log(10.0), abs=1e-9)
     assert h.log_at(3.1623e3) == pytest.approx(-2.0 * math.log(3.1623e3), rel=1e-6)
 
 
 def test_from_table_range_errors():
-    h = to.from_table(to.TableData(rows=_power_rows()))
+    h = to.from_table(*_power_table())
     with pytest.raises(DomainError):
         h.log_at(1e9)
     with pytest.raises(DomainError):
@@ -300,22 +325,45 @@ def test_from_table_range_errors():
 
 
 def test_from_table_minimum_rows():
-    with pytest.raises(FormatError):
-        to.from_table(to.TableData(rows=_power_rows(n=2)))
+    with pytest.raises(FormatError, match="at least 8 rows"):
+        to.from_table(*_power_table(n=2))
 
 
-def test_table_positivity():
-    rows = list(_power_rows())
-    rows[3] = (rows[3][0], "linear", 0.0)
+def test_table_positivity(tmp_path):
+    p = tmp_path / "zero.csv"
+    xs, _ = _power_table()
+    p.write_text("x,value\n" + "\n".join(
+        f"{x!r},{0.0 if i == 3 else x ** -2!r}" for i, x in enumerate(xs)) + "\n")
     with pytest.raises(PositivityViolation):
-        to.TableData(rows=tuple(rows))
+        to.load_csv(p)
 
 
 def test_table_sorted():
-    rows = list(_power_rows())
-    rows[1], rows[2] = rows[2], rows[1]
-    with pytest.raises(FormatError):
-        to.TableData(rows=tuple(rows))
+    xs, vs = _power_table()
+    xs[1], xs[2] = xs[2], xs[1]
+    with pytest.raises(FormatError, match="strictly increasing"):
+        to.from_table(xs, vs)
+
+
+@pytest.mark.parametrize("row, xv, message", [
+    (2, (0.0, 1.0), "positive finite"),
+    (2, (-1.0, 1.0), "positive finite"),
+    (2, (math.nan, 1.0), "positive finite"),
+    (8, (math.inf, 1.0), "positive finite"),
+    (4, (1e4, math.nan), "values must be finite"),
+    (4, (1e4, -math.inf), "values must be finite"),
+])
+def test_from_table_rejects_bad_rows(row, xv, message):
+    xs, vs = _power_table()
+    xs[row], vs[row] = xv
+    with pytest.raises(FormatError, match=message):
+        to.from_table(xs, vs)
+
+
+def test_from_table_needs_one_value_per_abscissa():
+    xs, vs = _power_table()
+    with pytest.raises(FormatError, match="one log value per abscissa"):
+        to.from_table(xs, vs[:-1])
 
 
 def test_load_csv(tmp_path):
