@@ -79,11 +79,9 @@ from .karamata import (
     CumulativeIntegral,
     InfRepresentation,
     RepresentationTriple,
-    check_condition,
     cumulative_integral,
     extract_representation,
     extract_representation_inf,
-    karamata_limit,
     karamata_theorem_report,
     peter_paul_partial_integral,
     verify_representation,

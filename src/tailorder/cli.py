@@ -42,6 +42,7 @@ from .order import (
     classify,
     estimate_kappa,
     estimate_orders,
+    order_samples,
     probe_integral_convergence,
     rv_ratio_test,
 )
@@ -295,9 +296,8 @@ def _cmd_plots(args) -> int:
     out_dir = Path(args.plots)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        rs = np.asarray(handle.log_at(xs), dtype=float) / np.log(xs)
         _write_csv(out_dir / "orders.csv", ["x", "log_u_over_log_x"],
-                   zip(map(float, xs), map(float, rs)))
+                   zip(map(float, xs), map(float, order_samples(handle, xs))))
         r_values = sorted(set([-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]
                               + list(args.r or [])))
         if handle.log_domain is None:

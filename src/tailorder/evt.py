@@ -66,7 +66,7 @@ class DistributionHandle:
 
 def _check_u(u) -> np.ndarray:
     ua = np.asarray(u, dtype=float)
-    if np.any((ua <= 0.0) | (ua >= 1.0)):
+    if not np.all((ua > 0.0) & (ua < 1.0)):  # NaN fails too
         raise QuantileError("tail level must lie in (0,1)")
     return ua
 
@@ -103,11 +103,22 @@ def _generic_quantile(base: FunctionHandle) -> Callable:
 
 
 def distribution_for(handle: FunctionHandle) -> DistributionHandle:
-    """Wrap a survival-function handle with its closed-form or bisection quantile."""
+    """Wrap a survival-function handle with its closed-form or bisection quantile.
+
+    A quantile beyond the float range raises QuantileError.
+    """
     if handle.truth is None or not handle.truth.is_tail:
         raise ParamError(f"{handle.name} is not marked as a survival function")
     q = handle.quantile or _generic_quantile(handle)
-    return DistributionHandle(base=handle, quantile=lambda u: q(_check_u(u)))
+
+    def quantile(u):
+        with np.errstate(over="ignore"):
+            x = q(_check_u(u))
+        if not np.all(np.isfinite(x)):
+            raise QuantileError(f"{handle.name}: quantile beyond the float range")
+        return x
+
+    return DistributionHandle(base=handle, quantile=quantile)
 
 
 # ---------------------------------------------------------------------------

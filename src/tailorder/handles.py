@@ -2,8 +2,7 @@
 
 Everything evaluates in log space: a handle maps x in (0, inf) to
 log U(x), so members that decay or grow faster than any power remain finite
-on the whole probing range (x up to 1e300). Linear values are a derived
-convenience and may legitimately overflow.
+on the whole probing range (x up to 1e300).
 
 Step functions follow the right-continuity convention: at a jump point the
 handle returns the new level.
@@ -63,7 +62,7 @@ class FunctionHandle:
     derived by composing with log or exp; a handle given only ``log_at_x``
     gets ``log_at_logx = log_at_x(exp(u))``. Both are given only where each
     is exact in its own coordinate (step levels decided without an exp/log
-    round trip). ``value_at_x`` optionally provides exact linear values.
+    round trip).
     """
 
     name: str
@@ -71,7 +70,6 @@ class FunctionHandle:
     truth: KnownTruth | None = None
     differentiable: bool = True
     log_at_x: Callable | None = None
-    value_at_x: Callable | None = None
     # inclusive log-x evaluation range for table-backed handles
     log_domain: tuple[float, float] | None = None
     # jump locations of step functions (float-representable ones)
@@ -123,13 +121,6 @@ class FunctionHandle:
                 if u_lo < lo - 1e-12 or u_hi > hi + 1e-12:
                     raise DomainError(f"{self.name}: log-argument outside tabulated range")
         return self.log_at_logx(ua)
-
-    def value(self, x):
-        """U(x) in linear space; exact channel when available."""
-        self._check_x(x)
-        if self.value_at_x is not None:
-            return self.value_at_x(np.asarray(x, dtype=float))
-        return np.exp(self.log_at(x))
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +185,8 @@ def make_peter_paul() -> FunctionHandle:
         is_tail=True, is_rv=False,
     )
 
+    # its own u rule: exp(k log 2) rounds below 2**k for most k, so the x
+    # rule composed with exp would read level k - 1 at u = k log 2
     def log_at_logx(u):
         ua = np.asarray(u, dtype=float)
         n = np.floor(ua / LOG2 + 1e-12)
@@ -201,9 +194,6 @@ def make_peter_paul() -> FunctionHandle:
 
     def log_at_x(x):
         return -_pp_level_from_x(x) * LOG2
-
-    def value_at_x(x):
-        return np.ldexp(1.0, -_pp_level_from_x(x))
 
     def quantile(u):
         k = np.ceil(-np.log2(u) - 1e-12)
@@ -213,7 +203,6 @@ def make_peter_paul() -> FunctionHandle:
         name="peter_paul",
         log_at_logx=log_at_logx,
         log_at_x=log_at_x,
-        value_at_x=value_at_x,
         quantile=quantile,
         truth=truth,
         differentiable=False,
@@ -250,16 +239,6 @@ def make_oset_geometric(alpha: float, beta: float, x_a: float) -> FunctionHandle
         raise ParamError("oset_geometric requires a finite beta != -1")
     if not 1.0 < xa < math.inf:
         raise ParamError("oset_geometric requires a finite x_a > 1")
-    top = a * (1.0 + b)
-    bottom = top / (1.0 + a)
-    if 1.0 + b > 0:
-        mu, nu = bottom, top
-    else:
-        mu, nu = top, bottom
-    truth = KnownTruth(
-        label=ClassLabel.oscillating(mu, nu), mu=mu, nu=nu,
-        is_tail=(1.0 + b < 0), is_rv=False,
-    )
     log_xa = math.log(xa)
     # breakpoints (1+alpha)**n * log(x_a) <= _U_MAX in closed form, up to rounding
     count = math.log(_U_MAX / log_xa) / math.log1p(a)
@@ -273,6 +252,13 @@ def make_oset_geometric(alpha: float, beta: float, x_a: float) -> FunctionHandle
         raise ParamError(
             f"oset_geometric requires x_a**(1+alpha) <= exp({_U_MAX:g}): with x_a={xa:g} "
             "the first breakpoint lies beyond the probing range")
+    top = a * (1.0 + b)
+    bottom = top / (1.0 + a)
+    mu, nu = (bottom, top) if 1.0 + b > 0 else (top, bottom)
+    truth = KnownTruth(
+        label=ClassLabel.oscillating(mu, nu), mu=mu, nu=nu,
+        is_tail=(1.0 + b < 0), is_rv=False,
+    )
     return _step_handle(
         f"oset_geometric(alpha={a:g},beta={b:g},x_a={xa:g})", bps, [top * un for un in bps],
         truth,

@@ -90,20 +90,6 @@ class CumulativeIntegral:
         out = np.logaddexp(base, part)
         return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 
-    def as_handle(self) -> FunctionHandle:
-        """The cumulative integral as an evaluable handle (for classification)."""
-        lo = self.edges_u[0] + 0.05 if self.kind == "V" else self.edges_u[0]
-
-        def log_at_logx(u):
-            return self.log_value(np.exp(np.asarray(u, dtype=float)))
-
-        return FunctionHandle(
-            name=f"{self.kind}_{self.r:g}[{self.source.name}]",
-            log_at_logx=log_at_logx,
-            log_domain=(float(lo), float(self.edges_u[-1])),
-            differentiable=False,
-        )
-
 
 def cumulative_integral(U: FunctionHandle, kind: str, r: float, b: float,
                         grid: GridSpec = GridSpec()) -> CumulativeIntegral:
@@ -198,32 +184,6 @@ def _ratio_checks(U: FunctionHandle, ci: CumulativeIntegral, r: float, grid: Gri
         tolerance=tol,
     )
     return limit, cond
-
-
-def karamata_limit(U: FunctionHandle, r: float, b: float, side: str,
-                   grid: GridSpec = GridSpec()) -> IndexEstimate:
-    """Windowed limit of log(cumulative)/log x.
-
-    side "lower" uses V_{r-1} (integral from b), side "upper" uses W_{r-1}
-    (tail integral, requires convergence).
-    """
-    if side not in ("lower", "upper"):
-        raise ParamError("side must be 'lower' or 'upper'")
-    ci = cumulative_integral(U, "V" if side == "lower" else "W", r - 1.0, b, grid)
-    return _ratio_checks(U, ci, r, grid, DEFAULT_CLASS_TOL)[0]
-
-
-def check_condition(U: FunctionHandle, which: str, r: float, b: float,
-                    grid: GridSpec = GridSpec(),
-                    tol: float = DEFAULT_CLASS_TOL) -> ConditionReport:
-    """Balance condition: log(cumulative)/log x - log U/log x -> r.
-
-    C1r uses V_{r-1}, C2r uses W_{r-1}.
-    """
-    if which not in ("C1r", "C2r"):
-        raise ParamError("which must be 'C1r' or 'C2r'")
-    ci = cumulative_integral(U, "V" if which == "C1r" else "W", r - 1.0, b, grid)
-    return _ratio_checks(U, ci, r, grid, tol)[1]
 
 
 def karamata_theorem_report(U: FunctionHandle, r: float, b: float,

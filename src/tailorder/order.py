@@ -223,10 +223,11 @@ def windowed_limit(xs: np.ndarray, ys: np.ndarray, grid: GridSpec,
 
 
 def order_samples(U: FunctionHandle, xs) -> np.ndarray:
-    """The order ratio log U(x) / log x at arbitrary probe points.
+    """The order ratio log U(x) / log x at points x > 1.
 
-    Useful for targeted probes at points a geometric grid would miss, e.g.
-    the vanishing exceptional intervals of ``remark7_mix``.
+    ``estimate_orders`` reads it on its grid; targeted probes read it at
+    points a geometric grid would miss, e.g. the vanishing exceptional
+    intervals of ``remark7_mix``.
     """
     xa = np.asarray(xs, dtype=float)
     if np.any(xa <= 1.0):
@@ -238,7 +239,7 @@ def estimate_orders(U: FunctionHandle, grid: GridSpec = GridSpec()
                     ) -> tuple[IndexEstimate, IndexEstimate]:
     """(lower order, upper order) of U: liminf / limsup of log U / log x."""
     xs = grid.xs()
-    rs = np.asarray(U.log_at(xs), dtype=float) / np.log(xs)
+    rs = order_samples(U, xs)
     mins, L_min, maxs, L_max, _, _ = _window_stats(xs, rs, grid)
     mu_val, mu_trend = _combine(mins, L_min, side=-1)
     nu_val, nu_trend = _combine(maxs, L_max, side=+1)

@@ -115,6 +115,16 @@ def test_simulate_generic_quantile_tail(capsys):
     assert ks <= 3.0 / math.sqrt(25)
 
 
+def test_simulate_overflowing_scale_exit_four(capsys):
+    # a_n = 100 ** 1000 lies beyond the float range: no JSON with a_n = inf
+    code = main(["simulate", "--fn", "power_tail", "--param", "alpha=-0.001",
+                 "--n", "100", "--reps", "200", "--seed", "1"])
+    assert code == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "power_tail(alpha=-0.001): quantile beyond the float range" in err
+
+
 @pytest.mark.parametrize("fn", ["two_plus_sin", "peter_paul"])
 def test_grid_starting_at_one_is_an_input_error(fn):
     # log 1 = 0 would divide the first sample by zero

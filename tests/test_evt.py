@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import tailorder as to
 from tailorder import evt
-from tailorder.errors import NonDifferentiable, ParamError
+from tailorder.errors import NonDifferentiable, ParamError, QuantileError
 
 
 def gauss_tail():
@@ -43,6 +43,18 @@ def test_peter_paul_quantile_levels():
     assert D.quantile(0.5) == 2.0
     assert D.quantile(0.25) == 4.0
     assert D.quantile(0.3) == 4.0  # left endpoint of the level set
+
+
+def test_quantile_beyond_float_range_is_a_quantile_error():
+    # u ** (1/alpha) overflows for alpha = -0.001 and u < 0.49; the
+    # normalizing scale a_n would be inf
+    D = to.distribution_for(to.make_power_tail(-0.001))
+    assert D.quantile(0.9) == pytest.approx(0.9 ** -1000.0, rel=1e-12)
+    for u in (0.01, np.array([0.9, 0.01])):
+        with pytest.raises(QuantileError, match=r"^power_tail\(alpha=-0.001\): quantile"):
+            D.quantile(u)
+    with pytest.raises(QuantileError, match="power_tail"):
+        to.block_maxima_simulate(D, [100], reps=200, seed=1)
 
 
 @given(u=st.floats(min_value=1e-12, max_value=0.7))
@@ -238,6 +250,9 @@ def test_quantile_level_validation():
         D.quantile(0.0)
     with pytest.raises(to.QuantileError):
         D.quantile(1.5)
+    for make in (lambda: to.make_pareto_tail(2.0), lambda: to.make_log_perturbed_power(-2.0)):
+        with pytest.raises(to.QuantileError, match=r"tail level must lie in \(0,1\)"):
+            to.distribution_for(make()).quantile(np.array([0.5, math.nan]))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,8 @@ def test_power_tail_truth(alpha, rho, kappa, is_tail):
 ])
 def test_peter_paul_levels(x, value):
     h = to.make_peter_paul()
-    assert h.value(x) == value
+    n = -math.log2(value)
+    assert h.log_at(x) == -n * math.log(2.0)
     assert h.log_at(x) == pytest.approx(math.log(value), abs=1e-12)
 
 
@@ -62,16 +63,26 @@ def test_exp_tail_eval():
        frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
 @settings(max_examples=200, deadline=None)
 def test_peter_paul_exact_on_octaves(n, frac):
-    # value is exactly 2**-n anywhere in [2^n, 2^(n+1))
+    # log value is exactly -n log 2 anywhere in [2^n, 2^(n+1))
     h = to.make_peter_paul()
     x = math.ldexp(1.0 + frac, n)
     assume(x < math.ldexp(1.0, n + 1))  # 1 + frac can round up to 2
-    assert h.value(x) == math.ldexp(1.0, -n)
+    assert h.log_at(x) == -n * math.log(2.0)
+
+
+def test_peter_paul_u_rule_exact_at_octaves():
+    # the u rule decides the level without an exp round trip: exactly k at
+    # u = k log 2, and k - 1 just below it
+    h = to.make_peter_paul()
+    k = np.arange(996)
+    assert np.array_equal(h.log_at_u(k * math.log(2.0)), -k * math.log(2.0))
+    k = k[1:]
+    assert np.array_equal(h.log_at_u((k - 1e-9) * math.log(2.0)), -(k - 1) * math.log(2.0))
 
 
 def test_step_handles_right_continuous():
     pp = to.make_peter_paul()
-    assert pp.value(8.0) == 0.125  # jump point takes the new level
+    assert pp.log_at(8.0) == -3 * math.log(2.0)  # jump point takes the new level
     g = to.make_oset_geometric(1.0, 0.0, 2.0)
     # first breakpoint x_1 = 4, level jumps to 4
     assert math.exp(g.log_at(4.0)) == pytest.approx(4.0, rel=1e-12)
@@ -135,6 +146,9 @@ def test_oset_param_errors(bad):
     # too many breakpoints below exp(691): refused before they are built
     ("oset_geometric", {"alpha": 1e-6, "beta": 0.0, "x_a": 2.0}, "alpha=1e-06 with x_a=2"),
     ("oset_tower", {"c": to.handles.TOWER_C_MAX * (1 - 1e-12), "alpha": 1.0}, "c=1.88417"),
+    # 1 + alpha rounds to 1: the cap names alpha before the label is built
+    ("oset_geometric", {"alpha": 1e-17, "beta": 0.0, "x_a": 2.0}, "alpha=1e-17 with x_a=2"),
+    ("oset_geometric", {"alpha": 1e-300, "beta": 0.0, "x_a": 2.0}, "alpha=1e-300 with x_a=2"),
 ])
 def test_non_finite_or_out_of_range_parameter_is_named(name, params, message):
     with pytest.raises(ParamError, match=f"^{name} requires .*{re.escape(message)}"):

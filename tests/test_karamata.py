@@ -121,23 +121,15 @@ def test_log_value_evaluates_all_points_in_two_calls():
 def test_cumulative_handles_classify_with_shifted_index(rho, r):
     # integrating t**(r-1) U shifts the order to rho + r where that is
     # positive (running integral) or negative (tail integral)
-    U = to.make_power_tail(rho)
-    s = rho + r
-    kind = "V" if s > 0 else "W"
-    ci = to.cumulative_integral(U, kind, r - 1.0, 1.0)
-    h = ci.as_handle()
     grid = to.GridSpec(log10_x_min=1.0, log10_x_max=7.5, points=1600, windows=8)
-    got = to.classify(h, grid)
-    assert got.tag == "M"
-    assert got.rho == pytest.approx(s, abs=0.05)
+    rep = to.karamata_theorem_report(to.make_power_tail(rho), r, 1.0, grid)
+    assert rep.measured["limit"] == pytest.approx(rho + r, abs=0.05)
 
 
 def test_cumulative_handle_shifted_index_step_tail():
-    ci = to.cumulative_integral(to.make_peter_paul(), "V", 2.0, 2.0)
-    got = to.classify(ci.as_handle(),
-                      to.GridSpec(log10_x_min=1.0, log10_x_max=7.5,
-                                  points=1600, windows=8))
-    assert got.tag == "M" and got.rho == pytest.approx(2.0, abs=0.05)
+    grid = to.GridSpec(log10_x_min=1.0, log10_x_max=7.5, points=1600, windows=8)
+    rep = to.karamata_theorem_report(to.make_peter_paul(), 3.0, 2.0, grid)
+    assert rep.measured["limit"] == pytest.approx(2.0, abs=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -151,35 +143,41 @@ def test_cumulative_handle_shifted_index_step_tail():
     (0.5, "upper", -1.5),
 ])
 def test_karamata_limit_power(r, side, want):
-    est = to.karamata_limit(to.make_power_tail(-2.0), r, 1.0, side)
-    assert est.value == pytest.approx(want, abs=0.05)
+    U = to.make_power_tail(-2.0)
+    if r + U.truth.rho < 0 and side == "lower":
+        # no theorem branch reads V_{r-1} when rho + r < 0: read it directly
+        grid = to.GridSpec()
+        xs = grid.xs()
+        log_v = to.cumulative_integral(U, "V", r - 1.0, 1.0).log_value(xs)
+        limit = to.windowed_limit(xs, log_v / np.log(xs), grid).value
+    else:
+        limit = to.karamata_theorem_report(U, r, 1.0).measured["limit"]
+    assert limit == pytest.approx(want, abs=0.05)
 
 
 def test_karamata_limit_peter_paul():
-    est = to.karamata_limit(to.make_peter_paul(), 1.0, 2.0, "lower")
-    assert est.value == pytest.approx(0.0, abs=0.05)
+    rep = to.karamata_theorem_report(to.make_peter_paul(), 1.0, 2.0)
+    assert rep.measured["limit"] == pytest.approx(0.0, abs=0.05)
 
 
 def test_condition_c1r_power():
-    rep = to.check_condition(to.make_power_tail(-2.0), "C1r", 3.0, 2.0)
-    assert rep.passed
-    assert rep.measured["limit"] == pytest.approx(3.0, abs=0.05)
+    rep = to.karamata_theorem_report(to.make_power_tail(-2.0), 3.0, 2.0)
+    assert rep.measured["branch"] == "K1*"
+    assert rep.measured["condition_passed"]
+    assert rep.measured["condition"]["limit"] == pytest.approx(3.0, abs=0.05)
 
 
 def test_condition_c1r_peter_paul():
-    rep = to.check_condition(to.make_peter_paul(), "C1r", 1.0, 2.0)
-    assert rep.passed
+    rep = to.karamata_theorem_report(to.make_peter_paul(), 1.0, 2.0)
+    assert rep.measured["branch"] == "K3*"
+    assert rep.measured["condition_passed"]
 
 
 def test_condition_c2r_power():
-    rep = to.check_condition(to.make_power_tail(-2.0), "C2r", 0.5, 2.0)
-    assert rep.passed
-    assert rep.measured["limit"] == pytest.approx(0.5, abs=0.05)
-
-
-def test_condition_c2r_divergent_tail():
-    with pytest.raises(DivergentTail):
-        to.check_condition(to.make_power_tail(0.0), "C2r", 0.5, 2.0)
+    rep = to.karamata_theorem_report(to.make_power_tail(-2.0), 0.5, 2.0)
+    assert rep.measured["branch"] == "K2*"
+    assert rep.measured["condition_passed"]
+    assert rep.measured["condition"]["limit"] == pytest.approx(0.5, abs=0.05)
 
 
 def test_theorem_report_branches():
