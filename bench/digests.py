@@ -5,15 +5,17 @@
 Runs each command as ``python -m tailorder.cli`` on the package in
 ``DIR/src`` (default: the checkout holding this script), inside a fresh
 temporary directory. The commands are those of the README's CLI section,
-then five that reach paths the README does not: the von Mises derivatives
+then six that reach paths the README does not: the von Mises derivatives
 (``report --fn exp_neg``), the attraction verdict of a heavy tail, the
-generic bisection quantile, and the parameter checks of ``oset_geometric``
-and ``log_perturbed_power``. Prints one line per command: its exit code,
-the sha256 of its stdout and the command. ``plots`` adds one line per CSV
-file it writes. ``classify --data`` reads ``samples.csv``, a fixed table of
-3 x**-1.5 that the script writes first, and then ``samples_log.csv``, the
-same table as ``x,logvalue`` rows, so both CSV kinds are pinned. Two
-checkouts whose printouts are equal run these commands to the same bytes.
+generic bisection quantile, the parameter checks of ``oset_geometric``
+and ``log_perturbed_power``, and the Laplace transform of a power that
+vanishes at the origin, so needs no regularization (``ramp_power``).
+Prints one line per command: its exit code, the sha256 of its stdout and
+the command. ``plots`` adds one line per CSV file it writes.
+``classify --data`` reads ``samples.csv``, a fixed table of 3 x**-1.5 that
+the script writes first, and then ``samples_log.csv``, the same table as
+``x,logvalue`` rows, so both CSV kinds are pinned. Two checkouts whose
+printouts are equal run these commands to the same bytes.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ COMMANDS = (
     "classify --fn oset_geometric --param alpha=1 --param beta=0 --param x_a=2",
     "classify --fn log_perturbed_power --param alpha=-1 --param c=1",
     "classify --data samples_log.csv",
+    "report --fn ramp_power --param alpha=2.5 --tauberian",
 )
 PLOT_FILES = ("orders.csv", "kappa_trace.csv", "ratio.csv")
 

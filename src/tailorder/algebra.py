@@ -31,7 +31,7 @@ from .labels import (
     TAG_OSC,
     ClassLabel,
 )
-from .quadrature import batched_log_quad
+from .quadrature import batched_log_quad, dyadic_edges
 
 
 class OpKind(str, Enum):
@@ -210,7 +210,13 @@ def compose(U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
         inner = np.asarray(V.log_at_logx(u), dtype=float)
         if np.any(inner == -math.inf):
             raise DomainError(f"compose: inner value 0 lies outside the domain of {U.name}")
-        return U.log_at_logx(inner)
+        # an inner value beyond the float range can make the outer rule NaN
+        with np.errstate(all="ignore"):
+            out = U.log_at_logx(inner)
+        if np.isnan(out).any():
+            raise DomainError(f"compose: ({U.name})o({V.name}) is NaN: {U.name} cannot "
+                              f"resolve the values of {V.name}")
+        return out
 
     return _derived(
         f"({U.name})o({V.name})", log_at_logx, label,
@@ -219,32 +225,25 @@ def compose(U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
 
 
 def _convolution_panels(xs: np.ndarray):
-    """Initial panels (a, b, ids) of the convolution integral at every x.
+    """Initial panels (a, b) of the convolution integral, one row per x.
 
-    Dyadic pre-splits toward both endpoints: [0, 1, 2, 4, ..., x/2] and its
+    Dyadic edges toward both endpoints: ``dyadic_edges`` on [0, x/2] and its
     mirror x - t on [x/2, x]. Power-law mass piles up at every scale near
     t = 0 and t = x, far below what a single Kronrod panel on a huge interval
     can see.
     """
-    half = xs / 2.0
-    n_splits, p = 0, 1.0
-    while p < half.max(initial=0.0):
-        n_splits, p = n_splits + 1, 2.0 * p
-    lo = np.concatenate([np.zeros((xs.size, 1)),
-                         np.minimum(2.0 ** np.arange(n_splits), half[:, None]),
-                         half[:, None]], axis=1)
+    lo = dyadic_edges(xs / 2.0)
     a = np.concatenate([lo[:, :-1], xs[:, None] - lo[:, 1:]], axis=1)
     b = np.concatenate([lo[:, 1:], xs[:, None] - lo[:, :-1]], axis=1)
-    ids = np.broadcast_to(np.arange(xs.size)[:, None], a.shape)
-    keep = b > a
-    return a[keep], b[keep], ids[keep]
+    return a, b
 
 
 def convolve(U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
     """Handle for the convolution integral_0^x U(t) V(x-t) dt.
 
     All x of one evaluation are integrated together by one batched adaptive
-    log-space quadrature, each x from dyadic panels on [0, x/2] and [x/2, x]
+    log-space quadrature, each x from the dyadic panels of
+    ``quadrature.dyadic_edges`` on [0, x/2] and their mirror on [x/2, x],
     where the two asymptotic regimes live.
     """
     label = _convolve_label(_label_of(U), _label_of(V))
@@ -259,7 +258,7 @@ def convolve(U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
             return (np.asarray(U.log_at(t.ravel()), dtype=float)
                     + np.asarray(V.log_at((xt - t).ravel()), dtype=float)).reshape(t.shape)
 
-        out = batched_log_quad(log_f, *_convolution_panels(xs), xs.size).reshape(xa.shape)
+        out = batched_log_quad(log_f, *_convolution_panels(xs)).reshape(xa.shape)
         return out if out.ndim else np.float64(out)
 
     def log_at_logx(u):

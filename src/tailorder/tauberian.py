@@ -22,7 +22,7 @@ from .errors import ClassMismatch, ParamError, PreconditionError, QuadratureFail
 from .handles import FunctionHandle
 from .labels import ClassLabel
 from .order import DEFAULT_CLASS_TOL, ConditionReport, GridSpec, classify
-from .quadrature import batched_log_quad
+from .quadrature import batched_log_quad, dyadic_edges
 
 
 ORIGIN_PROBE_X = 1e-300
@@ -71,8 +71,11 @@ def _log_transform(U: FunctionHandle, s: np.ndarray) -> np.ndarray:
     """log of s * integral_0^inf exp(-x s) U(x) dx for every s > 0 at once.
 
     Computed as integral_0^inf exp(-y) U(y/s) dy in one batched quadrature.
-    Each upper limit is cut where the integrand has fallen _CUTOFF_NATS below
-    its peak on a coarse scan; the initial panels are [0, s, 1, y_hi].
+    Each upper limit y_hi is cut where the integrand has fallen _CUTOFF_NATS
+    below its peak on a coarse scan. The initial panels are the dyadic ones
+    of ``quadrature.dyadic_edges`` on [0, y_hi] with an edge added at y = s
+    (x = 1, where a regularized U changes rule): {0, s, 1} and the powers
+    of two below y_hi, then y_hi.
     """
     s = np.asarray(s, dtype=float).ravel()
     ys = _PEAK_SCAN_Y
@@ -86,17 +89,13 @@ def _log_transform(U: FunctionHandle, s: np.ndarray) -> np.ndarray:
     y_hi = np.where(lg >= peak[:, None] - _CUTOFF_NATS, ys, -np.inf).max(axis=1)
     # extend linearly: beyond the peak the decay is at least e^{-y}
     y_hi = np.maximum(y_hi + _CUTOFF_NATS, 2.0 * _CUTOFF_NATS)
-    edges = np.column_stack([np.zeros_like(s), np.minimum(s, 1.0), np.maximum(s, 1.0), y_hi])
-    edges = np.minimum(edges, y_hi[:, None])
-    a, b = edges[:, :-1], edges[:, 1:]
-    owner = np.broadcast_to(np.arange(s.size)[:, None], a.shape)
-    keep = b > a
+    edges = dyadic_edges(y_hi, s)
 
     def log_f(y, ids):
         x = y / s[ids][:, None]
         return -y + np.asarray(U.log_at(x.ravel()), dtype=float).reshape(y.shape)
 
-    out = batched_log_quad(log_f, a[keep], b[keep], owner[keep], s.size)
+    out = batched_log_quad(log_f, edges[:, :-1], edges[:, 1:])
     if np.any(out == -np.inf):
         raise QuadratureFailure("transform quadrature returned a non-positive value")
     return out
@@ -130,7 +129,10 @@ def _concavity_probe(U: FunctionHandle, alpha: float) -> dict:
     out = {}
     xs = np.logspace(0.5, 4.0, 200)
     for eta in (0.0, 0.25 * alpha, 0.5 * alpha, 0.75 * alpha):
-        g = np.exp(np.asarray(U.log_at(xs), dtype=float) - eta * np.log(xs))
+        # rescaled by its maximum so it cannot overflow; a positive factor
+        # leaves the sign test against 1e-9 * max|g| as it was
+        log_g = np.asarray(U.log_at(xs), dtype=float) - eta * np.log(xs)
+        g = np.exp(log_g - log_g.max())
         second = np.diff(np.diff(g) / np.diff(xs)) / np.diff(xs[:-1])
         out[f"eta={eta:g}"] = "concave" if np.all(second <= 1e-9 * np.abs(g).max()) else "not-concave"
     return out

@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import tailorder as to
 from tailorder import algebra, quadrature
-from tailorder.errors import ArityError, ParamError, QuadratureFailure
+from tailorder.errors import ArityError, DomainError, ParamError, QuadratureFailure
 
 L = to.ClassLabel
 
@@ -155,6 +156,19 @@ def test_compose_with_rapidly_growing_inner():
     # inner e^x feeds log-space argument to the outer power
     h = to.compose(to.make_power_tail(-2.0), to.make_exp_pos())
     assert h.log_at(800.0) == pytest.approx(-1600.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("outer, inner", [("two_plus_sin", "exp_pos"),
+                                          ("x_pow_sin_x", "exp_neg")])
+def test_compose_nan_is_a_domain_error_not_a_label(outer, inner):
+    # the inner values leave the float range of the outer rule, which turns
+    # NaN; the prediction is Undecided, so a decided label would be wrong
+    h = to.compose(to.make_named(outer), to.make_named(inner))
+    assert h.truth.label.tag == "Undecided"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=rf"\({outer}\)o\({inner}\)"):
+            to.classify(h)
 
 
 def test_convolve_closed_form():

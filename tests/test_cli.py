@@ -180,6 +180,21 @@ def test_report_tauberian_flag():
     assert conds["TAUBERIAN"]["passed"]
 
 
+def test_report_tauberian_concavity_probe_of_a_steep_power(capsys):
+    # x**80 overflows exp on the probe's range unless it is rescaled; NaN
+    # second differences would read every verdict as not-concave
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["report", "--fn", "ramp_power", "--param", "alpha=80", "--tauberian"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    conds = {c["condition"]: c for c in json.loads(captured.out)["conditions"]}
+    # x**(80 - eta) is convex for every probed eta below 79
+    assert conds["TAUBERIAN"]["measured"]["concavity"] == {
+        f"eta={eta:g}": "not-concave" for eta in (0, 20, 40, 60)}
+
+
 def test_simulate_deterministic_bytes(tmp_path):
     args = ["simulate", "--fn", "pareto_tail", "--param", "alpha=1",
             "--n", "2000", "--reps", "1000", "--seed", "7"]

@@ -25,7 +25,7 @@ def test_batched_integrals_match_one_at_a_time():
     def log_f(x, ids):
         return p[ids][:, None] * np.log(x)
 
-    got = batched_log_quad(log_f, np.zeros(4), np.ones(4), np.arange(4), 4)
+    got = batched_log_quad(log_f, np.zeros((4, 1)), np.ones((4, 1)))
     np.testing.assert_allclose(np.exp(got + np.log1p(p)), 1.0, rtol=1e-8, atol=0)
     for i, pi in enumerate(p):
         one = adaptive_log_quad(lambda x, pi=pi: pi * np.log(x), 0.0, 1.0)
@@ -40,7 +40,7 @@ def test_log_space_range():
 
 def test_empty_and_zero_integrals():
     got = batched_log_quad(lambda x, ids: np.full(x.shape, -np.inf),
-                           [0.0], [1.0], [1], 3)
+                           [[0.0], [0.0], [0.0]], [[0.0], [1.0], [0.0]])
     assert np.all(got == -np.inf)
     assert adaptive_log_quad(lambda x: x, 2.0, 2.0) == -math.inf
 

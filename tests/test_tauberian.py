@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tailorder as to
+from tailorder import quadrature, tauberian
 from tailorder.errors import ParamError, PreconditionError
 
 
@@ -57,13 +58,35 @@ def test_transform_handle_batch_matches_scalar_transform():
     np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("alpha", [0.3, 1.0, 2.6, 3.0])
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0, 1.5, 2.6, 3.0])
 def test_transform_closed_form_on_a_wide_s_grid(alpha):
-    # Gamma(alpha + 1) * s**-alpha over nine decades of s, in one batch
+    # Gamma(alpha + 1) * s**-alpha over nine decades of s, in one batch and
+    # one s at a time; a non-integer alpha puts a y**alpha cusp at y = 0
     s = np.logspace(-8, 1, 200)
-    got = np.asarray(to.transform_handle(to.make_ramp_power(alpha)).log_at(1.0 / s))
+    U = to.make_ramp_power(alpha)
+    got = np.asarray(to.transform_handle(U).log_at(1.0 / s))
     want = math.lgamma(alpha + 1.0) - alpha * np.log(s)
     assert np.abs(got - want).max() <= 1e-8
+    for sv, w in zip(s[::10], want[::10]):
+        assert to.laplace_stieltjes(U, float(sv)) == pytest.approx(math.exp(w), rel=1e-8)
+
+
+def test_transform_batch_converges_in_two_rounds(monkeypatch):
+    # dyadic starting panels leave at most one round of halving
+    rounds = []
+    gk_panels = quadrature._gk_panels
+
+    def spy(log_f, a, b, ids):
+        rounds.append(a.size)
+        return gk_panels(log_f, a, b, ids)
+
+    monkeypatch.setattr(quadrature, "_gk_panels", spy)
+    s = 1.0 / to.GridSpec(points=128, windows=8).xs()
+    tauberian._log_transform(to.make_ramp_power(2.6), s)
+    assert len(rounds) <= 2
+    rounds.clear()
+    to.laplace_stieltjes(to.make_ramp_power(2.6), 0.01)
+    assert len(rounds) <= 2
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
