@@ -11,7 +11,11 @@ generic bisection quantile, the parameter checks of ``oset_geometric``
 and ``log_perturbed_power``, and the Laplace transform of a power that
 vanishes at the origin, so needs no regularization (``ramp_power``).
 Prints one line per command: its exit code, the sha256 of its stdout and
-the command. ``plots`` adds one line per CSV file it writes.
+the command. ``plots`` adds one line per CSV file it writes. Then come the
+library paths no command reaches: the convolution on a 2-d x, a composition
+in log-argument coordinates, the transform handle and the excess-ratio probe
+of a Pareto tail. Each prints ``lib``, the sha256 of its result (the shape
+and bytes of an array, the sorted JSON of a report) and the expression.
 ``classify --data`` reads ``samples.csv``, a fixed table of 3 x**-1.5 that
 the script writes first, and then ``samples_log.csv``, the same table as
 ``x,logvalue`` rows, so both CSV kinds are pinned. Two checkouts whose
@@ -46,6 +50,29 @@ COMMANDS = (
     "report --fn ramp_power --param alpha=2.5 --tauberian",
 )
 PLOT_FILES = ("orders.csv", "kappa_trace.csv", "ratio.csv")
+LIBRARY = (
+    "to.convolve(to.make_power_tail(-2.0), to.make_power_tail(-3.0))"
+    ".log_at(np.geomspace(2.0, 1e6, 6).reshape(2, 3))",
+    "to.compose(to.make_power_tail(2.0), to.make_power_tail(1.5))"
+    ".log_at_u(np.linspace(-5.0, 700.0, 64))",
+    "to.transform_handle(to.make_ramp_power(2.5)).log_at(np.geomspace(1.0, 1e8, 16))",
+    "to.gpd_ratio_probe(to.distribution_for(to.make_pareto_tail(2.0)), 0.5,"
+    " lambda u: 0.5 * u).to_dict()",
+)
+# evaluates each expression of argv in one interpreter and prints its digest line
+LIBRARY_RUNNER = """
+import hashlib, json, sys
+import numpy as np
+import tailorder as to
+for expr in sys.argv[1:]:
+    value = eval(expr)
+    if isinstance(value, dict):
+        data = json.dumps(value, sort_keys=True).encode()
+    else:
+        value = np.asarray(value)
+        data = repr(value.shape).encode() + value.tobytes()
+    print("lib", hashlib.sha256(data).hexdigest(), expr)
+"""
 
 
 def sha256(data: bytes) -> str:
@@ -77,6 +104,12 @@ def digests(checkout: Path) -> list[str]:
             path = work / "out" / name
             digest = sha256(path.read_bytes()) if path.exists() else "missing"
             lines.append(f"- {digest} out/{name}")
+        proc = subprocess.run([sys.executable, "-c", LIBRARY_RUNNER, *LIBRARY],
+                              cwd=work, env=env, capture_output=True, text=True)
+        lines.extend(proc.stdout.splitlines())
+        if proc.returncode:
+            lines.append(f"lib failed with exit code {proc.returncode}: "
+                         + "".join(proc.stderr.strip().splitlines()[-1:]))
     return lines
 
 

@@ -147,13 +147,7 @@ def _label_of(h: FunctionHandle) -> ClassLabel:
 
 def _derived(name: str, log_at_logx, label: ClassLabel, *, log_at_x=None,
              differentiable: bool = True) -> FunctionHandle:
-    truth = KnownTruth(
-        label=label,
-        rho=label.rho if label.is_m else None,
-        kappa=-label.rho if label.is_m else None,
-        mu=label.mu, nu=label.nu,
-    )
-    return FunctionHandle(name=name, log_at_logx=log_at_logx, truth=truth,
+    return FunctionHandle(name=name, log_at_logx=log_at_logx, truth=KnownTruth(label),
                           log_at_x=log_at_x, differentiable=differentiable)
 
 
@@ -207,7 +201,7 @@ def compose(U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
     label = _compose_label(_label_of(U), _label_of(V))
 
     def log_at_logx(u):
-        inner = np.asarray(V.log_at_logx(u), dtype=float)
+        inner = V.log_at_logx(u)
         if np.any(inner == -math.inf):
             raise DomainError(f"compose: inner value 0 lies outside the domain of {U.name}")
         # an inner value beyond the float range can make the outer rule NaN
@@ -249,23 +243,19 @@ def convolve(U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
     label = _convolve_label(_label_of(U), _label_of(V))
 
     def log_at_x(x):
-        xa = np.asarray(x, dtype=float)
-        xs = xa.ravel()
+        xs = x.ravel()
 
         def log_f(t, ids):
             xt = xs[ids][:, None]
             t = np.clip(t, 1e-300, np.where(xt > 2e-300, xt - 1e-300, xt))
-            return (np.asarray(U.log_at(t.ravel()), dtype=float)
-                    + np.asarray(V.log_at((xt - t).ravel()), dtype=float)).reshape(t.shape)
+            return U.log_at(t) + V.log_at(xt - t)
 
-        out = batched_log_quad(log_f, *_convolution_panels(xs)).reshape(xa.shape)
-        return out if out.ndim else np.float64(out)
+        return batched_log_quad(log_f, *_convolution_panels(xs)).reshape(x.shape)
 
     def log_at_logx(u):
-        ua = np.asarray(u, dtype=float)
-        if np.any(ua > 700.0):
+        if np.any(u > 700.0):
             raise DomainError("convolve: argument too large for linear quadrature")
-        return log_at_x(np.exp(ua))
+        return log_at_x(np.exp(u))
 
     return _derived(
         f"({U.name})conv({V.name})", log_at_logx, label,

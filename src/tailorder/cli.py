@@ -11,6 +11,7 @@ classification, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import math
@@ -243,11 +244,7 @@ def _cmd_report(args) -> int:
         D = evt_mod.distribution_for(handle)
         evt_section = {"domain_attraction": evt_mod.classify_domain_attraction(
             D, grid, tol, label=label, rv=rv).to_dict()}
-    doc = ReportDocument(
-        input=doc.input, class_label=doc.class_label, estimates=doc.estimates,
-        conditions=conditions, evt=evt_section, provenance=doc.provenance,
-    )
-    _emit(doc, args)
+    _emit(dataclasses.replace(doc, conditions=conditions, evt=evt_section), args)
     return EXIT_OK
 
 
@@ -272,11 +269,7 @@ def _cmd_simulate(args) -> int:
     if args.subsequences:
         evt_section["subsequences"] = evt_mod.subsequence_witness(
             D, reps=reps, seed=seed)
-    doc = ReportDocument(
-        input=doc.input, class_label=doc.class_label, estimates=doc.estimates,
-        conditions=[], evt=evt_section, provenance=doc.provenance,
-    )
-    _emit(doc, args)
+    _emit(dataclasses.replace(doc, evt=evt_section), args)
     return EXIT_OK
 
 
@@ -315,8 +308,7 @@ def _cmd_plots(args) -> int:
                 lo, hi = handle.log_domain
                 log_xt = np.log(sub * t)
                 xs_t = sub[(log_xt >= lo) & (log_xt <= hi)]
-            ratio = np.exp(np.asarray(handle.log_at(xs_t * t), dtype=float)
-                           - np.asarray(handle.log_at(xs_t), dtype=float))
+            ratio = np.exp(handle.log_at(xs_t * t) - handle.log_at(xs_t))
             rows.extend((float(t), float(x), float(v)) for x, v in zip(xs_t, ratio))
         _write_csv(out_dir / "ratio.csv", ["t", "x", "ratio"], rows)
     except OSError as exc:

@@ -83,15 +83,15 @@ def _generic_quantile(base: FunctionHandle) -> Callable:
         target = np.log(ua).ravel()
         lo = np.full(target.shape, 1e-12)
         hi = np.full(target.shape, 4.0)
-        grow = np.asarray(base.log_at(hi), dtype=float) > target
+        grow = base.log_at(hi) > target
         while grow.any():
             hi = np.where(grow, hi * 4.0, hi)
             if np.any(hi > 1e280):
                 raise QuantileError("quantile bracket ran away")
-            grow = np.asarray(base.log_at(hi), dtype=float) > target
+            grow = base.log_at(hi) > target
         for _ in range(200):
             mid = np.sqrt(lo * hi)
-            above = np.asarray(base.log_at(mid), dtype=float) > target
+            above = base.log_at(mid) > target
             new_lo = np.where(above, mid, lo)
             new_hi = np.where(above, hi, mid)
             if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
@@ -129,7 +129,7 @@ def distribution_for(handle: FunctionHandle) -> DistributionHandle:
 def _log_tail_derivs(base: FunctionHandle, xs: np.ndarray, h: float):
     """First and second u-derivatives of g(u) = log F-bar(e^u), 5-point."""
     u = np.log(xs) + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])[:, None]
-    g_m2, g_m1, g_0, g_p1, g_p2 = np.asarray(base.log_at_u(u), dtype=float)
+    g_m2, g_m1, g_0, g_p1, g_p2 = base.log_at_u(u)
     d1 = (8.0 * (g_p1 - g_m1) - (g_p2 - g_m2)) / (12.0 * h)
     d2 = (-g_p2 + 16.0 * g_p1 - 30.0 * g_0 + 16.0 * g_m1 - g_m2) / (12.0 * h * h)
     return d1, d2
@@ -260,10 +260,7 @@ def gpd_ratio_probe(D: DistributionHandle, xi: float, a_fn: Callable,
     all_ok = True
     tail_half = us.size // 2
     for x in xs:
-        ratios = np.exp(
-            np.asarray(D.base.log_at(us + x * av), dtype=float)
-            - np.asarray(D.base.log_at(us), dtype=float)
-        )
+        ratios = np.exp(D.base.log_at(us + x * av) - D.base.log_at(us))
         tail = ratios[tail_half:]
         spread = float(tail.max() - tail.min())
         target = float(spec.cdf_complement(x))
@@ -345,8 +342,7 @@ def normalized_maxima_cdf(D: DistributionHandle, n: int, x) -> np.ndarray:
     xa = np.asarray(x, dtype=float)
     out = np.zeros_like(xa)
     pos = xa * a_n >= float(D.quantile(np.nextafter(1.0, 0.0)))
-    tail = np.exp(np.asarray(D.base.log_at(np.where(pos, xa * a_n, 1.0)),
-                             dtype=float))
+    tail = np.exp(D.base.log_at(np.where(pos, xa * a_n, 1.0)))
     out[pos] = np.exp(n * np.log1p(-np.minimum(tail[pos], 1.0 - 1e-16)))
     return out
 

@@ -6,6 +6,10 @@ on the whole probing range (x up to 1e300).
 
 Step functions follow the right-continuity convention: at a jump point the
 handle returns the new level.
+
+The evaluation contract: ``FunctionHandle.log_at(x)`` and ``log_at_u(u)``
+take an input of any shape and return float64 values of that shape (a numpy
+float or a 0-d array for a 0-d input), so callers use the result as it is.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, FormatError, ParamError, PositivityViolation, UnknownName
-from .labels import ClassLabel
+from .labels import TAG_M_INF, TAG_M_NEG_INF, ClassLabel
 
 LOG2 = math.log(2.0)
 
@@ -32,25 +36,49 @@ _MAX_BREAKPOINTS = 10_000
 # (right-continuous) side.
 _EDGE_NUDGE = 1e-15
 
+# order of the rapid classes: MInf decays, MNegInf grows faster than any power
+_RAPID_ORDER = {TAG_M_INF: -math.inf, TAG_M_NEG_INF: math.inf}
+
 
 @dataclass(frozen=True)
 class KnownTruth:
-    """Ground-truth metadata attached to corpus members."""
+    """Ground-truth metadata attached to corpus members.
+
+    The label fixes the orders and the moment index: M(rho) has
+    mu = nu = rho and kappa = -rho, MInf has mu = nu = -inf and kappa = inf,
+    MNegInf has mu = nu = inf and kappa = -inf. ``rho``, ``mu``, ``nu`` and
+    that ``kappa`` are read from the label; ``kappa`` is given only for an
+    Oscillating label, whose orders do not fix it. A given kappa that
+    disagrees with the label is a ParamError.
+    """
 
     label: ClassLabel
-    rho: float | None = None
     kappa: float | None = None
-    mu: float | None = None
-    nu: float | None = None
     is_tail: bool = False
     is_rv: bool | None = None
 
     def __post_init__(self) -> None:
-        if self.rho is not None and math.isfinite(self.rho) and self.kappa is not None:
-            if abs(self.kappa + self.rho) > 1e-12:
-                raise ParamError("finite rho requires kappa == -rho")
+        if self.label.is_m or self.label.tag in _RAPID_ORDER:
+            implied = -self.mu
+            if self.kappa not in (None, implied) and not abs(self.kappa - implied) <= 1e-12:
+                raise ParamError(f"{self.label} label has kappa = {implied:g}, got {self.kappa:g}")
+            object.__setattr__(self, "kappa", implied)
         if self.is_tail and self.kappa is not None and self.kappa < 0:
             raise ParamError("a survival-function tail has kappa >= 0")
+
+    @property
+    def rho(self) -> float | None:
+        return self.label.rho
+
+    @property
+    def mu(self) -> float | None:
+        label = self.label
+        return label.rho if label.is_m else _RAPID_ORDER.get(label.tag, label.mu)
+
+    @property
+    def nu(self) -> float | None:
+        label = self.label
+        return label.rho if label.is_m else _RAPID_ORDER.get(label.tag, label.nu)
 
 
 @dataclass(frozen=True)
@@ -62,7 +90,8 @@ class FunctionHandle:
     derived by composing with log or exp; a handle given only ``log_at_x``
     gets ``log_at_logx = log_at_x(exp(u))``. Both are given only where each
     is exact in its own coordinate (step levels decided without an exp/log
-    round trip).
+    round trip). A rule maps a float64 array to float64 values of its shape,
+    so ``log_at`` and ``log_at_u`` return values shaped like their input.
     """
 
     name: str
@@ -84,12 +113,11 @@ class FunctionHandle:
                 raise ParamError(f"{self.name}: a handle needs log_at_x or log_at_logx")
             object.__setattr__(self, "log_at_logx", lambda u: log_at_x(np.exp(u)))
 
-    def _check_x(self, x) -> None:
+    def _check_x(self, x: np.ndarray) -> None:
         # the extremes decide: NaN propagates through min and fails the test
-        xa = np.asarray(x, dtype=float)
-        if xa.size == 0:
+        if x.size == 0:
             return
-        x_lo, x_hi = xa.min(), xa.max()
+        x_lo, x_hi = x.min(), x.max()
         if not (0.0 < x_lo and x_hi < math.inf):
             raise DomainError(f"{self.name}: evaluation requires x > 0.0")
         if self.log_domain is not None:
@@ -98,14 +126,15 @@ class FunctionHandle:
                 raise DomainError(f"{self.name}: x outside tabulated range")
 
     def log_at(self, x):
-        """log U(x) for x > 0 (scalar or array)."""
+        """log U(x) for x > 0, float64 values shaped like x."""
+        x = np.asarray(x, dtype=float)
         self._check_x(x)
         if self.log_at_x is not None:
-            return self.log_at_x(np.asarray(x, dtype=float))
-        return self.log_at_logx(np.log(np.asarray(x, dtype=float)))
+            return self.log_at_x(x)
+        return self.log_at_logx(np.log(x))
 
     def log_at_u(self, u):
-        """log U(exp(u)) for u whose exp(u) is a positive finite float."""
+        """log U(exp(u)) for u whose exp(u) is a positive finite float, shaped like u."""
         ua = np.asarray(u, dtype=float)
         if ua.size:
             # the extremes decide: NaN propagates through min and fails the test
@@ -133,13 +162,10 @@ def make_power_tail(alpha: float) -> FunctionHandle:
     a = float(alpha)
     if not math.isfinite(a):
         raise ParamError("power_tail requires a finite alpha")
-    truth = KnownTruth(
-        label=ClassLabel.m(a), rho=a, kappa=-a, mu=a, nu=a,
-        is_tail=(a <= 0.0), is_rv=True,
-    )
+    truth = KnownTruth(label=ClassLabel.m(a), is_tail=(a <= 0.0), is_rv=True)
     return FunctionHandle(
         name=f"power_tail(alpha={a:g})",
-        log_at_logx=lambda u: a * np.maximum(np.asarray(u, dtype=float), 0.0),
+        log_at_logx=lambda u: a * np.maximum(u, 0.0),
         truth=truth,
         quantile=(lambda u: u ** (1.0 / a)) if a < 0.0 else None,
     )
@@ -150,10 +176,10 @@ def make_ramp_power(alpha: float) -> FunctionHandle:
     a = float(alpha)
     if not 0.0 < a < math.inf:
         raise ParamError("ramp_power requires a finite alpha > 0")
-    truth = KnownTruth(label=ClassLabel.m(a), rho=a, kappa=-a, mu=a, nu=a, is_rv=True)
+    truth = KnownTruth(label=ClassLabel.m(a), is_rv=True)
     return FunctionHandle(
         name=f"ramp_power(alpha={a:g})",
-        log_at_logx=lambda u: a * np.asarray(u, dtype=float),
+        log_at_logx=lambda u: a * u,
         truth=truth,
     )
 
@@ -174,22 +200,18 @@ def make_pareto_tail(alpha: float) -> FunctionHandle:
 
 def _pp_level_from_x(x):
     # exact dyadic level: x in [2^n, 2^{n+1}) -> n, for any float x >= 1
-    n = np.frexp(np.asarray(x, dtype=float))[1] - 1
+    n = np.frexp(x)[1] - 1
     return np.maximum(n, 0)
 
 
 def make_peter_paul() -> FunctionHandle:
     """Dyadic step tail: 2**(-n) on [2^n, 2^(n+1)), 1 below 2."""
-    truth = KnownTruth(
-        label=ClassLabel.m(-1.0), rho=-1.0, kappa=1.0, mu=-1.0, nu=-1.0,
-        is_tail=True, is_rv=False,
-    )
+    truth = KnownTruth(label=ClassLabel.m(-1.0), is_tail=True, is_rv=False)
 
     # its own u rule: exp(k log 2) rounds below 2**k for most k, so the x
     # rule composed with exp would read level k - 1 at u = k log 2
     def log_at_logx(u):
-        ua = np.asarray(u, dtype=float)
-        n = np.floor(ua / LOG2 + 1e-12)
+        n = np.floor(u / LOG2 + 1e-12)
         return -np.maximum(n, 0.0) * LOG2
 
     def log_at_x(x):
@@ -216,8 +238,7 @@ def _step_handle(name, bps_u, levels_log, truth):
     lv = np.asarray(levels_log, dtype=float)
 
     def log_at_logx(u):
-        ua = np.asarray(u, dtype=float)
-        i = np.searchsorted(bps, ua * (1.0 + _EDGE_NUDGE) + _EDGE_NUDGE, side="right")
+        i = np.searchsorted(bps, u * (1.0 + _EDGE_NUDGE) + _EDGE_NUDGE, side="right")
         return np.where(i == 0, 0.0, lv[np.maximum(i - 1, 0)])
 
     jumps = tuple(float(math.exp(u)) for u in bps if u < 690.0)
@@ -255,10 +276,8 @@ def make_oset_geometric(alpha: float, beta: float, x_a: float) -> FunctionHandle
     top = a * (1.0 + b)
     bottom = top / (1.0 + a)
     mu, nu = (bottom, top) if 1.0 + b > 0 else (top, bottom)
-    truth = KnownTruth(
-        label=ClassLabel.oscillating(mu, nu), mu=mu, nu=nu,
-        is_tail=(1.0 + b < 0), is_rv=False,
-    )
+    truth = KnownTruth(label=ClassLabel.oscillating(mu, nu), is_tail=(1.0 + b < 0),
+                       is_rv=False)
     return _step_handle(
         f"oset_geometric(alpha={a:g},beta={b:g},x_a={xa:g})", bps, [top * un for un in bps],
         truth,
@@ -285,10 +304,7 @@ def make_oset_tower(c: float, alpha: float) -> FunctionHandle:
         mu, nu = a * cc, math.inf
     else:
         mu, nu = -math.inf, a * cc
-    truth = KnownTruth(
-        label=ClassLabel.oscillating(mu, nu), mu=mu, nu=nu,
-        is_tail=(a < 0), is_rv=False,
-    )
+    truth = KnownTruth(label=ClassLabel.oscillating(mu, nu), is_tail=(a < 0), is_rv=False)
     bps, u = [], 0.0
     while u <= _U_MAX:
         if len(bps) == _MAX_BREAKPOINTS:
@@ -303,38 +319,30 @@ def make_oset_tower(c: float, alpha: float) -> FunctionHandle:
 
 def make_two_plus_sin() -> FunctionHandle:
     """U = 2 + sin(x): bounded oscillation, order 0, not ratio-regular."""
-    truth = KnownTruth(
-        label=ClassLabel.m(0.0), rho=0.0, kappa=0.0, mu=0.0, nu=0.0, is_rv=False
-    )
+    truth = KnownTruth(label=ClassLabel.m(0.0), is_rv=False)
     return FunctionHandle(
         name="two_plus_sin",
-        log_at_x=lambda x: np.log(2.0 + np.sin(np.asarray(x, dtype=float))),
+        log_at_x=lambda x: np.log(2.0 + np.sin(x)),
         truth=truth,
     )
 
 
 def make_x_pow_sin_x() -> FunctionHandle:
     """U = x**sin(x): the order ratio equals sin(x) and never settles."""
-    truth = KnownTruth(
-        label=ClassLabel.oscillating(-1.0, 1.0), mu=-1.0, nu=1.0, is_rv=False
-    )
+    truth = KnownTruth(label=ClassLabel.oscillating(-1.0, 1.0), is_rv=False)
     return FunctionHandle(
         name="x_pow_sin_x",
-        log_at_x=lambda x: np.sin(np.asarray(x, dtype=float))
-        * np.log(np.asarray(x, dtype=float)),
+        log_at_x=lambda x: np.sin(x) * np.log(x),
         truth=truth,
     )
 
 
 def make_exp_neg() -> FunctionHandle:
     """U = exp(-x): decays faster than any power."""
-    truth = KnownTruth(
-        label=ClassLabel.m_inf(), kappa=math.inf, mu=-math.inf, nu=-math.inf,
-        is_tail=True, is_rv=False,
-    )
+    truth = KnownTruth(label=ClassLabel.m_inf(), is_tail=True, is_rv=False)
     return FunctionHandle(
         name="exp_neg",
-        log_at_x=lambda x: -np.asarray(x, dtype=float),
+        log_at_x=lambda x: -x,
         truth=truth,
         quantile=lambda u: -np.log(u),
     )
@@ -342,30 +350,23 @@ def make_exp_neg() -> FunctionHandle:
 
 def make_exp_pos() -> FunctionHandle:
     """U = exp(x): grows faster than any power."""
-    truth = KnownTruth(
-        label=ClassLabel.m_neg_inf(), kappa=-math.inf, mu=math.inf, nu=math.inf,
-        is_rv=False,
-    )
+    truth = KnownTruth(label=ClassLabel.m_neg_inf(), is_rv=False)
     return FunctionHandle(
         name="exp_pos",
-        log_at_x=lambda x: np.asarray(x, dtype=float).copy(),
+        log_at_x=lambda x: x.copy(),
         truth=truth,
     )
 
 
 def make_floor_log_tail() -> FunctionHandle:
     """Survival function exp(-floor(x) * log x): rapid decay, jumpy."""
-    truth = KnownTruth(
-        label=ClassLabel.m_inf(), kappa=math.inf, mu=-math.inf, nu=-math.inf,
-        is_tail=True, is_rv=False,
-    )
+    truth = KnownTruth(label=ClassLabel.m_inf(), is_tail=True, is_rv=False)
 
     def log_at_x(x):
-        xa = np.asarray(x, dtype=float)
         # past x ~ 1e305 the level lies below the float range: log U = -inf
         with np.errstate(over="ignore"):
-            n = np.floor(xa * (1.0 + 1e-13))
-            return np.where(xa < 1.0, 0.0, -n * np.log(np.maximum(xa, 1.0)))
+            n = np.floor(x * (1.0 + 1e-13))
+            return np.where(x < 1.0, 0.0, -n * np.log(np.maximum(x, 1.0)))
 
     return FunctionHandle(
         name="floor_log_tail",
@@ -385,20 +386,17 @@ def make_remark7_mix() -> FunctionHandle:
     The intervals shrink so fast that every geometric probing grid misses
     them; a targeted probe at n + n**-n / 2 exposes the 1/x branch.
     """
-    truth = KnownTruth(
-        label=ClassLabel.oscillating(-math.inf, -1.0),
-        kappa=math.inf, mu=-math.inf, nu=-1.0, is_rv=False,
-    )
+    truth = KnownTruth(label=ClassLabel.oscillating(-math.inf, -1.0), kappa=math.inf,
+                       is_rv=False)
 
     def log_at_x(x):
-        xa = np.asarray(x, dtype=float)
-        n = np.floor(xa)
+        n = np.floor(x)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             width = np.where(
                 (n >= 1) & (n <= _REMARK_N_MAX), np.exp(-n * np.log(np.maximum(n, 1))), 0.0
             )
-        inside = (n >= 1) & (xa > n) & (xa - n < width)
-        return np.where(inside, -np.log(xa), -xa)
+        inside = (n >= 1) & (x > n) & (x - n < width)
+        return np.where(inside, -np.log(x), -x)
 
     return FunctionHandle(
         name="remark7_mix",
@@ -415,15 +413,11 @@ def make_log_perturbed_power(alpha: float = -1.0, c: float = 1.0) -> FunctionHan
         raise ParamError("log_perturbed_power requires a finite alpha")
     if not 0.0 <= cc < math.inf:
         raise ParamError("log_perturbed_power requires a finite c >= 0")
-    truth = KnownTruth(
-        label=ClassLabel.m(a), rho=a, kappa=-a, mu=a, nu=a,
-        is_tail=(a < 0), is_rv=True,
-    )
+    truth = KnownTruth(label=ClassLabel.m(a), is_tail=(a < 0), is_rv=True)
 
     def log_at_logx(u):
-        ua = np.asarray(u, dtype=float)
-        safe = np.maximum(ua, 1.0)
-        return np.where(ua >= 1.0, a * ua + np.log1p(cc / safe), a + np.log1p(cc))
+        safe = np.maximum(u, 1.0)
+        return np.where(u >= 1.0, a * u + np.log1p(cc / safe), a + np.log1p(cc))
 
     return FunctionHandle(
         name=f"log_perturbed_power(alpha={a:g},c={cc:g})",
@@ -492,7 +486,7 @@ def from_table(xs, log_values) -> FunctionHandle:
     us = np.array([math.log(x) for x in xa])
 
     def log_at_logx(u):
-        return np.interp(np.asarray(u, dtype=float), us, va)
+        return np.interp(u, us, va)
 
     return FunctionHandle(
         name="table",

@@ -53,7 +53,7 @@ _CELLS_PER_OCTAVE = 512
 
 def _moment_log_f(U: FunctionHandle, r: float):
     """x -> log(x**(r+1) U(x)), the integrand of t**r U dt in u = log t."""
-    return lambda xx: (r + 1.0) * np.log(xx) + np.asarray(U.log_at(xx), dtype=float)
+    return lambda xx: (r + 1.0) * np.log(xx) + U.log_at(xx)
 
 
 @dataclass(frozen=True)
@@ -173,8 +173,7 @@ def _ratio_checks(U: FunctionHandle, ci: CumulativeIntegral, r: float, grid: Gri
     log_ci = np.asarray(ci.log_value(xs), dtype=float)
     threshold = 2.0 * INF_THRESHOLD + abs(r)
     limit = windowed_limit(xs, log_ci / log_x, sub, threshold)
-    est = windowed_limit(xs, (log_ci - np.asarray(U.log_at(xs), dtype=float)) / log_x,
-                         sub, threshold)
+    est = windowed_limit(xs, (log_ci - U.log_at(xs)) / log_x, sub, threshold)
     resid = abs(est.value - r) if math.isfinite(est.value) else math.inf
     cond = ConditionReport(
         condition="C1r" if ci.kind == "V" else "C2r",
@@ -305,7 +304,7 @@ def extract_representation(U: FunctionHandle, b: float = 2.0,
     n = max(grid.points, 2000) * 4
 
     def beta_w_u(u):
-        return (s * u + np.asarray(U.log_at_u(u), dtype=float)) / u
+        return (s * u + U.log_at_u(u)) / u
 
     b_eff = b
     if not kappa_zero:
@@ -325,7 +324,7 @@ def extract_representation(U: FunctionHandle, b: float = 2.0,
 
     def eps_fn(x):
         xa = np.asarray(x, dtype=float)
-        return (np.asarray(U.log_at(xa), dtype=float) + s * np.log(xa)) / denom(xa)
+        return (U.log_at(xa) + s * np.log(xa)) / denom(xa)
 
     def alpha_fn(x):
         xa = np.asarray(x, dtype=float)
@@ -336,7 +335,7 @@ def extract_representation(U: FunctionHandle, b: float = 2.0,
 
     def beta_fn(x):
         xa = np.asarray(x, dtype=float)
-        return np.asarray(U.log_at(xa), dtype=float) / np.log(xa)
+        return U.log_at(xa) / np.log(xa)
 
     def beta_integral(x):
         xa = np.asarray(x, dtype=float)
@@ -359,7 +358,7 @@ def verify_representation(U: FunctionHandle, rep: RepresentationTriple,
     lo = max(grid.log10_x_min, math.log10(rep.b_effective) + 0.3)
     sub = replace(grid, log10_x_min=lo)
     xs = sub.xs()
-    log_u = np.asarray(U.log_at(xs), dtype=float)
+    log_u = U.log_at(xs)
     alpha, eps = rep.alpha_fn(xs), rep.eps_fn(xs)
     recon = alpha + eps * rep.beta_integral(xs)
     resid = np.max(np.abs(log_u - recon) / np.maximum(1.0, np.abs(log_u)))
@@ -415,7 +414,7 @@ def extract_representation_inf(U: FunctionHandle, b: float = 2.0,
         raise ClassMismatch(f"{U.name}: classified {label}, rapid class required")
 
     def alpha_fn(x):
-        return -sign * np.asarray(U.log_at(np.asarray(x, dtype=float)), dtype=float)
+        return -sign * U.log_at(x)
 
     xs = grid.xs()
     ratio = alpha_fn(xs) / np.log(xs)

@@ -51,9 +51,8 @@ def regularize_origin(U: FunctionHandle, rho: float) -> FunctionHandle:
     log_u1 = float(U.log_at(1.0))
 
     def log_at_logx(u):
-        ua = np.asarray(u, dtype=float)
-        return np.where(ua >= 0.0, U.log_at_logx(np.maximum(ua, 0.0)),
-                        log_u1 + rho * ua)
+        return np.where(u >= 0.0, U.log_at_logx(np.maximum(u, 0.0)),
+                        log_u1 + rho * u)
 
     return FunctionHandle(
         name=f"origin_reg({U.name})", log_at_logx=log_at_logx, truth=U.truth,
@@ -77,11 +76,11 @@ def _log_transform(U: FunctionHandle, s: np.ndarray) -> np.ndarray:
     (x = 1, where a regularized U changes rule): {0, s, 1} and the powers
     of two below y_hi, then y_hi.
     """
-    s = np.asarray(s, dtype=float).ravel()
+    s = s.ravel()
     ys = _PEAK_SCAN_Y
     x = ys / s[:, None]
     with np.errstate(all="ignore"):
-        lg = -ys + np.asarray(U.log_at(x.ravel()), dtype=float).reshape(x.shape)
+        lg = -ys + U.log_at(x)
     lg = np.where(np.isnan(lg), -np.inf, lg)
     peak = lg.max(axis=1)
     if not np.isfinite(peak).all():
@@ -93,7 +92,7 @@ def _log_transform(U: FunctionHandle, s: np.ndarray) -> np.ndarray:
 
     def log_f(y, ids):
         x = y / s[ids][:, None]
-        return -y + np.asarray(U.log_at(x.ravel()), dtype=float).reshape(y.shape)
+        return -y + U.log_at(x)
 
     out = batched_log_quad(log_f, edges[:, :-1], edges[:, 1:])
     if np.any(out == -np.inf):
@@ -102,11 +101,20 @@ def _log_transform(U: FunctionHandle, s: np.ndarray) -> np.ndarray:
 
 
 def laplace_stieltjes(U: FunctionHandle, s: float) -> float:
-    """s * integral_0^inf exp(-x s) U(x) dx for 0 < s < inf."""
+    """s * integral_0^inf exp(-x s) U(x) dx for 0 < s < inf.
+
+    A ParamError when the transform is not a positive finite float.
+    """
     if not 0.0 < s < math.inf:
         raise ParamError(f"transform requires 0 < s < inf, got s = {s:g}")
     _check_vanishes_at_origin(U)
-    return float(np.exp(_log_transform(U, np.array([s]))[0]))
+    log_value = float(_log_transform(U, np.array([s]))[0])
+    with np.errstate(over="ignore", under="ignore"):
+        value = float(np.exp(log_value))
+    if not 0.0 < value < math.inf:
+        raise ParamError(f"transform at s = {s:g} is exp({log_value:.6g}), "
+                         "beyond the float range")
+    return value
 
 
 def transform_handle(U: FunctionHandle) -> FunctionHandle:
@@ -114,9 +122,7 @@ def transform_handle(U: FunctionHandle) -> FunctionHandle:
 
     def log_at_x(x):
         _check_vanishes_at_origin(U)
-        xa = np.asarray(x, dtype=float)
-        out = _log_transform(U, 1.0 / xa).reshape(xa.shape)
-        return out if out.ndim else np.float64(out)
+        return _log_transform(U, 1.0 / x).reshape(x.shape)
 
     return FunctionHandle(
         name=f"transform_inv({U.name})",
@@ -131,7 +137,7 @@ def _concavity_probe(U: FunctionHandle, alpha: float) -> dict:
     for eta in (0.0, 0.25 * alpha, 0.5 * alpha, 0.75 * alpha):
         # rescaled by its maximum so it cannot overflow; a positive factor
         # leaves the sign test against 1e-9 * max|g| as it was
-        log_g = np.asarray(U.log_at(xs), dtype=float) - eta * np.log(xs)
+        log_g = U.log_at(xs) - eta * np.log(xs)
         g = np.exp(log_g - log_g.max())
         second = np.diff(np.diff(g) / np.diff(xs)) / np.diff(xs[:-1])
         out[f"eta={eta:g}"] = "concave" if np.all(second <= 1e-9 * np.abs(g).max()) else "not-concave"

@@ -117,6 +117,14 @@ def test_reciprocal_handle():
     assert to.reciprocal(to.make_exp_neg()).truth.label == L.m_neg_inf()
 
 
+def test_composite_truth_is_read_from_its_label():
+    h = to.product(to.make_power_tail(-2.0), to.make_power_tail(-3.0))
+    t = h.truth
+    assert (t.rho, t.kappa, t.mu, t.nu) == (-5.0, 5.0, -5.0, -5.0)
+    t = to.product(to.make_exp_neg(), to.make_power_tail(1.0)).truth
+    assert (t.rho, t.kappa, t.mu, t.nu) == (None, math.inf, -math.inf, -math.inf)
+
+
 def test_product_identity_and_inverse():
     u = to.make_power_tail(-2.0)
     ident = to.product(to.make_power_tail(0.0), u)

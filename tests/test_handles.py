@@ -296,10 +296,82 @@ def test_handles_pure():
 
 
 def test_truth_validation():
-    with pytest.raises(ParamError):
-        to.KnownTruth(label=to.ClassLabel.m(2.0), rho=2.0, kappa=2.0)
-    with pytest.raises(ParamError):
+    # a kappa that disagrees with the label
+    with pytest.raises(ParamError, match="has kappa = -2"):
+        to.KnownTruth(label=to.ClassLabel.m(2.0), kappa=2.0)
+    with pytest.raises(ParamError, match="has kappa = inf"):
+        to.KnownTruth(label=to.ClassLabel.m_inf(), kappa=-math.inf)
+    # a survival-function tail has kappa >= 0, given or implied
+    with pytest.raises(ParamError, match="kappa >= 0"):
         to.KnownTruth(label=to.ClassLabel.m(1.0), kappa=-1.0, is_tail=True)
+    with pytest.raises(ParamError, match="kappa >= 0"):
+        to.KnownTruth(label=to.ClassLabel.m(1.0), is_tail=True)
+    assert to.KnownTruth(label=to.ClassLabel.m(1.0), kappa=-1.0).kappa == -1.0
+
+
+# (rho, kappa, mu, nu, is_tail, is_rv) as each constructor stated them by hand
+# before the label fixed them
+_STATED_TRUTH = [
+    ("exp_neg", None, (None, math.inf, -math.inf, -math.inf, True, False)),
+    ("exp_pos", None, (None, -math.inf, math.inf, math.inf, False, False)),
+    ("floor_log_tail", None, (None, math.inf, -math.inf, -math.inf, True, False)),
+    ("log_perturbed_power", {"alpha": -2.0, "c": 0.5}, (-2.0, 2.0, -2.0, -2.0, True, True)),
+    ("oset_geometric", {"alpha": 1.0, "beta": 0.0, "x_a": 2.0},
+     (None, None, 0.5, 1.0, False, False)),
+    ("oset_geometric", {"alpha": 1.0, "beta": -3.0, "x_a": 2.0},
+     (None, None, -2.0, -1.0, True, False)),
+    ("oset_tower", {"c": 1.0, "alpha": -1.0}, (None, None, -math.inf, -1.0, True, False)),
+    ("oset_tower", {"c": 1.0, "alpha": 1.5}, (None, None, 1.5, math.inf, False, False)),
+    ("pareto_tail", {"alpha": 1.5}, (-1.5, 1.5, -1.5, -1.5, True, True)),
+    ("peter_paul", None, (-1.0, 1.0, -1.0, -1.0, True, False)),
+    ("power_tail", {"alpha": -2.0}, (-2.0, 2.0, -2.0, -2.0, True, True)),
+    ("power_tail", {"alpha": 0.0}, (0.0, 0.0, 0.0, 0.0, True, True)),
+    ("power_tail", {"alpha": 3.0}, (3.0, -3.0, 3.0, 3.0, False, True)),
+    ("ramp_power", {"alpha": 1.0}, (1.0, -1.0, 1.0, 1.0, False, True)),
+    ("remark7_mix", None, (None, math.inf, -math.inf, -1.0, False, False)),
+    ("two_plus_sin", None, (0.0, 0.0, 0.0, 0.0, False, False)),
+    ("x_pow_sin_x", None, (None, None, -1.0, 1.0, False, False)),
+]
+
+
+def test_stated_truth_covers_the_catalog():
+    assert {name for name, _, _ in _STATED_TRUTH} == set(to.catalog_names())
+
+
+@pytest.mark.parametrize("name, params, stated", _STATED_TRUTH)
+def test_label_fixes_the_stated_truth(name, params, stated):
+    t = to.make_named(name, params).truth
+    assert (t.rho, t.kappa, t.mu, t.nu, t.is_tail, t.is_rv) == stated
+
+
+# every catalog member, a table and each closure, with the largest log x to
+# probe (the quadrature-backed handles get fewer and smaller points)
+_CONTRACT_HANDLES = {
+    **{name: (lambda name=name: to.make_named(name, _VALID_PARAMS.get(name)), 2.0)
+       for name in to.catalog_names()},
+    "table": (lambda: to.from_table(*_power_table()), 2.0),
+    "scale_add": (lambda: to.scale_add(2.0, to.make_power_tail(-2.0), to.make_exp_neg()), 2.0),
+    "reciprocal": (lambda: to.reciprocal(to.make_peter_paul()), 2.0),
+    "product": (lambda: to.product(to.make_power_tail(-3.0), to.make_two_plus_sin()), 2.0),
+    "compose": (lambda: to.compose(to.make_power_tail(2.0), to.make_power_tail(1.5)), 2.0),
+    "convolve": (lambda: to.convolve(to.make_power_tail(-2.0), to.make_power_tail(-3.0)), 0.5),
+    "regularize_origin": (lambda: to.regularize_origin(to.make_power_tail(1.0), 1.0), 2.0),
+    "transform_handle": (lambda: to.transform_handle(to.make_ramp_power(2.5)), 0.5),
+}
+
+
+@pytest.mark.parametrize("name", _CONTRACT_HANDLES)
+def test_log_at_returns_float64_shaped_like_its_input(name):
+    # the contract every caller relies on: no re-conversion, no reshape
+    make, span = _CONTRACT_HANDLES[name]
+    h = make()
+    u = np.linspace(0.1, span, 6).reshape(2, 3)
+    for method, arg in ((h.log_at, np.exp(u)), (h.log_at_u, u)):
+        for a in (arg[0, 0].reshape(()), arg[0], arg):
+            out = method(a)
+            assert out.dtype == np.float64 and out.shape == a.shape, (method.__name__, a.shape)
+        rows = np.stack([method(row) for row in arg])
+        assert method(arg).tobytes() == rows.tobytes(), method.__name__
 
 
 def test_last_window_mean_tracks_order():
@@ -309,7 +381,7 @@ def test_last_window_mean_tracks_order():
     xs = grid.xs()
     sl = grid.window_slices()[-1]
     for h in to.corpus_m_members():
-        r = np.asarray(h.log_at(xs), dtype=float) / np.log(xs)
+        r = h.log_at(xs) / np.log(xs)
         assert abs(float(r[sl].mean()) - h.truth.rho) <= 0.05, h.name
 
 

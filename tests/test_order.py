@@ -228,6 +228,14 @@ def test_rv_ratio_two_plus_sin_fails_but_classifies():
     assert to.classify(h).tag == "M"
 
 
+def test_rv_ratio_needs_a_scale_other_than_one():
+    # t = 1 compares U with itself: with no other t the test checked nothing
+    with pytest.raises(ParamError, match="needs a scale t != 1"):
+        to.rv_ratio_test(to.make_power_tail(-2.0), [1.0])
+    rep = to.rv_ratio_test(to.make_power_tail(-2.0), [1.0, 2.0])
+    assert rep.passed and list(rep.measured["per_t"]) == [2.0]
+
+
 @pytest.mark.parametrize("t", [0.0, -2.0, math.nan, math.inf])
 def test_rv_ratio_bad_scale_is_named(t):
     with pytest.raises(ParamError, match=f"finite t > 0, got t={t:g}"):

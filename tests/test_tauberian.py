@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +41,13 @@ def test_transform_requires_positive_s():
 def test_transform_requires_finite_s(s):
     with pytest.raises(ParamError, match=f"s = {s:g}"):
         to.laplace_stieltjes(to.make_ramp_power(1.0), s)
+
+
+@pytest.mark.parametrize("s, log_value", [(1e-300, "1036.45"), (1e250, "-863.185")])
+def test_transform_beyond_the_float_range_is_named(s, log_value):
+    # the log transform is finite, its exp overflows to inf or underflows to 0
+    with pytest.raises(ParamError, match=re.escape(f"s = {s:g} is exp({log_value})")):
+        to.laplace_stieltjes(to.make_ramp_power(1.5), s)
 
 
 def test_transform_monotone_for_nondecreasing_input():
