@@ -10,6 +10,9 @@ then six that reach paths the README does not: the von Mises derivatives
 generic bisection quantile, the parameter checks of ``oset_geometric``
 and ``log_perturbed_power``, and the Laplace transform of a power that
 vanishes at the origin, so needs no regularization (``ramp_power``).
+Three more run on grids whose points the windows do not divide evenly,
+and the last on a grid at the top of the float range, where the last
+window holds only -inf samples (``floor_log_tail``).
 Prints one line per command: its exit code, the sha256 of its stdout and
 the command. ``plots`` adds one line per CSV file it writes. Then come the
 library paths no command reaches: the convolution on a 2-d x, a composition
@@ -48,6 +51,10 @@ COMMANDS = (
     "classify --fn log_perturbed_power --param alpha=-1 --param c=1",
     "classify --data samples_log.csv",
     "report --fn ramp_power --param alpha=2.5 --tauberian",
+    "classify --fn peter_paul --points 2001",
+    "report --fn pareto_tail --param alpha=1.5 --points 1001",
+    "report --fn peter_paul --r 1 --b 2 --points 1003",
+    "classify --fn floor_log_tail --xmin 305.5 --xmax 308",
 )
 PLOT_FILES = ("orders.csv", "kappa_trace.csv", "ratio.csv")
 LIBRARY = (

@@ -157,7 +157,8 @@ def von_mises_gumbel(D: DistributionHandle, grid: GridSpec = GridSpec()) -> Inde
         raise NonDifferentiable(f"{D.base.name}: tail is not differentiable")
     xs = grid.xs()
     d1, d2 = _log_tail_derivs(D.base, xs, _FD_STEP)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # d1 * d1 may overflow; d2 / inf = 0 is the limit
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         vals = -1.0 / d1 + d2 / (d1 * d1)
     return windowed_limit(xs, vals, grid)
 

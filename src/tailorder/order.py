@@ -13,6 +13,7 @@ bisecting between the convergent and divergent regimes.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -77,8 +78,18 @@ class GridSpec:
     def xs(self) -> np.ndarray:
         return np.logspace(self.log10_x_min, self.log10_x_max, self.points)
 
-    def window_slices(self) -> list[slice]:
+    @functools.cached_property
+    def window_bounds(self) -> np.ndarray:
+        """Read-only sample indices where the windows start, then ``points``.
+
+        Computed once per grid; fields, equality and hashing ignore it.
+        """
         bounds = np.linspace(0, self.points, self.windows + 1).astype(int)
+        bounds.flags.writeable = False
+        return bounds
+
+    def window_slices(self) -> list[slice]:
+        bounds = self.window_bounds.tolist()
         return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
@@ -190,33 +201,48 @@ def _combine(summaries: Sequence[float], L: Sequence[float], side: int,
     return v, Trend.OSCILLATING
 
 
-def _window_stats(xs: np.ndarray, ys: np.ndarray, grid: GridSpec):
-    mins, maxs, means = [], [], []
-    L_min, L_max, L_mid = [], [], []
-    for sl in grid.window_slices():
-        yy = ys[sl]
-        xx = xs[sl]
-        i0 = int(np.argmin(yy))
-        i1 = int(np.argmax(yy))
-        mins.append(float(yy[i0]))
-        maxs.append(float(yy[i1]))
-        means.append(float(yy.mean()))
-        L_min.append(math.log(xx[i0]))
-        L_max.append(math.log(xx[i1]))
-        L_mid.append(math.log(xx[len(xx) // 2]))
-    return (np.array(mins), np.array(L_min), np.array(maxs), np.array(L_max),
-            np.array(means), np.array(L_mid))
+def _logs(xs: np.ndarray) -> np.ndarray:
+    # math.log, not np.log: numpy's SIMD log differs from libm in the last
+    # bit for some x, and these logs feed the extrapolated limits
+    return np.array([math.log(x) for x in xs.tolist()])
+
+
+def _window_extremes(ys: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the first minimum and of the first maximum of every window.
+
+    The indices np.argmin and np.argmax give per window, for all windows in
+    one pass: a window holding a NaN takes its first NaN as both.
+    """
+    starts = grid.window_bounds[:-1]
+    sizes = np.diff(grid.window_bounds)
+    hit_nan = np.isnan(ys)
+    pos = np.arange(ys.size)
+    firsts = []
+    for extreme in (np.minimum, np.maximum):
+        at_extreme = (ys == np.repeat(extreme.reduceat(ys, starts), sizes)) | hit_nan
+        firsts.append(np.minimum.reduceat(np.where(at_extreme, pos, ys.size), starts))
+    return firsts[0], firsts[1]
+
+
+def _last_window_spread(ys: np.ndarray, grid: GridSpec) -> float:
+    """Range of the finite samples of the last window; inf when it has none."""
+    last = ys[slice(*grid.window_bounds[-2:].tolist())]
+    last = last[np.isfinite(last)]
+    return float(last.max() - last.min()) if last.size else math.inf
 
 
 def windowed_limit(xs: np.ndarray, ys: np.ndarray, grid: GridSpec,
                    inf_threshold: float = INF_THRESHOLD) -> IndexEstimate:
     """Limit estimate for samples ys over xs via window means."""
     ys = np.asarray(ys, dtype=float)
-    _, _, _, _, means, L_mid = _window_stats(xs, ys, grid)
+    bounds = grid.window_bounds.tolist()
+    windows = list(zip(bounds, bounds[1:]))
+    # a window whose sum leaves the float range has mean +-inf, a runaway
+    with np.errstate(over="ignore"):
+        means = [float(ys[a:b].mean()) for a, b in windows]
+    L_mid = _logs(xs[[a + (b - a) // 2 for a, b in windows]])
     value, trend = _combine(means, L_mid, side=0, inf_threshold=inf_threshold)
-    last = ys[grid.window_slices()[-1]]
-    last = last[np.isfinite(last)]
-    spread = float(last.max() - last.min()) if last.size else math.inf
+    spread = _last_window_spread(ys, grid)
     if spread == 0.0:
         trend = Trend.STABLE
     return IndexEstimate(value=value, spread=spread, trend=trend, grid=grid)
@@ -240,11 +266,10 @@ def estimate_orders(U: FunctionHandle, grid: GridSpec = GridSpec()
     """(lower order, upper order) of U: liminf / limsup of log U / log x."""
     xs = grid.xs()
     rs = order_samples(U, xs)
-    mins, L_min, maxs, L_max, _, _ = _window_stats(xs, rs, grid)
-    mu_val, mu_trend = _combine(mins, L_min, side=-1)
-    nu_val, nu_trend = _combine(maxs, L_max, side=+1)
-    last = rs[grid.window_slices()[-1]]
-    spread = float(last.max() - last.min())
+    i_min, i_max = _window_extremes(rs, grid)
+    mu_val, mu_trend = _combine(rs[i_min], _logs(xs[i_min]), side=-1)
+    nu_val, nu_trend = _combine(rs[i_max], _logs(xs[i_max]), side=+1)
+    spread = _last_window_spread(rs, grid)
     if spread == 0.0:
         mu_trend = nu_trend = Trend.STABLE
     mu = IndexEstimate(value=mu_val, spread=spread, trend=mu_trend, grid=grid)
@@ -431,7 +456,11 @@ def rv_ratio_test(U: FunctionHandle, t_values: Sequence[float] = (2.0, 5.0, 10.0
     rho_num = rho_den = 0.0
     failed_t = None
     for t in ts:
-        est = windowed_limit(xs, U.log_at(xs * t) - log_u, grid)
+        log_ut = U.log_at(xs * t)
+        # NaN where U(xt) = U(x) = 0; that t comes out unstable
+        with np.errstate(invalid="ignore"):
+            log_ratio = log_ut - log_u
+        est = windowed_limit(xs, log_ratio, grid)
         stable = est.spread <= tol and math.isfinite(est.value)
         rho_t = est.value / math.log(t) if math.isfinite(est.value) else math.nan
         per_t[t] = {"limit": est.value, "spread": est.spread, "rho": rho_t,

@@ -66,7 +66,9 @@ def cell_pair_log_masses(log_f, u_lo, u_hi) -> np.ndarray:
     u_hi = np.asarray(u_hi, dtype=float)
     g_lo = log_f(np.exp(u_lo) * (1.0 + _NUDGE))
     g_hi = log_f(np.exp(u_hi) * (1.0 - _NUDGE))
-    with np.errstate(divide="ignore"):
+    # a cell with log_f = -inf at both ends is NaN here, and logsumexp
+    # drops it: mass 0
+    with np.errstate(divide="ignore", invalid="ignore"):
         return g_lo + np.log(u_hi - u_lo) + log_phi(g_hi - g_lo)
 
 

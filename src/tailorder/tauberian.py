@@ -132,16 +132,16 @@ def transform_handle(U: FunctionHandle) -> FunctionHandle:
 
 def _concavity_probe(U: FunctionHandle, alpha: float) -> dict:
     """Sign of the second difference of x**(-eta) U(x) for eta below alpha."""
-    out = {}
+    etas = (0.0, 0.25 * alpha, 0.5 * alpha, 0.75 * alpha)
     xs = np.logspace(0.5, 4.0, 200)
-    for eta in (0.0, 0.25 * alpha, 0.5 * alpha, 0.75 * alpha):
-        # rescaled by its maximum so it cannot overflow; a positive factor
-        # leaves the sign test against 1e-9 * max|g| as it was
-        log_g = U.log_at(xs) - eta * np.log(xs)
-        g = np.exp(log_g - log_g.max())
-        second = np.diff(np.diff(g) / np.diff(xs)) / np.diff(xs[:-1])
-        out[f"eta={eta:g}"] = "concave" if np.all(second <= 1e-9 * np.abs(g).max()) else "not-concave"
-    return out
+    dx = np.diff(xs)
+    # one row per eta, each rescaled by its maximum so it cannot overflow; a
+    # positive factor leaves the sign test against 1e-9 * max|g| as it was
+    log_g = U.log_at(xs) - np.array(etas)[:, None] * np.log(xs)
+    g = np.exp(log_g - log_g.max(axis=1, keepdims=True))
+    second = np.diff(np.diff(g) / dx) / dx[:-1]
+    concave = np.all(second <= 1e-9 * np.abs(g).max(axis=1, keepdims=True), axis=1)
+    return {f"eta={eta:g}": "concave" if c else "not-concave" for eta, c in zip(etas, concave)}
 
 
 # classification grid for the composed transform; smooth, so fewer points do

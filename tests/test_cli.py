@@ -195,6 +195,36 @@ def test_report_tauberian_concavity_probe_of_a_steep_power(capsys):
         f"eta={eta:g}": "not-concave" for eta in (0, 20, 40, 60)}
 
 
+def _refuse_nan(token):
+    if token == "NaN":
+        raise AssertionError("NaN in the JSON output")
+    return float(token)
+
+
+@pytest.mark.parametrize("argv", [
+    "classify --fn floor_log_tail --xmin 305.5 --xmax 308",
+    "classify --fn floor_log_tail --xmax 306",
+    "report --fn exp_neg --xmax 306",
+    "report --fn floor_log_tail --xmax 306",
+])
+def test_top_of_the_float_range_without_warning_or_nan(argv, capsys):
+    # log U = -inf past x ~ 1e305 and derivatives beyond the float range
+    # gave NaN spreads and RuntimeWarnings with exit code 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv.split())
+    assert 0 <= code <= 4
+    out = capsys.readouterr().out
+    if out:
+        json.loads(out, parse_constant=_refuse_nan)
+
+
+def test_floor_log_tail_kappa_is_infinite_up_to_the_float_range(capsys):
+    # cells with log U = -inf at both ends carry mass 0
+    assert main(["classify", "--fn", "floor_log_tail", "--xmax", "306"]) == 0
+    assert json.loads(capsys.readouterr().out)["estimates"]["kappa"]["value"] == math.inf
+
+
 def test_simulate_deterministic_bytes(tmp_path):
     args = ["simulate", "--fn", "pareto_tail", "--param", "alpha=1",
             "--n", "2000", "--reps", "1000", "--seed", "7"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import tailorder as to
 from tailorder.errors import ClassMismatch, ExtrapolationFailure, ParamError, TailOrderError
-from tailorder.order import _extrapolate_intercept
+from tailorder.order import _combine, _extrapolate_intercept, _logs, _window_extremes
 
 
 def test_grid_validation():
@@ -28,6 +29,103 @@ def test_grid_counts_must_be_integers(field, value):
         to.GridSpec(**{field: value})
     # numpy integers count as integers
     assert to.GridSpec(points=np.int64(2000), windows=np.int64(8)).xs().size == 2000
+
+
+def test_window_bounds_leave_grid_identity_alone():
+    a, b = to.GridSpec(points=2001), to.GridSpec(points=2001)
+    assert a.window_bounds.tolist() == [0, 250, 500, 750, 1000, 1250, 1500, 1750, 2001]
+    assert not a.window_bounds.flags.writeable
+    # the bounds are cached on a only
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert dataclasses.asdict(a) == dataclasses.asdict(b)
+    c = dataclasses.replace(a, points=1003, windows=4)
+    assert c.window_bounds.tolist() == [0, 250, 501, 752, 1003]
+    assert dataclasses.replace(c, points=2001, windows=8) == a
+    assert a.window_slices()[-1] == slice(1750, 2001)
+
+
+def _envelope_loop(xs, ys, grid):
+    """Per-window argmin/argmax reference: positions, values and log x."""
+    i_min, i_max, out = [], [], []
+    for sl in grid.window_slices():
+        i_min.append(sl.start + int(np.argmin(ys[sl])))
+        i_max.append(sl.start + int(np.argmax(ys[sl])))
+    for idx in (i_min, i_max):
+        out += [np.array([ys[i] for i in idx]), np.array([math.log(xs[i]) for i in idx])]
+    return np.array(i_min), np.array(i_max), out
+
+
+def _assert_envelopes_match_loop(ys, grid):
+    xs = grid.xs()
+    i_min, i_max, want = _envelope_loop(xs, ys, grid)
+    got_min, got_max = _window_extremes(ys, grid)
+    assert got_min.tolist() == i_min.tolist() and got_max.tolist() == i_max.tolist()
+    got = [ys[got_min], _logs(xs[got_min]), ys[got_max], _logs(xs[got_max])]
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+_SAMPLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@given(pool=st.lists(_SAMPLES, min_size=1, max_size=8), seed=st.integers(0, 2**32 - 1),
+       windows=st.integers(2, 12), extra=st.integers(0, 47))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_window_envelopes_match_a_per_window_loop(pool, seed, windows, extra):
+    # samples drawn from a few values, so windows hold ties, signed zeros,
+    # infinities and NaN; points not divisible by windows give windows of
+    # unequal length
+    grid = to.GridSpec(points=16 * windows + extra, windows=windows)
+    ys = np.array(pool)[np.random.default_rng(seed).integers(0, len(pool), grid.points)]
+    _assert_envelopes_match_loop(ys, grid)
+
+
+@pytest.mark.parametrize("points, windows", [(2001, 8), (2000, 8), (1003, 7), (128, 8)])
+def test_window_envelopes_match_the_loop_on_long_grids(points, windows):
+    rng = np.random.default_rng(points)
+    ys = np.round(rng.normal(size=points), 1)  # many ties
+    ys[rng.integers(0, points, 12)] = [math.nan, -math.inf, math.inf] * 4
+    grid = to.GridSpec(points=points, windows=windows)
+    _assert_envelopes_match_loop(ys, grid)
+    _assert_envelopes_match_loop(np.where(np.isnan(ys), 0.0, ys), grid)
+
+
+@given(seed=st.integers(0, 2**32 - 1), drift=st.floats(-10.0, 10.0),
+       windows=st.integers(2, 12), extra=st.integers(0, 47))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_windowed_limit_reads_the_slice_means(seed, drift, windows, extra):
+    grid = to.GridSpec(points=16 * windows + extra, windows=windows)
+    xs = grid.xs()
+    noise = np.random.default_rng(seed).normal(size=grid.points)
+    ys = np.linspace(0.0, drift, grid.points) + noise * (seed % 3) / 10.0
+    slices = grid.window_slices()
+    means = [float(ys[sl].mean()) for sl in slices]
+    L_mid = [math.log(xs[sl][len(xs[sl]) // 2]) for sl in slices]
+    try:
+        want = _combine(means, L_mid, side=0)
+    except ExtrapolationFailure:
+        with pytest.raises(ExtrapolationFailure):
+            to.windowed_limit(xs, ys, grid)
+        return
+    got = to.windowed_limit(xs, ys, grid)
+    last = ys[slices[-1]]
+    assert (got.value, got.spread) == (want[0], float(last.max() - last.min()))
+    assert got.trend is (to.Trend.STABLE if got.spread == 0.0 else want[1])
+
+
+def test_order_spread_reads_finite_samples_only():
+    # past x ~ 1e305 floor_log_tail's log U is -inf: the last window of the
+    # first grid holds only -inf samples, and -inf - -inf would be a NaN spread
+    U = to.make_floor_log_tail()
+    mu, nu = to.estimate_orders(U, to.GridSpec(log10_x_min=305.5, log10_x_max=308.0))
+    assert mu.spread == nu.spread == math.inf
+    assert (mu.value, nu.value) == (-math.inf, -math.inf)
+    # here 4 of the last 250 samples are -inf: the range of the rest is finite
+    mu, nu = to.estimate_orders(U, to.GridSpec(log10_x_max=306.0))
+    assert mu.spread == nu.spread and math.isfinite(mu.spread)
 
 
 def test_extrapolation_failure_is_typed():
