@@ -16,9 +16,11 @@ window holds only -inf samples (``floor_log_tail``).
 Prints one line per command: its exit code, the sha256 of its stdout and
 the command. ``plots`` adds one line per CSV file it writes. Then come the
 library paths no command reaches: the convolution on a 2-d x, a composition
-in log-argument coordinates, the transform handle and the excess-ratio probe
-of a Pareto tail. Each prints ``lib``, the sha256 of its result (the shape
-and bytes of an array, the sorted JSON of a report) and the expression.
+in log-argument coordinates, the transform handle, the Laplace transform at
+a small order and s (the y**alpha cusp at y = 0), the transform handle of a
+regularized power tail and the excess-ratio probe of a Pareto tail. Each
+prints ``lib``, the sha256 of its result (the shape and bytes of an array,
+the sorted JSON of a report) and the expression.
 ``classify --data`` reads ``samples.csv``, a fixed table of 3 x**-1.5 that
 the script writes first, and then ``samples_log.csv``, the same table as
 ``x,logvalue`` rows, so both CSV kinds are pinned. Two checkouts whose
@@ -63,6 +65,9 @@ LIBRARY = (
     "to.compose(to.make_power_tail(2.0), to.make_power_tail(1.5))"
     ".log_at_u(np.linspace(-5.0, 700.0, 64))",
     "to.transform_handle(to.make_ramp_power(2.5)).log_at(np.geomspace(1.0, 1e8, 16))",
+    "to.laplace_stieltjes(to.make_ramp_power(0.3), 1e-8)",
+    "to.transform_handle(to.regularize_origin(to.make_power_tail(2.6), 2.6))"
+    ".log_at(np.geomspace(1.0, 1e8, 16))",
     "to.gpd_ratio_probe(to.distribution_for(to.make_pareto_tail(2.0)), 0.5,"
     " lambda u: 0.5 * u).to_dict()",
 )

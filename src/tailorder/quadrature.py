@@ -17,7 +17,10 @@ starts from dyadic panels: edges at 0, at every power of two 1, 2, 4, ...
 below its upper limit, at the limit itself and at any point where the
 integrand changes scale. Power-law mass near 0 and the exponential decay
 beyond the peak then sit in panels a Kronrod rule resolves at once, so a
-batch converges in one or two rounds instead of halving huge panels.
+batch converges in one or two rounds instead of halving huge panels. The
+Laplace transform also grades its panels toward 0, with edges at 1/8, 1/64,
+1/512 and 1/4096, so that a y**alpha cusp at 0 is not halved one panel per
+round; the convolution keeps the dyadic panels alone.
 """
 
 from __future__ import annotations
@@ -128,9 +131,9 @@ def dyadic_edges(top: np.ndarray, *points: np.ndarray) -> np.ndarray:
     """Starting panel edges of integrals over [0, top[i]], one sorted row each.
 
     Row i holds 0, the powers of two 1, 2, 4, ... clipped to top[i], top[i]
-    and the i-th entry of each of ``points`` clipped to top[i]. Powers at or
-    above top[i] repeat it, so the empty panels (a == b) of a row must be
-    dropped.
+    and each of ``points`` (its i-th entry, or the one value of a scalar)
+    clipped to top[i]. Powers at or above top[i] repeat it, so the empty
+    panels (a == b) of a row must be dropped.
     """
     top = np.asarray(top, dtype=float)
     n_powers, p, t_max = 0, 1.0, top.max(initial=0.0)

@@ -6,7 +6,7 @@ import pytest
 
 import tailorder as to
 from tailorder import quadrature, tauberian
-from tailorder.errors import ParamError, PreconditionError
+from tailorder.errors import ParamError, PreconditionError, QuadratureFailure
 
 
 def test_ramp_closed_form():
@@ -95,6 +95,65 @@ def test_transform_batch_converges_in_two_rounds(monkeypatch):
     rounds.clear()
     to.laplace_stieltjes(to.make_ramp_power(2.6), 0.01)
     assert len(rounds) <= 2
+
+
+@pytest.fixture
+def gk_rounds(monkeypatch):
+    """The panel counts of every Gauss-Kronrod round, one entry per round."""
+    rounds = []
+    gk_panels = quadrature._gk_panels
+
+    def spy(log_f, a, b, ids):
+        rounds.append(a.size)
+        return gk_panels(log_f, a, b, ids)
+
+    monkeypatch.setattr(quadrature, "_gk_panels", spy)
+    return rounds
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 3.0])
+@pytest.mark.parametrize("s", [1e-8, 1e-4, 0.1])
+def test_transform_converges_in_two_rounds_at_small_alpha(gk_rounds, alpha, s):
+    # panels graded toward y = 0 hold the y**alpha cusp, which halving
+    # reaches only one panel per round
+    got = to.laplace_stieltjes(to.make_ramp_power(alpha), s)
+    assert got == pytest.approx(math.gamma(alpha + 1.0) * s ** -alpha, rel=1e-8)
+    assert len(gk_rounds) <= 2
+
+
+@pytest.mark.parametrize("U", [
+    to.make_ramp_power(2.6),
+    tauberian.regularize_origin(to.make_power_tail(2.6), 2.6),
+], ids=["ramp_power", "regularized_power_tail"])
+def test_tauberian_batch_converges_in_one_round(gk_rounds, U):
+    s = 1.0 / to.GridSpec(points=128, windows=8).xs()
+    tauberian._log_transform(U, s)
+    assert len(gk_rounds) == 1
+
+
+@pytest.mark.parametrize("alpha", [10.0, 40.0, 80.0])
+def test_transform_closed_form_at_large_alpha(alpha):
+    # the peak y = alpha moves up the scan; log values, as exp overflows
+    s = np.logspace(-8, 1, 200)
+    got = np.asarray(to.transform_handle(to.make_ramp_power(alpha)).log_at(1.0 / s))
+    want = math.lgamma(alpha + 1.0) - alpha * np.log(s)
+    assert np.abs(got - want).max() <= 1e-8
+
+
+@pytest.mark.parametrize("alpha", [1100.0, 2000.0])
+def test_transform_peak_beyond_the_scan(alpha):
+    # the peak y = alpha lies near or past the last scan point 2**11, and
+    # the upper limit follows it by doubling
+    s = math.exp(math.lgamma(alpha + 1.0) / alpha)  # closed form 1
+    assert abs(to.laplace_stieltjes(to.make_ramp_power(alpha), s) - 1.0) <= 1e-8
+
+
+def test_transform_integrand_that_never_decays_is_named():
+    # x e^x at s = 0.5: exp(-y) U(y/s) grows until y/s overflows
+    U = to.FunctionHandle(name="x_exp_x", log_at_logx=lambda u: u + np.exp(u))
+    assert to.laplace_stieltjes(U, 2.0) == pytest.approx(2.0, rel=1e-8)
+    with pytest.raises(QuadratureFailure, match=r"s = 0\.5 .* float range"):
+        to.laplace_stieltjes(U, 0.5)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
