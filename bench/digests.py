@@ -18,9 +18,14 @@ the command. ``plots`` adds one line per CSV file it writes. Then come the
 library paths no command reaches: the convolution on a 2-d x, a composition
 in log-argument coordinates, the transform handle, the Laplace transform at
 a small order and s (the y**alpha cusp at y = 0), the transform handle of a
-regularized power tail and the excess-ratio probe of a Pareto tail. Each
-prints ``lib``, the sha256 of its result (the shape and bytes of an array,
-the sorted JSON of a report) and the expression.
+regularized power tail, the excess-ratio probe of a Pareto tail, and a
+convolution and a transform handle on 128 points, whose quadrature rounds
+span several blocks of panels. Each prints ``lib``, the sha256 of its
+result (the shape and bytes of an array, the sorted JSON of a report) and
+the expression.
+The first line names the numpy version and the SIMD extensions numpy
+enabled, as float results may differ in their last bits on another build
+or CPU: only printouts with equal first lines compare.
 ``classify --data`` reads ``samples.csv``, a fixed table of 3 x**-1.5 that
 the script writes first, and then ``samples_log.csv``, the same table as
 ``x,logvalue`` rows, so both CSV kinds are pinned. Two checkouts whose
@@ -70,6 +75,9 @@ LIBRARY = (
     ".log_at(np.geomspace(1.0, 1e8, 16))",
     "to.gpd_ratio_probe(to.distribution_for(to.make_pareto_tail(2.0)), 0.5,"
     " lambda u: 0.5 * u).to_dict()",
+    "to.convolve(to.make_power_tail(-3.0), to.make_power_tail(-1.8))"
+    ".log_at(np.geomspace(10.0, 1e8, 128))",
+    "to.transform_handle(to.make_ramp_power(2.6)).log_at(np.geomspace(10.0, 1e8, 128))",
 )
 # evaluates each expression of argv in one interpreter and prints its digest line
 LIBRARY_RUNNER = """
@@ -102,9 +110,20 @@ def write_samples(work: Path) -> None:
         (work / name).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
+def numpy_header() -> str:
+    """numpy's version and the SIMD extensions it found and enabled."""
+    import numpy as np
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    found = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    return f"numpy {np.__version__} simd {' '.join(found) or 'none'}"
+
+
 def digests(checkout: Path) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
-    lines = []
+    lines = [numpy_header()]
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         write_samples(work)

@@ -119,7 +119,9 @@ class FunctionHandle:
             return
         x_lo, x_hi = x.min(), x.max()
         if not (0.0 < x_lo and x_hi < math.inf):
-            raise DomainError(f"{self.name}: evaluation requires x > 0.0")
+            bad = x_hi if 0.0 < x_lo else x_lo
+            raise DomainError(f"{self.name}: evaluation requires x > 0 and finite, "
+                              f"got x = {bad:g}")
         if self.log_domain is not None:
             lo, hi = self.log_domain
             if math.log(x_lo) < lo - 1e-12 or math.log(x_hi) > hi + 1e-12:

@@ -21,6 +21,14 @@ batch converges in one or two rounds instead of halving huge panels. The
 Laplace transform also grades its panels toward 0, with edges at 1/8, 1/64,
 1/512 and 1/4096, so that a y**alpha cusp at 0 is not halved one panel per
 round; the convolution keeps the dyadic panels alone.
+
+A round evaluates its panels in blocks of at most 512, and the bits stay
+those of a single block. A 128-point batch starts from thousands of panels
+(1,536 for a transform, 3,954 for a convolution). As one (panels, 15) array
+each, its temporaries were 184 KB and 474 KB, beyond the 128 KiB above
+which glibc maps memory afresh, and every call faulted their pages in
+again. A block's temporaries are 60 KiB, which the allocator mostly serves
+from heap memory already in use.
 """
 
 from __future__ import annotations
@@ -157,8 +165,33 @@ def _segment_logsumexp(v: np.ndarray, ids: np.ndarray, n: int):
     return total, m
 
 
+# panels per block of a Gauss-Kronrod round: a (512, 15) float64 temporary is
+# 60 KiB. A power of two, so that block boundaries fall on the row groups in
+# which the BLAS matrix-vector kernel reduces (4 rows in OpenBLAS's dgemv),
+# and every row rounds as it would in one block.
+_GK_BLOCK = 512
+
+
 def _gk_panels(log_f, a: np.ndarray, b: np.ndarray, ids: np.ndarray):
-    """(log K15, log |K15 - G7|) of every panel [a, b] of integral ids."""
+    """(log K15, log |K15 - G7|) of every panel [a, b] of integral ids.
+
+    The panels go to ``log_f`` in blocks of at most _GK_BLOCK, one call each.
+    Every panel is computed on its own, so the bits do not depend on the
+    blocks, with one exception that the split avoids: numpy reduces a
+    one-row block with a dot product, which rounds unlike the kernel's
+    remainder rows. A lone last panel therefore shares the last half block.
+    """
+    starts = list(range(0, a.size, _GK_BLOCK))
+    if len(starts) > 1 and a.size - starts[-1] == 1:
+        starts[-1] -= _GK_BLOCK // 2
+    log_k, log_err = np.empty(a.size), np.empty(a.size)
+    for lo, hi in zip(starts, starts[1:] + [a.size]):
+        log_k[lo:hi], log_err[lo:hi] = _gk_block(log_f, a[lo:hi], b[lo:hi], ids[lo:hi])
+    return log_k, log_err
+
+
+def _gk_block(log_f, a: np.ndarray, b: np.ndarray, ids: np.ndarray):
+    """(log K15, log |K15 - G7|) of the panels of one block, one ``log_f`` call."""
     half = 0.5 * (b - a)
     x = (0.5 * (a + b))[:, None] + half[:, None] * GK_X
     g = np.asarray(log_f(x, ids), dtype=float)
@@ -186,11 +219,12 @@ def batched_log_quad(log_f, a, b, max_evals: int = 100_000) -> np.ndarray:
     Row i of the (n, k) arrays a and b holds the initial panels [a, b] of
     integral i, which partition its range; empty panels (b <= a) are
     dropped. Each round evaluates every new panel of every unfinished
-    integral with one ``log_f(x[P, 15], ids[P])`` call, ids being the rows
-    the panels belong to, and reduces per-integral totals and error bounds
-    |K15 - G7| in log space. An integral is done once its error is at most
-    _REL_TOL of its total; for the others, every panel carrying more than its
-    share of the allowed error (and always the worst one) is halved.
+    integral with ``log_f(x[P, 15], ids[P])`` calls on blocks of at most
+    _GK_BLOCK panels, ids being the rows the panels belong to, and reduces
+    per-integral totals and error bounds |K15 - G7| in log space. An
+    integral is done once its error is at most _REL_TOL of its total; for
+    the others, every panel carrying more than its share of the allowed
+    error (and always the worst one) is halved.
     QuadratureFailure when an unfinished integral has used max_evals
     integrand evaluations. An integral without panels is 0 (log -inf).
     """

@@ -75,15 +75,26 @@ def _log_integrand(U: FunctionHandle, y: np.ndarray, s: np.ndarray) -> np.ndarra
     return np.where(np.isnan(lg), -np.inf, lg)
 
 
+def _check_x_finite(y: float, s: np.ndarray, why: str) -> None:
+    """QuadratureFailure naming the smallest s when y/s leaves the float range."""
+    s_min = s.min()
+    with np.errstate(over="ignore"):
+        if y / s_min < math.inf:
+            return
+    raise QuadratureFailure(
+        f"transform integrand at s = {s_min:g} {why} where y/s leaves the float range")
+
+
 def _upper_limits(U: FunctionHandle, s: np.ndarray) -> np.ndarray:
     """Per s, the first scan point beyond the peak where the integrand has
     fallen _CUTOFF_NATS below it.
 
     A row still within the cutoff at 2**11 keeps doubling y until it falls
-    that far below its running maximum; QuadratureFailure, naming s, when
-    y/s leaves the float range first.
+    that far below its running maximum. QuadratureFailure, naming s, when
+    y/s leaves the float range within the scan or before that fall.
     """
     ys = _PEAK_SCAN_Y
+    _check_x_finite(ys[-1], s, f"is scanned for its peak up to y = {ys[-1]:g},")
     lg = _log_integrand(U, ys, s)
     peak = lg.max(axis=1)
     if not np.isfinite(peak).all():
@@ -94,12 +105,7 @@ def _upper_limits(U: FunctionHandle, s: np.ndarray) -> np.ndarray:
     rows, y = np.nonzero(within[:, -1])[0], ys[-1]
     while rows.size:
         y *= 2.0
-        with np.errstate(over="ignore"):
-            x_top = (y / s[rows]).max()
-        if not x_top < math.inf:
-            raise QuadratureFailure(
-                f"transform integrand at s = {s[rows[0]]:g} is still within "
-                f"{_CUTOFF_NATS:g} nats of its peak where y/s leaves the float range")
+        _check_x_finite(y, s[rows], f"is still within {_CUTOFF_NATS:g} nats of its peak")
         g = _log_integrand(U, np.array([y]), s[rows])[:, 0]
         peak[rows] = np.maximum(peak[rows], g)
         y_hi[rows] = y

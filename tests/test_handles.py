@@ -196,6 +196,15 @@ def test_domain_check_rejects_non_finite_and_floor(bad):
         h.log_at(bad)
 
 
+@pytest.mark.parametrize("bad, named", [
+    (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (0.0, "0"), (-3.0, "-3"),
+])
+def test_domain_error_names_the_offending_extreme(bad, named):
+    h = to.make_power_tail(-1.0)
+    with pytest.raises(DomainError, match=f"requires x > 0 and finite, got x = {named}$"):
+        h.log_at(np.array([10.0, bad, 100.0]))
+
+
 def test_domain_check_accepts_empty_array():
     h = to.make_power_tail(-1.0)
     assert h.log_at(np.array([])).shape == (0,)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import tailorder as to
+from tailorder import quadrature
 from tailorder.errors import QuadratureFailure
 from tailorder.quadrature import GK_WG, GK_WK, GK_X, adaptive_log_quad, batched_log_quad
 
@@ -53,3 +55,70 @@ def test_budget_exhaustion_raises_quadrature_failure():
 def test_nan_integrand_raises_quadrature_failure():
     with pytest.raises(QuadratureFailure):
         adaptive_log_quad(lambda x: np.full(x.shape, np.nan), 0.0, 1.0)
+
+
+def _power_panels(n_panels: int):
+    """n_panels panels of x**p on [1, 2], spread over three integrals."""
+    edges = np.linspace(1.0, 2.0, n_panels + 1)
+    a, b = edges[:-1], edges[1:]
+    ids = np.arange(n_panels) % 3
+    p = np.array([-1.5, 0.5, 2.5])
+
+    def log_f(x, ids):
+        return p[ids][:, None] * np.log(x)
+
+    return log_f, a, b, ids
+
+
+@pytest.mark.parametrize("n_panels", [1, 65, 127, 128, 129, 130])
+def test_blocked_panels_equal_one_block_bit_for_bit(monkeypatch, n_panels):
+    # every panel is computed on its own: blocks of 64 panels give the bits
+    # of one block, one below, at and one above a block multiple; a lone
+    # last panel (65, 129) would round differently in a block of its own
+    log_f, a, b, ids = _power_panels(n_panels)
+    monkeypatch.setattr(quadrature, "_GK_BLOCK", 10 ** 9)
+    whole = quadrature._gk_panels(log_f, a, b, ids)
+    monkeypatch.setattr(quadrature, "_GK_BLOCK", 64)
+    blocked = quadrature._gk_panels(log_f, a, b, ids)
+    for got, want in zip(blocked, whole):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("batch", ["convolve", "transform"])
+def test_blocked_batches_equal_one_block_bit_for_bit(monkeypatch, batch):
+    # the 128-point convolution (3,954 starting panels) and transform batch
+    # (1,536) span several blocks
+    xs = np.geomspace(10.0, 1e8, 128)
+    if batch == "convolve":
+        h = to.convolve(to.make_power_tail(-3.0), to.make_power_tail(-1.8))
+    else:
+        h = to.transform_handle(to.make_ramp_power(2.6))
+    blocked = h.log_at(xs)
+    monkeypatch.setattr(quadrature, "_GK_BLOCK", 10 ** 9)
+    assert blocked.tobytes() == h.log_at(xs).tobytes()
+
+
+def test_log_f_sees_at_most_one_block():
+    # a batch of 2.5 blocks reaches log_f as two full blocks and a half
+    sizes = []
+    log_f, a, b, ids = _power_panels(5 * quadrature._GK_BLOCK // 2)
+
+    def spy(x, ids):
+        sizes.append(x.shape[0])
+        return log_f(x, ids)
+
+    quadrature._gk_panels(spy, a, b, ids)
+    assert sizes == [quadrature._GK_BLOCK] * 2 + [quadrature._GK_BLOCK // 2]
+
+
+def test_convolution_log_f_sees_at_most_one_block():
+    rows = []
+
+    def log_at_x(x):
+        rows.append(x.shape[0])
+        return -2.0 * np.log1p(x)
+
+    U = to.FunctionHandle(name="spy", log_at_x=log_at_x)
+    to.convolve(U, to.make_power_tail(-1.8)).log_at(np.geomspace(10.0, 1e8, 128))
+    assert sum(rows) >= 3954
+    assert max(rows) <= quadrature._GK_BLOCK

@@ -156,6 +156,14 @@ def test_transform_integrand_that_never_decays_is_named():
         to.laplace_stieltjes(U, 0.5)
 
 
+def test_transform_scan_beyond_the_float_range_names_s():
+    # y/s overflows within the peak scan: no x was at or below 0
+    with pytest.raises(QuadratureFailure, match=r"s = 1e-306 .* float range"):
+        to.laplace_stieltjes(to.make_ramp_power(1.5), 1e-306)
+    with pytest.raises(QuadratureFailure, match=r"s = 1e-306 .* float range"):
+        to.transform_handle(to.make_ramp_power(0.3)).log_at(np.array([10.0, 1e306]))
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
 def test_order_preserved_through_transform(alpha):
     rep = to.tauberian_check(to.make_ramp_power(alpha))
