@@ -18,11 +18,14 @@ the command. ``plots`` adds one line per CSV file it writes. Then come the
 library paths no command reaches: the convolution on a 2-d x, a composition
 in log-argument coordinates, the transform handle, the Laplace transform at
 a small order and s (the y**alpha cusp at y = 0), the transform handle of a
-regularized power tail, the excess-ratio probe of a Pareto tail, and a
+regularized power tail, the excess-ratio probe of a Pareto tail, a
 convolution and a transform handle on 128 points, whose quadrature rounds
-span several blocks of panels. Each prints ``lib``, the sha256 of its
-result (the shape and bytes of an array, the sorted JSON of a report) and
-the expression.
+span several blocks of panels, a product over a table, evaluated inside the
+table's range, and last the Laplace transform at s = 1e-306, whose peak
+scan stops where y/s leaves the float range (a checkout that refuses that
+s prints ``lib failed`` in its place). Each prints ``lib``, the sha256 of
+its result (the shape and bytes of an array, the sorted JSON of a report)
+and the expression.
 The first line names the numpy version and the SIMD extensions numpy
 enabled, as float results may differ in their last bits on another build
 or CPU: only printouts with equal first lines compare.
@@ -78,6 +81,10 @@ LIBRARY = (
     "to.convolve(to.make_power_tail(-3.0), to.make_power_tail(-1.8))"
     ".log_at(np.geomspace(10.0, 1e8, 128))",
     "to.transform_handle(to.make_ramp_power(2.6)).log_at(np.geomspace(10.0, 1e8, 128))",
+    "to.product(to.from_table(np.geomspace(2.0, 1e4, 20),"
+    " -1.5 * np.log(np.geomspace(2.0, 1e4, 20))), to.make_power_tail(1.0))"
+    ".log_at(np.geomspace(2.0, 1e4, 16))",
+    "to.laplace_stieltjes(to.make_ramp_power(0.3), 1e-306)",
 )
 # evaluates each expression of argv in one interpreter and prints its digest line
 LIBRARY_RUNNER = """

@@ -119,6 +119,10 @@ def _compose_label(lu: ClassLabel, lv: ClassLabel) -> ClassLabel:
     return ClassLabel.undecided()
 
 
+_LABEL_RULES = {OpKind.RECIPROCAL: _reciprocal_label, OpKind.PRODUCT: _product_label,
+                OpKind.CONVOLVE: _convolve_label, OpKind.COMPOSE: _compose_label}
+
+
 def predicted_class(op: OpKind, operands: list[ClassLabel],
                     a: float | None = None) -> ClassLabel:
     """Pure label-arithmetic prediction for an operation."""
@@ -130,13 +134,7 @@ def predicted_class(op: OpKind, operands: list[ClassLabel],
         if a is None or a < 0:
             raise ParamError("ScaleAdd requires a >= 0")
         return _scale_add_label(float(a), *operands)
-    if op is OpKind.RECIPROCAL:
-        return _reciprocal_label(operands[0])
-    if op is OpKind.PRODUCT:
-        return _product_label(*operands)
-    if op is OpKind.CONVOLVE:
-        return _convolve_label(*operands)
-    return _compose_label(*operands)
+    return _LABEL_RULES[op](*operands)
 
 
 def _label_of(h: FunctionHandle) -> ClassLabel:
@@ -145,8 +143,9 @@ def _label_of(h: FunctionHandle) -> ClassLabel:
     return ClassLabel.undecided()
 
 
-def _derived(name: str, log_at_logx, label: ClassLabel, *, log_at_x=None,
-             differentiable: bool = True) -> FunctionHandle:
+def _derived(name: str, log_at_logx, label: ClassLabel, *operands: FunctionHandle,
+             log_at_x=None) -> FunctionHandle:
+    differentiable = all(h.differentiable for h in operands)
     return FunctionHandle(name=name, log_at_logx=log_at_logx, truth=KnownTruth(label),
                           log_at_x=log_at_x, differentiable=differentiable)
 
@@ -163,59 +162,45 @@ def scale_add(a: float, U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
     a = float(a)
     label = _scale_add_label(a, _label_of(U), _label_of(V))
     if a == 0.0:
-        return _derived(f"0*{U.name}+{V.name}", V.log_at_logx, label,
-                        differentiable=V.differentiable)
+        return _derived(f"0*{U.name}+{V.name}", V.log_at_u, label, V)
     log_a = math.log(a)
 
     def log_at_logx(u):
-        return np.logaddexp(log_a + U.log_at_logx(u), V.log_at_logx(u))
+        return np.logaddexp(log_a + U.log_at_u(u), V.log_at_u(u))
 
-    return _derived(
-        f"{a:g}*{U.name}+{V.name}", log_at_logx, label,
-        differentiable=U.differentiable and V.differentiable,
-    )
+    return _derived(f"{a:g}*{U.name}+{V.name}", log_at_logx, label, U, V)
 
 
 def reciprocal(U: FunctionHandle) -> FunctionHandle:
     label = _reciprocal_label(_label_of(U))
-    return _derived(
-        f"1/({U.name})", lambda u: -U.log_at_logx(u), label,
-        differentiable=U.differentiable,
-    )
+    return _derived(f"1/({U.name})", lambda u: -U.log_at_u(u), label, U)
 
 
 def product(U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
     label = _product_label(_label_of(U), _label_of(V))
 
     def log_at_logx(u):
-        return U.log_at_logx(u) + V.log_at_logx(u)
+        return U.log_at_u(u) + V.log_at_u(u)
 
-    return _derived(
-        f"({U.name})*({V.name})", log_at_logx, label,
-        differentiable=U.differentiable and V.differentiable,
-    )
+    return _derived(f"({U.name})*({V.name})", log_at_logx, label, U, V)
 
 
 def compose(U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
     """Handle for U(V(x)); prediction requires the inner function to diverge."""
+    if U.log_domain is not None:  # its raw rule below cannot check a table's range
+        raise ParamError(f"compose: the outer function {U.name} is tabulated")
     label = _compose_label(_label_of(U), _label_of(V))
 
     def log_at_logx(u):
-        inner = V.log_at_logx(u)
+        inner = V.log_at_u(u)
         if np.any(inner == -math.inf):
             raise DomainError(f"compose: inner value 0 lies outside the domain of {U.name}")
-        # an inner value beyond the float range can make the outer rule NaN
+        # U's rule reads these log values raw, past the float range of exp too;
+        # where it cannot resolve them it gives NaN, which the entry points refuse
         with np.errstate(all="ignore"):
-            out = U.log_at_logx(inner)
-        if np.isnan(out).any():
-            raise DomainError(f"compose: ({U.name})o({V.name}) is NaN: {U.name} cannot "
-                              f"resolve the values of {V.name}")
-        return out
+            return U.log_at_logx(inner)
 
-    return _derived(
-        f"({U.name})o({V.name})", log_at_logx, label,
-        differentiable=U.differentiable and V.differentiable,
-    )
+    return _derived(f"({U.name})o({V.name})", log_at_logx, label, U, V)
 
 
 def _convolution_panels(xs: np.ndarray):
@@ -257,7 +242,4 @@ def convolve(U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
             raise DomainError("convolve: argument too large for linear quadrature")
         return log_at_x(np.exp(u))
 
-    return _derived(
-        f"({U.name})conv({V.name})", log_at_logx, label,
-        log_at_x=log_at_x, differentiable=True,
-    )
+    return _derived(f"({U.name})conv({V.name})", log_at_logx, label, log_at_x=log_at_x)

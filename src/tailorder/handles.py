@@ -10,6 +10,10 @@ handle returns the new level.
 The evaluation contract: ``FunctionHandle.log_at(x)`` and ``log_at_u(u)``
 take an input of any shape and return float64 values of that shape (a numpy
 float or a 0-d array for a 0-d input), so callers use the result as it is.
+A value is never NaN: both refuse one with a DomainError naming the handle
+and the first such x. Closures read their operands through these entry
+points, not the raw rules (but for ``compose``'s outer one), so that refusal
+and a table's range reach through them.
 """
 
 from __future__ import annotations
@@ -115,9 +119,10 @@ class FunctionHandle:
 
     def _check_x(self, x: np.ndarray) -> None:
         # the extremes decide: NaN propagates through min and fails the test
+        # (the ufunc reductions skip the method dispatch of x.min() and x.max())
         if x.size == 0:
             return
-        x_lo, x_hi = x.min(), x.max()
+        x_lo, x_hi = np.minimum.reduce(x, axis=None), np.maximum.reduce(x, axis=None)
         if not (0.0 < x_lo and x_hi < math.inf):
             bad = x_hi if 0.0 < x_lo else x_lo
             raise DomainError(f"{self.name}: evaluation requires x > 0 and finite, "
@@ -127,13 +132,20 @@ class FunctionHandle:
             if math.log(x_lo) < lo - 1e-12 or math.log(x_hi) > hi + 1e-12:
                 raise DomainError(f"{self.name}: x outside tabulated range")
 
+    def _refuse_nan(self, values, args, in_u: bool):
+        # NaN propagates through the minimum: one reduction decides
+        if math.isnan(np.minimum.reduce(values, axis=None, initial=math.inf)):
+            at = float(args.flat[np.flatnonzero(np.isnan(values))[0]])
+            raise DomainError(f"{self.name}: log U is NaN at x = {math.exp(at) if in_u else at:g}")
+        return values
+
     def log_at(self, x):
         """log U(x) for x > 0, float64 values shaped like x."""
         x = np.asarray(x, dtype=float)
         self._check_x(x)
         if self.log_at_x is not None:
-            return self.log_at_x(x)
-        return self.log_at_logx(np.log(x))
+            return self._refuse_nan(self.log_at_x(x), x, False)
+        return self._refuse_nan(self.log_at_logx(np.log(x)), x, False)
 
     def log_at_u(self, u):
         """log U(exp(u)) for u whose exp(u) is a positive finite float, shaped like u."""
@@ -151,7 +163,7 @@ class FunctionHandle:
                 lo, hi = self.log_domain
                 if u_lo < lo - 1e-12 or u_hi > hi + 1e-12:
                     raise DomainError(f"{self.name}: log-argument outside tabulated range")
-        return self.log_at_logx(ua)
+        return self._refuse_nan(self.log_at_logx(ua), ua, True)
 
 
 # ---------------------------------------------------------------------------

@@ -336,6 +336,8 @@ def probe_integral_convergence(U: FunctionHandle, r: float,
     )
     # log increment ratios over the last sustained stretch
     tail = inc[-(_SUSTAIN + 1):]
+    if tail.max() == math.inf:  # a partial integral beyond the float range
+        return ConvergenceVerdict("Divergent", trace)
     if np.all(~np.isfinite(tail)):
         return ConvergenceVerdict("Convergent", trace)
     dlog = np.diff(tail)

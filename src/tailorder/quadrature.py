@@ -9,7 +9,8 @@ mass du * exp(g0) * phi(g1 - g0) with phi(d) = (exp(d) - 1)/d. The rule is
 exact for power-law integrands, and exact for dyadic step integrands when the
 grid is octave-aligned. Cell endpoints are probed with a small inward nudge
 so right-continuous steps resolve to the correct side despite float rounding
-of exp/log at the breakpoints.
+of exp/log at the breakpoints. At an infinite end the rule takes its limits:
+a cell's mass is +inf at a +inf end, else 0 (log -inf) at a -inf end.
 
 Integrals in linear x (the Laplace transform, convolutions) use a batched
 adaptive Gauss-Kronrod rule that refines many integrals together. Each
@@ -58,12 +59,9 @@ def log_phi(d: np.ndarray) -> np.ndarray:
 
 def logsumexp(values: np.ndarray) -> float:
     v = np.asarray(values, dtype=float)
-    v = v[~np.isnan(v)]
-    if v.size == 0:
-        return -math.inf
-    m = v.max()
-    if m == -math.inf:
-        return -math.inf
+    m = v.max(initial=-math.inf)
+    if math.isinf(m):
+        return float(m)
     return float(m + math.log(np.exp(v - m).sum()))
 
 
@@ -77,10 +75,14 @@ def cell_pair_log_masses(log_f, u_lo, u_hi) -> np.ndarray:
     u_hi = np.asarray(u_hi, dtype=float)
     g_lo = log_f(np.exp(u_lo) * (1.0 + _NUDGE))
     g_hi = log_f(np.exp(u_hi) * (1.0 - _NUDGE))
-    # a cell with log_f = -inf at both ends is NaN here, and logsumexp
-    # drops it: mass 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        return g_lo + np.log(u_hi - u_lo) + log_phi(g_hi - g_lo)
+        out = g_lo + np.log(u_hi - u_lo) + log_phi(g_hi - g_lo)
+    # the rule's limits at an infinite end, where it reads inf - inf: a +inf
+    # end gives mass +inf; a -inf end beside a finite or -inf one gives 0
+    if math.isnan(np.minimum.reduce(out, initial=math.inf)):
+        nan = np.isnan(out)
+        out[nan] = np.where(np.maximum(g_lo, g_hi)[nan] == math.inf, math.inf, -math.inf)
+    return out
 
 
 def cell_log_masses(log_f, u_edges: np.ndarray) -> np.ndarray:
@@ -94,7 +96,7 @@ _CELLS_PER_OCTAVE = 256
 
 def octave_integral(handle, r: float, n_octaves: int) -> np.ndarray:
     """Per-octave log masses of x**(r-1) U(x) over [2**k, 2**(k+1)], k = 0, 1, ..."""
-    m = _CELLS_PER_OCTAVE
+    steps = np.arange(_CELLS_PER_OCTAVE + 1) / _CELLS_PER_OCTAVE
     masses = np.empty(n_octaves)
 
     # in u = log x coordinates the integrand carries the Jacobian e^u:
@@ -103,7 +105,7 @@ def octave_integral(handle, r: float, n_octaves: int) -> np.ndarray:
         return r * np.log(x) + handle.log_at(x)
 
     for j in range(n_octaves):
-        edges = (j + np.arange(m + 1) / m) * LOG2_
+        edges = (j + steps) * LOG2_
         masses[j] = logsumexp(cell_log_masses(log_f, edges))
     return masses
 

@@ -51,8 +51,7 @@ def regularize_origin(U: FunctionHandle, rho: float) -> FunctionHandle:
     log_u1 = float(U.log_at(1.0))
 
     def log_at_logx(u):
-        return np.where(u >= 0.0, U.log_at_logx(np.maximum(u, 0.0)),
-                        log_u1 + rho * u)
+        return np.where(u >= 0.0, U.log_at_u(np.maximum(u, 0.0)), log_u1 + rho * u)
 
     return FunctionHandle(
         name=f"origin_reg({U.name})", log_at_logx=log_at_logx, truth=U.truth,
@@ -69,10 +68,8 @@ _GRADED_Y = (8.0 ** -1, 8.0 ** -2, 8.0 ** -3, 8.0 ** -4)
 
 
 def _log_integrand(U: FunctionHandle, y: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """-y + log U(y/s) at the y of each row, one row per s; NaN reads -inf."""
-    with np.errstate(all="ignore"):
-        lg = -y + U.log_at(y / s[:, None])
-    return np.where(np.isnan(lg), -np.inf, lg)
+    """-y + log U(y/s) at the y of each row, one row per s."""
+    return -y + U.log_at(y / s[:, None])
 
 
 def _check_x_finite(y: float, s: np.ndarray, why: str) -> None:
@@ -89,12 +86,15 @@ def _upper_limits(U: FunctionHandle, s: np.ndarray) -> np.ndarray:
     """Per s, the first scan point beyond the peak where the integrand has
     fallen _CUTOFF_NATS below it.
 
-    A row still within the cutoff at 2**11 keeps doubling y until it falls
-    that far below its running maximum. QuadratureFailure, naming s, when
-    y/s leaves the float range within the scan or before that fall.
+    The scan stops at the last power of two whose y/s is finite for every s.
+    A row still within the cutoff there keeps doubling y until it falls that
+    far below its running maximum. QuadratureFailure, naming s, when y/s
+    leaves the float range before that fall.
     """
     ys = _PEAK_SCAN_Y
-    _check_x_finite(ys[-1], s, f"is scanned for its peak up to y = {ys[-1]:g},")
+    _check_x_finite(ys[0], s, f"is scanned for its peak from y = {ys[0]:g},")
+    with np.errstate(over="ignore"):
+        ys = ys[ys / s.min() < math.inf]
     lg = _log_integrand(U, ys, s)
     peak = lg.max(axis=1)
     if not np.isfinite(peak).all():
@@ -139,8 +139,7 @@ def _log_transform(U: FunctionHandle, s: np.ndarray) -> np.ndarray:
     edges = dyadic_edges(_upper_limits(U, s), s, *_GRADED_Y)
 
     def log_f(y, ids):
-        x = y / s[ids][:, None]
-        return -y + U.log_at(x)
+        return _log_integrand(U, y, s[ids])
 
     out = batched_log_quad(log_f, edges[:, :-1], edges[:, 1:])
     if np.any(out == -np.inf):

@@ -179,6 +179,15 @@ def test_compose_nan_is_a_domain_error_not_a_label(outer, inner):
             to.classify(h)
 
 
+def test_compose_past_the_float_range_has_kappa_minus_inf():
+    # exp(e^x): log U is +inf beyond x ~ 709, so every probe's octave masses
+    # end at +inf, a divergent integral (these once read as mass 0: kappa inf)
+    h = to.compose(to.make_exp_pos(), to.make_exp_pos())
+    assert to.classify(h) == L.m_neg_inf()
+    assert to.probe_integral_convergence(h, -64.0).is_divergent
+    assert to.estimate_kappa(h).value == -math.inf
+
+
 def test_convolve_closed_form():
     h = to.convolve(to.make_exp_neg(), to.make_exp_neg())
     for x in (2.0, 10.0, 50.0):

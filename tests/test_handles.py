@@ -1,5 +1,7 @@
+import functools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +241,29 @@ def test_log_at_u_rejects_non_finite(bad):
         h.log_at_u(np.array([1.0, bad, 2.0]))
 
 
+def _nan_beyond_1e4():
+    return to.FunctionHandle(
+        name="nan_tail", log_at_x=lambda x: np.where(x > 1e4, np.nan, -2.0 * np.log(x)))
+
+
+def test_entry_points_refuse_nan_naming_the_first_x():
+    h = _nan_beyond_1e4()
+    assert h.log_at(1e4) == pytest.approx(-2.0 * math.log(1e4), rel=1e-15)
+    with pytest.raises(DomainError, match=r"nan_tail: log U is NaN at x = 20000$"):
+        h.log_at(np.array([[10.0, 2e4], [3e4, 5.0]]))
+    with pytest.raises(DomainError, match=r"nan_tail: log U is NaN at x = 50000$"):
+        h.log_at_u(np.log([10.0, 5e4, 3e4]))
+
+
+def test_nan_is_an_error_not_a_label():
+    # a NaN sample once read as rapid decay: MInf with kappa = inf
+    h = _nan_beyond_1e4()
+    with pytest.raises(DomainError, match="nan_tail: log U is NaN"):
+        to.classify(h)
+    with pytest.raises(DomainError, match="nan_tail: log U is NaN"):
+        to.estimate_kappa(h)
+
+
 # valid parameters for the catalog members that take any
 _VALID_PARAMS = {
     "log_perturbed_power": {"alpha": -2.0, "c": 0.5},
@@ -381,6 +406,59 @@ def test_log_at_returns_float64_shaped_like_its_input(name):
             assert out.dtype == np.float64 and out.shape == a.shape, (method.__name__, a.shape)
         rows = np.stack([method(row) for row in arg])
         assert method(arg).tobytes() == rows.tobytes(), method.__name__
+
+
+def test_closures_keep_the_table_range():
+    # a closure reads its operand through log_at_u, which refuses a point
+    # beyond the table instead of extrapolating it flat
+    xs = np.geomspace(2.0, 1e4, 20)
+    h = to.reciprocal(to.from_table(xs, -1.5 * np.log(xs)))
+    assert h.log_at(100.0) == pytest.approx(1.5 * math.log(100.0), rel=1e-12)
+    with pytest.raises(DomainError, match="table: log-argument outside tabulated range"):
+        h.log_at(1e8)
+    with pytest.raises(DomainError, match="outside tabulated range"):
+        to.estimate_kappa(h)
+
+
+def test_compose_refuses_a_tabulated_outer():
+    with pytest.raises(ParamError, match="outer function table is tabulated"):
+        to.compose(to.from_table(*_power_table()), to.make_power_tail(1.0))
+
+
+def _labels_agree(got, want, tol=0.05):
+    if got.tag != want.tag:
+        return False
+    edges = [(got.rho, want.rho)] if got.is_m else [(got.mu, want.mu), (got.nu, want.nu)]
+    return all(a == b or abs(a - b) <= tol for a, b in edges if a is not None)
+
+
+def test_closures_over_the_catalog_agree_with_the_prediction():
+    # every member under reciprocal, and every pair under product,
+    # scale_add(1, .) and compose: 520 cases. No warning escapes, a failure
+    # is typed, and a decided label matches a decided prediction from the
+    # operands' measured labels
+    members = [to.make_named(n, _VALID_PARAMS.get(n)) for n in to.catalog_names()]
+    measured = {h.name: to.classify(h) for h in members}
+    build = {to.OpKind.RECIPROCAL: to.reciprocal, to.OpKind.PRODUCT: to.product,
+             to.OpKind.SCALE_ADD: functools.partial(to.scale_add, 1.0),
+             to.OpKind.COMPOSE: to.compose}
+    cases = [(to.OpKind.RECIPROCAL, (u,)) for u in members]
+    cases += [(op, (u, v)) for op in list(build)[1:] for u in members for v in members]
+    assert len(cases) == 520
+    both = 0
+    for op, operands in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = to.classify(build[op](*operands))
+            except to.TailOrderError:
+                continue
+        a = 1.0 if op is to.OpKind.SCALE_ADD else None
+        want = to.predicted_class(op, [measured[h.name] for h in operands], a)
+        if got.is_decided and want.is_decided:
+            both += 1
+            assert _labels_agree(got, want), (op, [h.name for h in operands], got, want)
+    assert both >= 150  # 167 when this test was written
 
 
 def test_last_window_mean_tracks_order():

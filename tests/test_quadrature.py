@@ -122,3 +122,32 @@ def test_convolution_log_f_sees_at_most_one_block():
     to.convolve(U, to.make_power_tail(-1.8)).log_at(np.geomspace(10.0, 1e8, 128))
     assert sum(rows) >= 3954
     assert max(rows) <= quadrature._GK_BLOCK
+
+
+def test_cell_rule_limits_at_infinite_ends():
+    # cell k spans u in [2k, 2k + 1]; every end has its own log-integrand
+    # value, read back from the integer nearest log x
+    ends = [-math.inf, 0.5, math.inf]
+    pairs = [(lo, hi) for lo in ends for hi in ends] + [(-3.0, 2.0), (7.0, 7.0)]
+    g = {}
+    for k, (lo, hi) in enumerate(pairs):
+        g[2 * k], g[2 * k + 1] = lo, hi
+
+    def log_f(x):
+        return np.array([g[round(math.log(v))] for v in x])
+
+    u_lo = 2.0 * np.arange(len(pairs))
+    got = quadrature.cell_pair_log_masses(log_f, u_lo, u_lo + 1.0)
+    g_lo, g_hi = np.array(pairs).T
+    with np.errstate(invalid="ignore"):
+        rule = g_lo + np.log(1.0) + quadrature.log_phi(g_hi - g_lo)
+    for (lo, hi), mass, want in zip(pairs, got, rule):
+        if math.inf in (lo, hi):
+            assert mass == math.inf, (lo, hi)
+        elif -math.inf in (lo, hi):
+            assert mass == -math.inf, (lo, hi)
+        else:
+            # a finite cell keeps the bits of the rule itself
+            assert mass == want, (lo, hi)
+    assert quadrature.logsumexp(got) == math.inf
+    assert quadrature.logsumexp(got[[0, 1, 3]]) == -math.inf

@@ -43,7 +43,8 @@ def test_transform_requires_finite_s(s):
         to.laplace_stieltjes(to.make_ramp_power(1.0), s)
 
 
-@pytest.mark.parametrize("s, log_value", [(1e-300, "1036.45"), (1e250, "-863.185")])
+@pytest.mark.parametrize("s, log_value", [(1e-300, "1036.45"), (1e-306, "1057.17"),
+                                          (1e250, "-863.185")])
 def test_transform_beyond_the_float_range_is_named(s, log_value):
     # the log transform is finite, its exp overflows to inf or underflows to 0
     with pytest.raises(ParamError, match=re.escape(f"s = {s:g} is exp({log_value})")):
@@ -157,11 +158,26 @@ def test_transform_integrand_that_never_decays_is_named():
 
 
 def test_transform_scan_beyond_the_float_range_names_s():
-    # y/s overflows within the peak scan: no x was at or below 0
+    # y/s overflows before the integrand falls from its peak near y = 300:
+    # no x was at or below 0
     with pytest.raises(QuadratureFailure, match=r"s = 1e-306 .* float range"):
-        to.laplace_stieltjes(to.make_ramp_power(1.5), 1e-306)
+        to.laplace_stieltjes(to.make_ramp_power(300.0), 1e-306)
     with pytest.raises(QuadratureFailure, match=r"s = 1e-306 .* float range"):
-        to.transform_handle(to.make_ramp_power(0.3)).log_at(np.array([10.0, 1e306]))
+        to.transform_handle(to.make_ramp_power(300.0)).log_at(np.array([10.0, 1e306]))
+    # below s = 2**-20 / 1.8e308 not even the first scan point is in range
+    with pytest.raises(QuadratureFailure, match=r"peak from y = 9\.53674e-07, .* float range"):
+        to.laplace_stieltjes(to.make_ramp_power(0.3), 1e-320)
+
+
+def test_transform_at_tiny_s_scans_up_to_the_float_range():
+    # y/s overflows past y = 2**7, long after the integrand has fallen 40
+    # nats below its peak near y = 0.3
+    s = 1e-306
+    got = to.laplace_stieltjes(to.make_ramp_power(0.3), s)
+    assert abs(math.log(got) - (math.lgamma(1.3) - 0.3 * math.log(s))) <= 1e-8
+    got = to.transform_handle(to.make_ramp_power(0.3)).log_at(np.array([10.0, 1.0 / s]))
+    np.testing.assert_allclose(got, math.lgamma(1.3) + 0.3 * np.log([10.0, 1.0 / s]),
+                               rtol=0, atol=1e-8)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
