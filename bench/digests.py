@@ -21,11 +21,15 @@ a small order and s (the y**alpha cusp at y = 0), the transform handle of a
 regularized power tail, the excess-ratio probe of a Pareto tail, a
 convolution and a transform handle on 128 points, whose quadrature rounds
 span several blocks of panels, a product over a table, evaluated inside the
-table's range, and last the Laplace transform at s = 1e-306, whose peak
-scan stops where y/s leaves the float range (a checkout that refuses that
-s prints ``lib failed`` in its place). Each prints ``lib``, the sha256 of
-its result (the shape and bytes of an array, the sorted JSON of a report)
-and the expression.
+table's range, the Laplace transform at s = 1e-306, whose peak scan stops
+where y/s leaves the float range (a checkout that refuses that s prints
+``lib failed`` in its place), the moment index of a reciprocal, a closure
+that reads its operand's raw rule at every probe point, and last a
+composition over a tabulated outer function, evaluated where the inner
+values lie within the table's rows (a checkout that refuses a tabulated
+outer function prints ``lib failed`` in its place). Each prints ``lib``, the
+sha256 of its result (the shape and bytes of an array, the sorted JSON of a
+report) and the expression.
 The first line names the numpy version and the SIMD extensions numpy
 enabled, as float results may differ in their last bits on another build
 or CPU: only printouts with equal first lines compare.
@@ -85,6 +89,10 @@ LIBRARY = (
     " -1.5 * np.log(np.geomspace(2.0, 1e4, 20))), to.make_power_tail(1.0))"
     ".log_at(np.geomspace(2.0, 1e4, 16))",
     "to.laplace_stieltjes(to.make_ramp_power(0.3), 1e-306)",
+    "to.estimate_kappa(to.reciprocal(to.make_power_tail(1.5))).value",
+    "to.compose(to.from_table(np.geomspace(2.0, 1e8, 20),"
+    " 0.5 * np.log(np.geomspace(2.0, 1e8, 20))), to.make_power_tail(2.0))"
+    ".log_at(np.geomspace(2.0, 1e4, 16))",
 )
 # evaluates each expression of argv in one interpreter and prints its digest line
 LIBRARY_RUNNER = """

@@ -162,41 +162,42 @@ def scale_add(a: float, U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
     a = float(a)
     label = _scale_add_label(a, _label_of(U), _label_of(V))
     if a == 0.0:
-        return _derived(f"0*{U.name}+{V.name}", V.log_at_u, label, V)
+        return _derived(f"0*{U.name}+{V.name}", V.log_at_logx, label, V)
     log_a = math.log(a)
 
     def log_at_logx(u):
-        return np.logaddexp(log_a + U.log_at_u(u), V.log_at_u(u))
+        with np.errstate(invalid="ignore"):  # a NaN operand gives NaN: the composite refuses it
+            return np.logaddexp(log_a + U.log_at_logx(u), V.log_at_logx(u))
 
     return _derived(f"{a:g}*{U.name}+{V.name}", log_at_logx, label, U, V)
 
 
 def reciprocal(U: FunctionHandle) -> FunctionHandle:
     label = _reciprocal_label(_label_of(U))
-    return _derived(f"1/({U.name})", lambda u: -U.log_at_u(u), label, U)
+    return _derived(f"1/({U.name})", lambda u: -U.log_at_logx(u), label, U)
 
 
 def product(U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
     label = _product_label(_label_of(U), _label_of(V))
 
     def log_at_logx(u):
-        return U.log_at_u(u) + V.log_at_u(u)
+        with np.errstate(invalid="ignore"):  # inf * 0 gives NaN: the composite refuses it
+            return U.log_at_logx(u) + V.log_at_logx(u)
 
     return _derived(f"({U.name})*({V.name})", log_at_logx, label, U, V)
 
 
 def compose(U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
     """Handle for U(V(x)); prediction requires the inner function to diverge."""
-    if U.log_domain is not None:  # its raw rule below cannot check a table's range
-        raise ParamError(f"compose: the outer function {U.name} is tabulated")
     label = _compose_label(_label_of(U), _label_of(V))
 
     def log_at_logx(u):
-        inner = V.log_at_u(u)
+        inner = V.log_at_u(u)  # checked: a step outer rule maps NaN to a level
         if np.any(inner == -math.inf):
             raise DomainError(f"compose: inner value 0 lies outside the domain of {U.name}")
-        # U's rule reads these log values raw, past the float range of exp too;
-        # where it cannot resolve them it gives NaN, which the entry points refuse
+        # U's rule reads these log values raw, past the float range of exp too,
+        # refuses those beyond its domain (a table's rows) and gives NaN where
+        # it cannot resolve them, which the entry points refuse
         with np.errstate(all="ignore"):
             return U.log_at_logx(inner)
 

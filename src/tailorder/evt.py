@@ -235,6 +235,8 @@ def gpd_ratio_probe(D: DistributionHandle, xi: float, a_fn: Callable,
     holds at this xi and a(.). Persistent spread across a whole scale family
     is the violation signature.
     """
+    if not math.isfinite(xi):
+        raise ParamError(f"excess-ratio probe requires a finite xi, got xi = {xi:g}")
     spec = GPDSpec(xi=xi)
     xs = np.asarray(x_probe, dtype=float)
     if np.any(1.0 + xi * xs <= 0.0):
@@ -260,8 +262,9 @@ def gpd_ratio_probe(D: DistributionHandle, xi: float, a_fn: Callable,
     per_x = {}
     all_ok = True
     tail_half = us.size // 2
+    log_at_us = D.base.log_at(us)
     for x in xs:
-        ratios = np.exp(D.base.log_at(us + x * av) - D.base.log_at(us))
+        ratios = np.exp(D.base.log_at(us + x * av) - log_at_us)
         tail = ratios[tail_half:]
         spread = float(tail.max() - tail.min())
         target = float(spec.cdf_complement(x))

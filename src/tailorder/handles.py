@@ -10,10 +10,10 @@ handle returns the new level.
 The evaluation contract: ``FunctionHandle.log_at(x)`` and ``log_at_u(u)``
 take an input of any shape and return float64 values of that shape (a numpy
 float or a 0-d array for a 0-d input), so callers use the result as it is.
-A value is never NaN: both refuse one with a DomainError naming the handle
-and the first such x. Closures read their operands through these entry
-points, not the raw rules (but for ``compose``'s outer one), so that refusal
-and a table's range reach through them.
+Each evaluation is checked once: both refuse an x outside (0, inf) and a NaN
+value with a DomainError naming the handle and the first such x. A rule owns
+its domain (a table's refuses a u beyond its rows). Closures compose raw
+rules, so the composite refuses an operand's NaN; ``compose`` checks its inner.
 """
 
 from __future__ import annotations
@@ -96,6 +96,7 @@ class FunctionHandle:
     is exact in its own coordinate (step levels decided without an exp/log
     round trip). A rule maps a float64 array to float64 values of its shape,
     so ``log_at`` and ``log_at_u`` return values shaped like their input.
+    A rule refuses what it cannot evaluate; the entry points check the rest, once.
     """
 
     name: str
@@ -127,10 +128,6 @@ class FunctionHandle:
             bad = x_hi if 0.0 < x_lo else x_lo
             raise DomainError(f"{self.name}: evaluation requires x > 0 and finite, "
                               f"got x = {bad:g}")
-        if self.log_domain is not None:
-            lo, hi = self.log_domain
-            if math.log(x_lo) < lo - 1e-12 or math.log(x_hi) > hi + 1e-12:
-                raise DomainError(f"{self.name}: x outside tabulated range")
 
     def _refuse_nan(self, values, args, in_u: bool):
         # NaN propagates through the minimum: one reduction decides
@@ -159,10 +156,6 @@ class FunctionHandle:
                 x_lo, x_hi = np.exp(u_lo), np.exp(u_hi)
             if not (0.0 < x_lo and x_hi < math.inf):
                 raise DomainError(f"{self.name}: exp(u) must be a positive finite float")
-            if self.log_domain is not None:
-                lo, hi = self.log_domain
-                if u_lo < lo - 1e-12 or u_hi > hi + 1e-12:
-                    raise DomainError(f"{self.name}: log-argument outside tabulated range")
         return self._refuse_nan(self.log_at_logx(ua), ua, True)
 
 
@@ -499,7 +492,9 @@ def from_table(xs, log_values) -> FunctionHandle:
         raise FormatError("table abscissas must be strictly increasing")
     us = np.array([math.log(x) for x in xa])
 
-    def log_at_logx(u):
+    def log_at_logx(u):  # a u beyond the rows, 1e-12 of rounding aside, is refused
+        if u.size and not (us[0] - 1e-12 <= u.min() and u.max() <= us[-1] + 1e-12):
+            raise DomainError("table: log-argument outside tabulated range")
         return np.interp(u, us, va)
 
     return FunctionHandle(

@@ -79,7 +79,7 @@ def cell_pair_log_masses(log_f, u_lo, u_hi) -> np.ndarray:
         out = g_lo + np.log(u_hi - u_lo) + log_phi(g_hi - g_lo)
     # the rule's limits at an infinite end, where it reads inf - inf: a +inf
     # end gives mass +inf; a -inf end beside a finite or -inf one gives 0
-    if math.isnan(np.minimum.reduce(out, initial=math.inf)):
+    if math.isnan(np.minimum.reduce(out, axis=None, initial=math.inf)):
         nan = np.isnan(out)
         out[nan] = np.where(np.maximum(g_lo, g_hi)[nan] == math.inf, math.inf, -math.inf)
     return out

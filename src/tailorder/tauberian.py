@@ -51,7 +51,7 @@ def regularize_origin(U: FunctionHandle, rho: float) -> FunctionHandle:
     log_u1 = float(U.log_at(1.0))
 
     def log_at_logx(u):
-        return np.where(u >= 0.0, U.log_at_u(np.maximum(u, 0.0)), log_u1 + rho * u)
+        return np.where(u >= 0.0, U.log_at_logx(np.maximum(u, 0.0)), log_u1 + rho * u)
 
     return FunctionHandle(
         name=f"origin_reg({U.name})", log_at_logx=log_at_logx, truth=U.truth,
@@ -165,10 +165,10 @@ def laplace_stieltjes(U: FunctionHandle, s: float) -> float:
 
 
 def transform_handle(U: FunctionHandle) -> FunctionHandle:
-    """Handle for s -> transform(1/s): large s probes the small-s regime."""
+    """Handle for s -> transform(1/s), large s probing small s; U(0+) = 0 is checked once."""
+    _check_vanishes_at_origin(U)
 
     def log_at_x(x):
-        _check_vanishes_at_origin(U)
         return _log_transform(U, 1.0 / x).reshape(x.shape)
 
     return FunctionHandle(
@@ -214,11 +214,10 @@ def tauberian_check(U: FunctionHandle, grid: GridSpec = GridSpec(),
         )
     work = U
     try:
-        _check_vanishes_at_origin(work)
+        H = transform_handle(work)
     except PreconditionError:
         work = regularize_origin(U, label.rho)
-        _check_vanishes_at_origin(work)
-    H = transform_handle(work)
+        H = transform_handle(work)
     sub = dataclasses.replace(grid, points=min(grid.points, _TRANSFORM_POINTS))
     h_label = classify(H, sub, tol)
     ok = h_label.is_m and abs(h_label.rho - label.rho) <= tol

@@ -276,6 +276,13 @@ def test_excess_ratio_support_validation():
         to.gpd_ratio_probe(D, -0.5, lambda u: np.asarray(u), x_probe=[3.0])
 
 
+@pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
+def test_excess_ratio_refuses_a_non_finite_xi(xi):
+    D = to.distribution_for(to.make_pareto_tail(2.0))
+    with pytest.raises(ParamError, match=f"finite xi, got xi = {xi:g}$"):
+        to.gpd_ratio_probe(D, xi, lambda u: np.asarray(u) / 2.0)
+
+
 def test_excess_violation_for_oscillating_tails():
     for make in (lambda: to.make_oset_geometric(1.0, -2.0, 2.0),
                  lambda: to.make_oset_tower(1.0, -1.0)):

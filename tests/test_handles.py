@@ -409,8 +409,8 @@ def test_log_at_returns_float64_shaped_like_its_input(name):
 
 
 def test_closures_keep_the_table_range():
-    # a closure reads its operand through log_at_u, which refuses a point
-    # beyond the table instead of extrapolating it flat
+    # the table's rule refuses a point beyond its rows instead of
+    # extrapolating it flat, also where a closure reads it raw
     xs = np.geomspace(2.0, 1e4, 20)
     h = to.reciprocal(to.from_table(xs, -1.5 * np.log(xs)))
     assert h.log_at(100.0) == pytest.approx(1.5 * math.log(100.0), rel=1e-12)
@@ -420,9 +420,65 @@ def test_closures_keep_the_table_range():
         to.estimate_kappa(h)
 
 
-def test_compose_refuses_a_tabulated_outer():
-    with pytest.raises(ParamError, match="outer function table is tabulated"):
-        to.compose(to.from_table(*_power_table()), to.make_power_tail(1.0))
+def test_compose_over_a_tabulated_outer_is_known_on_its_range():
+    # sqrt(V) with V = x**2: log x wherever 2 log x lies within the rows
+    xs = np.geomspace(2.0, 1e8, 20)
+    h = to.compose(to.from_table(xs, 0.5 * np.log(xs)), to.make_power_tail(2.0))
+    inside = np.geomspace(2.0, 1e4, 16)
+    np.testing.assert_allclose(h.log_at(inside), np.log(inside), rtol=1e-13, atol=0)
+    for beyond in (1.2, 1e5):
+        with pytest.raises(DomainError, match="^table: log-argument outside tabulated range$"):
+            h.log_at(np.array([100.0, beyond]))
+
+
+# each closure over one operand W, with a catalog power where it needs two
+_CLOSURES = {
+    "reciprocal": to.reciprocal,
+    "product": lambda W: to.product(to.make_power_tail(1.0), W),
+    "scale_add(1)": lambda W: to.scale_add(1.0, W, to.make_power_tail(-1.0)),
+    "scale_add(0)": lambda W: to.scale_add(0.0, to.make_power_tail(-1.0), W),
+    "regularize_origin": lambda W: to.regularize_origin(W, 2.0),
+    "compose": lambda W: to.compose(to.make_power_tail(1.0), W),
+}
+
+
+@pytest.mark.parametrize("name", _CLOSURES)
+def test_closures_refuse_an_operands_nan_naming_the_composite(name):
+    # the operand's raw rule gives NaN and the composite's check names it;
+    # compose reads its inner operand checked, so the inner is named there
+    h = _CLOSURES[name](_nan_beyond_1e4())
+    named = "nan_tail" if name == "compose" else h.name
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(h.log_at(5e3))
+        for method, arg in ((h.log_at, np.array([10.0, 2e4, 3e4])),
+                            (h.log_at_u, np.log([10.0, 2e4, 3e4]))):
+            with pytest.raises(DomainError,
+                               match=f"^{re.escape(named)}: log U is NaN at x = 20000$"):
+                method(arg)
+
+
+def test_a_product_of_inf_and_zero_is_refused_as_nan():
+    # past x ~ 1e305 exp(e^x) is +inf and floor_log_tail is 0: no value
+    h = to.product(to.compose(to.make_exp_pos(), to.make_exp_pos()), to.make_floor_log_tail())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(h.log_at(10.0))
+        with pytest.raises(DomainError, match=f"^{re.escape(h.name)}: log U is NaN at x = 1e"):
+            h.log_at(np.array([10.0, 1e306]))
+
+
+@pytest.mark.parametrize("name", _CLOSURES)
+def test_a_table_refuses_a_point_beyond_its_rows_through_each_closure(name):
+    xs = np.geomspace(1.0, 1e4, 9)
+    table = to.from_table(xs, -2.0 * np.log(xs))
+    outside = "^table: log-argument outside tabulated range$"
+    for h in (table, _CLOSURES[name](table)):
+        assert np.all(np.isfinite(h.log_at(np.array([2.0, 1e4]))))
+        with pytest.raises(DomainError, match=outside):
+            h.log_at(np.array([2.0, 1e8]))
+        with pytest.raises(DomainError, match=outside):
+            h.log_at_u(np.log([2.0, 1e8]))
 
 
 def _labels_agree(got, want, tol=0.05):

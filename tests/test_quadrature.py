@@ -151,3 +151,17 @@ def test_cell_rule_limits_at_infinite_ends():
             assert mass == want, (lo, hi)
     assert quadrature.logsumexp(got) == math.inf
     assert quadrature.logsumexp(got[[0, 1, 3]]) == -math.inf
+
+
+def test_cell_rule_on_a_2d_batch_equals_its_rows():
+    # one cell of a (3, 4) batch ends where the log-integrand is +inf
+    def log_f(x):
+        return np.where(x > 500.0, math.inf, -1.5 * np.log(x))
+
+    u_lo = np.linspace(0.0, 6.0, 12).reshape(3, 4)
+    u_hi = u_lo + 0.5
+    got = quadrature.cell_pair_log_masses(log_f, u_lo, u_hi)
+    assert np.isinf(got).sum() == 1
+    rows = np.stack([quadrature.cell_pair_log_masses(log_f, lo, hi)
+                     for lo, hi in zip(u_lo, u_hi)])
+    assert got.shape == (3, 4) and got.tobytes() == rows.tobytes()

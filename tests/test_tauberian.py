@@ -32,6 +32,11 @@ def test_transform_requires_vanishing_origin():
         to.laplace_stieltjes(to.make_power_tail(1.0), 0.1)
 
 
+def test_transform_handle_probes_the_origin_when_it_is_built():
+    with pytest.raises(PreconditionError, match="does not vanish at the origin"):
+        to.transform_handle(to.make_power_tail(2.0))
+
+
 def test_transform_requires_positive_s():
     with pytest.raises(ParamError):
         to.laplace_stieltjes(to.make_ramp_power(1.0), 0.0)
