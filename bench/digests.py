@@ -27,7 +27,12 @@ where y/s leaves the float range (a checkout that refuses that s prints
 that reads its operand's raw rule at every probe point, and last a
 composition over a tabulated outer function, evaluated where the inner
 values lie within the table's rows (a checkout that refuses a tabulated
-outer function prints ``lib failed`` in its place). Each prints ``lib``, the
+outer function prints ``lib failed`` in its place). Three convolutions
+close the list: a ramp pair from x = 1e-300 to 1e300, a power pair in
+log-argument coordinates at u = 650 and 705, and the Tauberian report of
+that ramp pair, which vanishes at the origin (a checkout whose convolution
+fails outside x in (1e-300, 1e14) prints ``lib failed`` in their place).
+Each prints ``lib``, the
 sha256 of its result (the shape and bytes of an array, the sorted JSON of a
 report) and the expression.
 The first line names the numpy version and the SIMD extensions numpy
@@ -93,6 +98,12 @@ LIBRARY = (
     "to.compose(to.from_table(np.geomspace(2.0, 1e8, 20),"
     " 0.5 * np.log(np.geomspace(2.0, 1e8, 20))), to.make_power_tail(2.0))"
     ".log_at(np.geomspace(2.0, 1e4, 16))",
+    "to.convolve(to.make_ramp_power(0.5), to.make_ramp_power(1.5))"
+    ".log_at(np.array([1e-300, 1.0, 1e14, 1e100, 1e300]))",
+    "to.convolve(to.make_power_tail(-2.0), to.make_power_tail(-3.0))"
+    ".log_at_u(np.array([650.0, 705.0]))",
+    "to.tauberian_check(to.convolve(to.make_ramp_power(0.5), to.make_ramp_power(1.5)),"
+    " grid=to.GridSpec(points=128)).to_dict()",
 )
 # evaluates each expression of argv in one interpreter and prints its digest line
 LIBRARY_RUNNER = """

@@ -10,10 +10,11 @@ handle returns the new level.
 The evaluation contract: ``FunctionHandle.log_at(x)`` and ``log_at_u(u)``
 take an input of any shape and return float64 values of that shape (a numpy
 float or a 0-d array for a 0-d input), so callers use the result as it is.
-Each evaluation is checked once: both refuse an x outside (0, inf) and a NaN
-value with a DomainError naming the handle and the first such x. A rule owns
-its domain (a table's refuses a u beyond its rows). Closures compose raw
-rules, so the composite refuses an operand's NaN; ``compose`` checks its inner.
+Every handle carries a raw rule in each coordinate; one checked evaluator
+serves both, refusing an x (or exp(u)) outside (0, inf) and a NaN value with
+a DomainError naming the handle and the first such x. A rule owns its domain
+(a table's refuses a u beyond its rows). Closures compose raw rules, so the
+composite refuses an operand's NaN; ``compose`` and ``convolve`` read theirs checked.
 """
 
 from __future__ import annotations
@@ -89,14 +90,12 @@ class KnownTruth:
 class FunctionHandle:
     """Immutable positive function on (0, inf), log-space view.
 
-    A handle is defined by one vectorized rule: ``log_at_x`` (x -> log U(x))
-    or ``log_at_logx`` (u = log x -> log U(exp(u))). The other coordinate is
-    derived by composing with log or exp; a handle given only ``log_at_x``
-    gets ``log_at_logx = log_at_x(exp(u))``. Both are given only where each
-    is exact in its own coordinate (step levels decided without an exp/log
-    round trip). A rule maps a float64 array to float64 values of its shape,
-    so ``log_at`` and ``log_at_u`` return values shaped like their input.
-    A rule refuses what it cannot evaluate; the entry points check the rest, once.
+    A handle is defined by one vectorized rule, ``log_at_x`` (x -> log U(x))
+    or ``log_at_logx`` (u = log x -> log U(exp(u))); the other is derived
+    through exp or log, so every handle carries both. Both are given only
+    where each is exact in its own coordinate (step levels decided without an
+    exp/log round trip). A rule maps a float64 array to float64 values of its
+    shape and refuses what it cannot evaluate; the entry points check the rest.
     """
 
     name: str
@@ -112,51 +111,44 @@ class FunctionHandle:
     quantile: Callable | None = None
 
     def __post_init__(self) -> None:
-        if self.log_at_logx is None:
-            log_at_x = self.log_at_x
+        log_at_x, log_at_logx = self.log_at_x, self.log_at_logx
+        if log_at_logx is None:
             if log_at_x is None:
                 raise ParamError(f"{self.name}: a handle needs log_at_x or log_at_logx")
             object.__setattr__(self, "log_at_logx", lambda u: log_at_x(np.exp(u)))
+        # the x rule is no field, so that dataclasses.replace of the u rule derives it anew
+        object.__setattr__(self, "_x_rule", log_at_x or (lambda x: log_at_logx(np.log(x))))
 
-    def _check_x(self, x: np.ndarray) -> None:
-        # the extremes decide: NaN propagates through min and fails the test
-        # (the ufunc reductions skip the method dispatch of x.min() and x.max())
-        if x.size == 0:
-            return
-        x_lo, x_hi = np.minimum.reduce(x, axis=None), np.maximum.reduce(x, axis=None)
-        if not (0.0 < x_lo and x_hi < math.inf):
-            bad = x_hi if 0.0 < x_lo else x_lo
-            raise DomainError(f"{self.name}: evaluation requires x > 0 and finite, "
-                              f"got x = {bad:g}")
-
-    def _refuse_nan(self, values, args, in_u: bool):
-        # NaN propagates through the minimum: one reduction decides
+    def _evaluate(self, rule, arg, to_x):
+        """rule(arg), checked: x = to_x(arg) in (0, inf) and no NaN value."""
+        arg = np.asarray(arg, dtype=float)
+        if arg.size:  # the extremes decide: NaN propagates through min and fails
+            x_lo = to_x(np.minimum.reduce(arg, axis=None))
+            x_hi = to_x(np.maximum.reduce(arg, axis=None))
+            if not (0.0 < x_lo and x_hi < math.inf):
+                bad = x_hi if 0.0 < x_lo else x_lo
+                raise DomainError(f"{self.name}: evaluation requires x > 0 and finite, "
+                                  f"got x = {bad:g}")
+        values = rule(arg)
         if math.isnan(np.minimum.reduce(values, axis=None, initial=math.inf)):
-            at = float(args.flat[np.flatnonzero(np.isnan(values))[0]])
-            raise DomainError(f"{self.name}: log U is NaN at x = {math.exp(at) if in_u else at:g}")
+            at = to_x(arg.flat[np.flatnonzero(np.isnan(values))[0]])
+            raise DomainError(f"{self.name}: log U is NaN at x = {at:g}")
         return values
 
     def log_at(self, x):
         """log U(x) for x > 0, float64 values shaped like x."""
-        x = np.asarray(x, dtype=float)
-        self._check_x(x)
-        if self.log_at_x is not None:
-            return self._refuse_nan(self.log_at_x(x), x, False)
-        return self._refuse_nan(self.log_at_logx(np.log(x)), x, False)
+        return self._evaluate(self._x_rule, x, float)
 
     def log_at_u(self, u):
         """log U(exp(u)) for u whose exp(u) is a positive finite float, shaped like u."""
-        ua = np.asarray(u, dtype=float)
-        if ua.size:
-            # the extremes decide: NaN propagates through min and fails the test
-            u_lo, u_hi = ua.min(), ua.max()
-            if not (-math.inf < u_lo and u_hi < math.inf):
-                raise DomainError(f"{self.name}: log-argument must be finite")
-            with np.errstate(over="ignore", under="ignore"):
-                x_lo, x_hi = np.exp(u_lo), np.exp(u_hi)
-            if not (0.0 < x_lo and x_hi < math.inf):
-                raise DomainError(f"{self.name}: exp(u) must be a positive finite float")
-        return self._refuse_nan(self.log_at_logx(ua), ua, True)
+        return self._evaluate(self.log_at_logx, u, _exp)
+
+
+def _exp(u: float) -> float:
+    try:
+        return math.exp(u)
+    except OverflowError:  # inf, which the evaluator refuses
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

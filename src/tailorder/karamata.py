@@ -36,7 +36,7 @@ from .order import (
     rv_ratio_test,
     windowed_limit,
 )
-from .quadrature import cell_log_masses, cell_pair_log_masses, logsumexp
+from .quadrature import cell_log_masses, cell_pair_log_masses, logsumexp, moment_log_f
 
 # |rho| below this uses the vanishing-order representation construction
 KAPPA_ZERO_EPS = 0.02
@@ -49,11 +49,6 @@ _CELLS_PER_OCTAVE = 512
 # ---------------------------------------------------------------------------
 # cumulative integrals
 # ---------------------------------------------------------------------------
-
-
-def _moment_log_f(U: FunctionHandle, r: float):
-    """x -> log(x**(r+1) U(x)), the integrand of t**r U dt in u = log t."""
-    return lambda xx: (r + 1.0) * np.log(xx) + U.log_at(xx)
 
 
 @dataclass(frozen=True)
@@ -85,7 +80,7 @@ class CumulativeIntegral:
             base, lo, hi = self.log_values[idx + 1], u, edges[idx + 1]
         part = np.full(u.shape, -math.inf)
         nonempty = hi > lo
-        part[nonempty] = cell_pair_log_masses(_moment_log_f(self.source, self.r),
+        part[nonempty] = cell_pair_log_masses(moment_log_f(self.source, self.r + 1.0),
                                               lo[nonempty], hi[nonempty])
         out = np.logaddexp(base, part)
         return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
@@ -105,7 +100,7 @@ def cumulative_integral(U: FunctionHandle, kind: str, r: float, b: float,
     if u_max <= u_b:
         raise ParamError("integration range is empty")
     m = _CELLS_PER_OCTAVE
-    log_f = _moment_log_f(U, r)
+    log_f = moment_log_f(U, r + 1.0)
     n_cells = int(math.ceil((u_max - u_b) / (LOG2 / m)))
     edges = u_b + np.arange(n_cells + 1) * (LOG2 / m)
     cells = cell_log_masses(log_f, edges)

@@ -21,13 +21,13 @@ beyond the peak then sit in panels a Kronrod rule resolves at once, so a
 batch converges in one or two rounds instead of halving huge panels. The
 Laplace transform also grades its panels toward 0, with edges at 1/8, 1/64,
 1/512 and 1/4096, so that a y**alpha cusp at 0 is not halved one panel per
-round; the convolution keeps the dyadic panels alone.
+round; the convolution, folded at x/2, keeps the dyadic panels alone.
 
 A round evaluates its panels in blocks of at most 512, and the bits stay
 those of a single block. A 128-point batch starts from thousands of panels
-(1,536 for a transform, 3,954 for a convolution). As one (panels, 15) array
-each, its temporaries were 184 KB and 474 KB, beyond the 128 KiB above
-which glibc maps memory afresh, and every call faulted their pages in
+(1,536 for a transform, 1,977 for a convolution). As one (panels, 15) array
+each, its temporaries would be 184 KB and 237 KB, beyond the 128 KiB above
+which glibc maps memory afresh, and every call would fault their pages in
 again. A block's temporaries are 60 KiB, which the allocator mostly serves
 from heap memory already in use.
 """
@@ -94,19 +94,18 @@ def cell_log_masses(log_f, u_edges: np.ndarray) -> np.ndarray:
 _CELLS_PER_OCTAVE = 256
 
 
+def moment_log_f(handle, p: float):
+    """x -> log(x**p U(x)): x**(p-1) U(x) dx = exp(p u) U(e^u) du in u = log x."""
+    return lambda x: p * np.log(x) + handle.log_at(x)
+
+
 def octave_integral(handle, r: float, n_octaves: int) -> np.ndarray:
     """Per-octave log masses of x**(r-1) U(x) over [2**k, 2**(k+1)], k = 0, 1, ..."""
     steps = np.arange(_CELLS_PER_OCTAVE + 1) / _CELLS_PER_OCTAVE
     masses = np.empty(n_octaves)
-
-    # in u = log x coordinates the integrand carries the Jacobian e^u:
-    # x**(r-1) U(x) dx = exp(r u) U(e^u) du
-    def log_f(x):
-        return r * np.log(x) + handle.log_at(x)
-
+    log_f = moment_log_f(handle, r)
     for j in range(n_octaves):
-        edges = (j + steps) * LOG2_
-        masses[j] = logsumexp(cell_log_masses(log_f, edges))
+        masses[j] = logsumexp(cell_log_masses(log_f, (j + steps) * LOG2_))
     return masses
 
 

@@ -223,6 +223,43 @@ def test_convolve_budget_exhaustion_is_typed(monkeypatch):
         h.log_at(np.array([0.5, 7.0]))
 
 
+@pytest.mark.parametrize("x", [1e-300, 1e-10, 1.0, 1e8, 1e14, 1e100, 1e300])
+def test_convolve_ramp_pair_across_the_float_range(x):
+    # the folded integrand keeps every node inside (0, x) at any normal x
+    a, b = 0.5, 1.5
+    h = to.convolve(to.make_ramp_power(a), to.make_ramp_power(b))
+    log_beta = math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0)
+    assert abs(h.log_at(x) - (log_beta + (a + b + 1.0) * math.log(x))) <= 1e-8
+
+
+@pytest.mark.parametrize("x", [1e100, 1e300])
+def test_convolve_power_pair_at_huge_x(x):
+    # U*V ~ (integral V) U + (integral U) V = 1.5 x**-2 + 2 x**-3
+    h = to.convolve(to.make_power_tail(-2.0), to.make_power_tail(-3.0))
+    want = math.log(1.5) - 2.0 * math.log(x) + math.log1p(2.0 / (1.5 * x))
+    assert abs(h.log_at(x) - want) <= 1e-8
+
+
+def test_convolve_log_argument_past_700():
+    h = to.convolve(to.make_power_tail(-2.0), to.make_power_tail(-3.0))
+    assert h.log_at_u(705.0) == h.log_at(math.exp(705.0))
+
+
+@pytest.mark.parametrize("x", [1e-320, 5e-324])
+def test_convolve_refuses_a_subnormal_x(x):
+    h = to.convolve(to.make_power_tail(-2.0), to.make_power_tail(-3.0))
+    with pytest.raises(DomainError, match=r"conv\(power_tail\(alpha=-3\)\): .*normal"):
+        h.log_at(x)
+
+
+def test_tauberian_check_of_a_convolution_that_vanishes_at_the_origin():
+    # B(1.5, 2.5) x**3 vanishes at the origin: no regularization
+    h = to.convolve(to.make_ramp_power(0.5), to.make_ramp_power(1.5))
+    rep = to.tauberian_check(h, grid=to.GridSpec(points=128))
+    assert rep.passed
+    assert rep.measured["regularized"] is False
+
+
 @pytest.mark.parametrize("au,av,want", [
     (-3.0, -2.0, -2.0),   # lighter factor integrable, heavier order wins
     (-3.0, 2.0, 2.0),     # integrable against a growing factor

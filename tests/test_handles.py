@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import re
@@ -235,9 +236,9 @@ def test_domain_check_table_range_ends():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_log_at_u_rejects_non_finite(bad):
     h = to.make_power_tail(1.0)
-    with pytest.raises(DomainError, match="log-argument must be finite"):
+    with pytest.raises(DomainError, match="requires x > 0"):
         h.log_at_u(bad)
-    with pytest.raises(DomainError, match="log-argument must be finite"):
+    with pytest.raises(DomainError, match="requires x > 0"):
         h.log_at_u(np.array([1.0, bad, 2.0]))
 
 
@@ -284,15 +285,15 @@ def test_every_member_refuses_points_outside_its_domain(name):
         with pytest.raises(DomainError, match="requires x > 0"):
             h.log_at(np.array([10.0, x]))
     for u in (math.nan, -math.inf, math.inf):
-        with pytest.raises(DomainError, match="log-argument must be finite"):
+        with pytest.raises(DomainError, match="requires x > 0"):
             h.log_at_u(u)
-        with pytest.raises(DomainError, match="log-argument must be finite"):
+        with pytest.raises(DomainError, match="requires x > 0"):
             h.log_at_u(np.array([1.0, u]))
     # exp(u) overflows or underflows: x = exp(u) is not in (0, inf)
     for u in (720.0, -800.0):
-        with pytest.raises(DomainError, match=r"exp\(u\) must be a positive finite float"):
+        with pytest.raises(DomainError, match="requires x > 0"):
             h.log_at_u(u)
-        with pytest.raises(DomainError, match=r"exp\(u\) must be a positive finite float"):
+        with pytest.raises(DomainError, match="requires x > 0"):
             h.log_at_u(np.array([1.0, u]))
 
 
@@ -309,6 +310,13 @@ def test_u_rule_is_the_x_rule_at_exp_u(make):
 def test_handle_needs_a_rule():
     with pytest.raises(ParamError, match="needs log_at_x or log_at_logx"):
         to.FunctionHandle(name="bare")
+
+
+def test_replacing_the_u_rule_replaces_what_log_at_reads():
+    # the x rule derived from a u rule follows dataclasses.replace
+    h = dataclasses.replace(to.make_power_tail(-2.0), log_at_logx=lambda u: 3.0 * u)
+    assert h.log_at(np.exp(2.0)) == pytest.approx(6.0, rel=1e-15)
+    assert h.log_at_u(2.0) == 6.0
 
 
 def test_log_at_u_empty_array_and_table_range_ends():

@@ -86,7 +86,7 @@ def test_blocked_panels_equal_one_block_bit_for_bit(monkeypatch, n_panels):
 
 @pytest.mark.parametrize("batch", ["convolve", "transform"])
 def test_blocked_batches_equal_one_block_bit_for_bit(monkeypatch, batch):
-    # the 128-point convolution (3,954 starting panels) and transform batch
+    # the 128-point convolution (1,977 starting panels) and transform batch
     # (1,536) span several blocks
     xs = np.geomspace(10.0, 1e8, 128)
     if batch == "convolve":
