@@ -32,6 +32,9 @@ close the list: a ramp pair from x = 1e-300 to 1e300, a power pair in
 log-argument coordinates at u = 650 and 705, and the Tauberian report of
 that ramp pair, which vanishes at the origin (a checkout whose convolution
 fails outside x in (1e-300, 1e14) prints ``lib failed`` in their place).
+Two tail integrals W_r end the list: of x**-2 at r = 0.9, whose mass beyond
+x = 1e8 takes about 390 octaves to sum out, and of a log-perturbed power
+from b = 1.9, off the octaves, where the octave ratio of the tail drifts.
 Each prints ``lib``, the
 sha256 of its result (the shape and bytes of an array, the sorted JSON of a
 report) and the expression.
@@ -104,6 +107,10 @@ LIBRARY = (
     ".log_at_u(np.array([650.0, 705.0]))",
     "to.tauberian_check(to.convolve(to.make_ramp_power(0.5), to.make_ramp_power(1.5)),"
     " grid=to.GridSpec(points=128)).to_dict()",
+    "to.cumulative_integral(to.make_power_tail(-2.0), \"W\", 0.9, 2.0)"
+    ".log_value(np.geomspace(2.0, 1e8, 16))",
+    "to.cumulative_integral(to.make_log_perturbed_power(-2.0, 0.5), \"W\", -0.5, 1.9)"
+    ".log_value(np.geomspace(1.9, 1e8, 16))",
 )
 # evaluates each expression of argv in one interpreter and prints its digest line
 LIBRARY_RUNNER = """

@@ -11,7 +11,9 @@ single exponent function ``alpha`` with ``alpha/log x -> inf``.
 The cumulative integrals ``V_r(x) = integral_b^x t^r U dt`` and
 ``W_r(x) = integral_x^inf t^r U dt`` drive the generalized integral-ratio
 checks (branches selected by the sign of rho + r) and the named balance
-conditions C1r/C2r.
+conditions C1r/C2r. Both sum one grid's cells from b to x_max; W_r adds the
+tail mass beyond: octaves of the same cells until one adds under 1e-13 of it,
+the first ``_SUSTAIN + 1`` deciding convergence (``order.decay_verdict``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ClassMismatch, DivergentTail, ParamError, SingularDenominator
+from .errors import (ClassMismatch, DivergentTail, ParamError, QuadratureFailure,
+                     SingularDenominator)
 from .handles import LOG2, FunctionHandle
 from .labels import TAG_M_INF, TAG_M_NEG_INF, ClassLabel
 from .order import (
@@ -31,8 +34,9 @@ from .order import (
     ConditionReport,
     GridSpec,
     IndexEstimate,
+    _SUSTAIN,
     classify,
-    probe_integral_convergence,
+    decay_verdict,
     rv_ratio_test,
     windowed_limit,
 )
@@ -59,7 +63,7 @@ class CumulativeIntegral:
     r: float
     b: float
     edges_u: np.ndarray
-    log_values: np.ndarray  # at edges; monotone by construction
+    log_values: np.ndarray  # at edges b..x_max, W's with the tail mass; monotone
     source: FunctionHandle
 
     def log_value(self, x) -> np.ndarray:
@@ -88,7 +92,12 @@ class CumulativeIntegral:
 
 def cumulative_integral(U: FunctionHandle, kind: str, r: float, b: float,
                         grid: GridSpec = GridSpec()) -> CumulativeIntegral:
-    """Build V_r (kind="V") or W_r (kind="W") on an octave-aligned log grid."""
+    """Build V_r (kind="V") or W_r (kind="W") on an octave-aligned log grid.
+
+    W_r is the grid's cells plus the tail mass beyond x_max (module docstring):
+    DivergentTail unless its first octaves decay, QuadratureFailure if an
+    octave still adds 1e-13 of it where x leaves the float range.
+    """
     if kind not in ("V", "W"):
         raise ParamError("kind must be 'V' or 'W'")
     if not math.isfinite(r):
@@ -105,40 +114,25 @@ def cumulative_integral(U: FunctionHandle, kind: str, r: float, b: float,
     edges = u_b + np.arange(n_cells + 1) * (LOG2 / m)
     cells = cell_log_masses(log_f, edges)
     if kind == "V":
-        vals = np.empty(edges.size)
-        vals[0] = -math.inf
-        np.logaddexp.accumulate(cells, out=vals[1:])
-        return CumulativeIntegral("V", r, b, edges, vals, U)
-    # tail kind: precondition, then extend until increments are negligible
-    verdict = probe_integral_convergence(U, r + 1.0, grid)
-    if not verdict.is_convergent:
-        raise DivergentTail(
-            f"tail integral of t**{r:g} * {U.name} does not converge ({verdict.tag})"
-        )
-    ext_edges = [edges]
-    ext_cells = [cells]
-    total = logsumexp(cells)
-    u_cur = edges[-1]
-    for _ in range(1500):
-        nxt = u_cur + np.arange(m + 1) * (LOG2 / m)
-        cc = cell_log_masses(log_f, nxt)
-        inc = logsumexp(cc)
-        ext_edges.append(nxt[1:])
-        ext_cells.append(cc)
-        total = np.logaddexp(total, inc)
-        u_cur = nxt[-1]
-        if inc < total + math.log(1e-13):
+        return CumulativeIntegral("V", r, b, edges,
+                                  np.logaddexp.accumulate(np.append(-math.inf, cells)), U)
+    # tail kind: the mass beyond x_max, summed one octave of cells at a time
+    n_octaves = int((math.log(np.finfo(float).max) - edges[-1]) // LOG2)
+    masses, tail = [], -math.inf
+    for k in range(n_octaves):
+        octave = edges[-1] + (k * m + np.arange(m + 1)) * (LOG2 / m)
+        masses.append(logsumexp(cell_log_masses(log_f, octave)))
+        tail = np.logaddexp(tail, masses[-1])
+        if k == _SUSTAIN and (tag := decay_verdict(masses)) != "Convergent":
+            raise DivergentTail(f"tail integral of t**{r:g} * {U.name} does not converge ({tag})")
+        if k >= _SUSTAIN and masses[-1] <= tail + math.log(1e-13):
             break
     else:
-        raise DivergentTail(f"tail integral of t**{r:g} * {U.name}: no decay reached")
-    all_edges = np.concatenate(ext_edges)
-    all_cells = np.concatenate(ext_cells)
-    rev = np.empty(all_cells.size)
-    np.logaddexp.accumulate(all_cells[::-1], out=rev)
-    vals = np.empty(all_edges.size)
-    vals[:-1] = rev[::-1]
-    vals[-1] = -math.inf
-    return CumulativeIntegral("W", r, b, all_edges, vals, U)
+        raise QuadratureFailure(f"tail integral of t**{r:g} * {U.name}: an octave still "
+                                "adds 1e-13 of it where x leaves the float range, at x = "
+                                f"{math.exp(edges[-1] + n_octaves * LOG2):.4g}")
+    vals = np.logaddexp.accumulate(np.append(cells, tail)[::-1])[::-1]
+    return CumulativeIntegral("W", r, b, edges, vals, U)
 
 
 # ---------------------------------------------------------------------------

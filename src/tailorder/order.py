@@ -334,22 +334,27 @@ def probe_integral_convergence(U: FunctionHandle, r: float,
     trace = tuple(
         (float((k + 1) * math.log10(2.0)), float(p)) for k, p in enumerate(partials)
     )
-    # log increment ratios over the last sustained stretch
-    tail = inc[-(_SUSTAIN + 1):]
+    return ConvergenceVerdict(decay_verdict(inc), trace)
+
+
+def decay_verdict(inc: np.ndarray) -> str:
+    """Convergent, Divergent or Undecided: the mean log ratio of the last _SUSTAIN + 1
+    octave log masses ``inc`` below log(1 - margin), above log(1 + margin), or between."""
+    tail = np.asarray(inc[-(_SUSTAIN + 1):], dtype=float)
     if tail.max() == math.inf:  # a partial integral beyond the float range
-        return ConvergenceVerdict("Divergent", trace)
+        return "Divergent"
     if np.all(~np.isfinite(tail)):
-        return ConvergenceVerdict("Convergent", trace)
+        return "Convergent"
     dlog = np.diff(tail)
     dlog = dlog[np.isfinite(dlog)]
     if dlog.size == 0:
-        return ConvergenceVerdict("Convergent", trace)
+        return "Convergent"
     mean_dlog = float(dlog.mean())
     if mean_dlog < math.log(1.0 - _RATIO_MARGIN):
-        return ConvergenceVerdict("Convergent", trace)
+        return "Convergent"
     if mean_dlog > math.log1p(_RATIO_MARGIN):
-        return ConvergenceVerdict("Divergent", trace)
-    return ConvergenceVerdict("Undecided", trace)
+        return "Divergent"
+    return "Undecided"
 
 
 def estimate_kappa(U: FunctionHandle, grid: GridSpec = GridSpec()) -> IndexEstimate:

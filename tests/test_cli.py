@@ -354,6 +354,45 @@ def test_report_integral_ratio_far_from_zero_order(r, branch, target, capsys):
     assert cond["measured"]["condition_passed"]
 
 
+@pytest.mark.parametrize("fn, alpha", [("pareto_tail", "1.5"), ("power_tail", "-2")])
+def test_report_integral_ratio_checks_pass_at_a_tight_tol(fn, alpha, capsys):
+    # W_{-2} of U = x**-1.5 or x**-2 decays fast: its tail beyond x_max is summed out
+    assert main(["report", "--fn", fn, "--param", f"alpha={alpha}", "--tol", "0.01"]) == 0
+    conditions = json.loads(capsys.readouterr().out)["conditions"]
+    ratio = [c for c in conditions if c["condition"] in ("K1*", "K2*", "K3*")]
+    assert [c["condition"] for c in ratio] == ["K2*", "K2*", "K2*", "K1*"]
+    assert all(c["passed"] for c in ratio), [c["measured"]["limit"] for c in ratio]
+
+
+def test_report_tail_unfinished_at_the_float_end_is_numeric(capsys):
+    # W_{0.97} of x**-2 decays by 2**-0.03 an octave, too slowly to end below 1.8e308
+    assert main(["report", "--fn", "power_tail", "--param", "alpha=-2", "--r", "1.97",
+                 "--tol", "0.01"]) == 4
+    assert "tail integral of t**0.97" in capsys.readouterr().err
+
+
+def _decisions(argv, env):
+    """Exit code, class tag, (condition, passed) pairs and attraction kind of a call."""
+    proc = subprocess.run([sys.executable, "-m", "tailorder.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    doc = json.loads(proc.stdout)
+    attraction = (doc["evt"] or {}).get("domain_attraction") or {}
+    return (proc.returncode, doc["class"]["tag"],
+            [(c["condition"], c["passed"]) for c in doc["conditions"]], attraction.get("kind"))
+
+
+@pytest.mark.parametrize("argv", [
+    "report --fn pareto_tail --param alpha=1.5",
+    "report --fn exp_neg",
+    "report --fn ramp_power --param alpha=2.5 --tauberian",
+    "classify --fn log_perturbed_power --param alpha=-1 --param c=1",
+])
+def test_decisions_do_not_depend_on_numpy_simd(argv, simd_envs):
+    # the bytes of some of these differ across SIMD tiers; no decision may
+    plain_env, scalar_env = simd_envs
+    assert _decisions(argv.split(), scalar_env) == _decisions(argv.split(), plain_env)
+
+
 @pytest.mark.parametrize("t", ["0", "-2", "nan", "inf", "1e308"])
 def test_plots_bad_ratio_scale_is_refused_before_any_file(t, tmp_path, capsys):
     out = tmp_path / "plots"
@@ -449,7 +488,7 @@ def test_report_computes_orders_kappa_label_once(monkeypatch, capsys):
         (order, "estimate_orders"), (order, "estimate_kappa"), (order, "classify"),
         (order, "rv_ratio_test"), (karamata, "cumulative_integral"),
         (order, "probe_integral_convergence")]}
-    # r = 3: K1* (V); r = 2: K3* (V, ratio test); r = 1: K2* (W, one probe)
+    # r = 3: K1* (V); r = 2: K3* (V, ratio test); r = 1: K2* (W, no probe)
     assert main(["report", "--fn", "power_tail", "--param", "alpha=-2",
                  "--r", "3", "--r", "2", "--r", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -460,11 +499,11 @@ def test_report_computes_orders_kappa_label_once(monkeypatch, capsys):
     assert len(counts["classify"]) == 1
     assert len(counts["rv_ratio_test"]) == 1
     assert len(counts["cumulative_integral"]) == 3
-    # the probes of one kappa bisection plus the W integral's one probe
+    # the probes of one kappa bisection; the W integral decides on its own tail
     report_probes = len(counts["probe_integral_convergence"])
     counts["probe_integral_convergence"].clear()
     order.estimate_kappa(to.make_power_tail(-2.0), to.GridSpec())
-    assert report_probes == len(counts["probe_integral_convergence"]) + 1
+    assert report_probes == len(counts["probe_integral_convergence"])
 
 
 def _library_report(handle, rs, b=2.0, tol=0.05):

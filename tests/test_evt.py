@@ -1,9 +1,7 @@
 import dataclasses
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,24 +320,17 @@ _ABSCISSA_BYTES = ("import sys, numpy as np; from tailorder import evt; "
                    "sys.stdout.write(np.array(evt._ABSCISSAS).tobytes().hex())")
 
 
-def test_simulation_abscissas_do_not_depend_on_numpy_simd():
+def test_simulation_abscissas_do_not_depend_on_numpy_simd(simd_envs):
     # numpy picks its SIMD kernels by CPU; the abscissas must not follow them
-    from numpy._core import _multiarray_umath as umath
-    enabled = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
-    if not enabled:
-        pytest.skip("numpy dispatches no SIMD extension on this CPU")
-    src = str(Path(to.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    plain_env, scalar_env = simd_envs
 
     def abscissa_bytes(env):
         return subprocess.run([sys.executable, "-c", _ABSCISSA_BYTES], env=env,
                               capture_output=True, text=True, check=True).stdout
 
-    plain = abscissa_bytes(env)
+    plain = abscissa_bytes(plain_env)
     assert len(plain) == 2 * 8 * 201
-    assert abscissa_bytes(dict(env, NPY_DISABLE_CPU_FEATURES=" ".join(enabled))) == plain
+    assert abscissa_bytes(scalar_env) == plain
 
 
 def test_simulation_rejects_bad_reps():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tailorder as to
-from tailorder.errors import ClassMismatch, DivergentTail, ParamError
+from tailorder.errors import ClassMismatch, DivergentTail, ParamError, QuadratureFailure
 from tailorder.quadrature import cell_log_masses
 
 
@@ -28,6 +28,61 @@ def test_w0_of_inverse_square_is_one_over_x():
 def test_w_requires_convergent_tail():
     with pytest.raises(DivergentTail):
         to.cumulative_integral(to.make_power_tail(0.0), "W", 0.0, 1.0)
+
+
+# U = x**a on [1, inf) at every r where W_r = x**s / -s, s = a + r + 1, converges
+_POWER_TAILS = [(name, param, a, r, b)
+                for name, param, a in (("power_tail", -2.0, -2.0), ("power_tail", -3.0, -3.0),
+                                       ("pareto_tail", 1.5, -1.5))
+                for r in (-2.0, -1.0, 0.0, 0.5, 0.9) if a + r + 1.0 < 0.0
+                for b in (1.9, 2.0)]
+
+
+@pytest.mark.parametrize("name,param,a,r,b", _POWER_TAILS)
+def test_w_of_powers_matches_closed_form(name, param, a, r, b):
+    s = a + r + 1.0
+    xs = np.geomspace(b, 1e8, 65)
+    got = to.cumulative_integral(to.make_named(name, {"alpha": param}), "W", r, b).log_value(xs)
+    assert np.max(np.abs(got - (s * np.log(xs) - math.log(-s)))) <= 1e-11
+
+
+def test_divergent_w_is_refused_on_its_first_tail_octaves(monkeypatch):
+    from tailorder import karamata, order
+
+    def no_probe(*args):
+        raise AssertionError("the tail integral ran a convergence probe")
+
+    for module in (order, karamata):
+        monkeypatch.setattr(module, "probe_integral_convergence", no_probe, raising=False)
+    base = to.make_power_tail(0.0)
+    calls = []
+
+    def log_at_logx(u):
+        calls.append(np.size(u))
+        return base.log_at_logx(u)
+
+    counting = to.FunctionHandle(name="counting", log_at_logx=log_at_logx)
+    with pytest.raises(DivergentTail):
+        to.cumulative_integral(counting, "W", 0.0, 1.0)
+    # the grid's cells, then the first five tail octaves: two calls each
+    assert len(calls) <= 12
+
+
+def test_w_unfinished_at_the_float_end_is_a_quadrature_failure():
+    # t**0.99 * t**-2 decays by 2**-0.01 an octave: no float x ends its tail
+    with pytest.raises(QuadratureFailure, match="float range"):
+        to.cumulative_integral(to.make_power_tail(-2.0), "W", 0.99, 2.0)
+
+
+def test_w_has_the_cells_of_v_and_no_query_beyond_x_max():
+    grid = to.GridSpec(log10_x_min=1.0, log10_x_max=6.0)
+    U = to.make_power_tail(-3.0)
+    for r, b in ((0.0, 2.0), (-0.5, 1.9), (1.5, 3.7)):
+        v = to.cumulative_integral(U, "V", r, b, grid)
+        w = to.cumulative_integral(U, "W", r, b, grid)
+        assert np.array_equal(w.edges_u, v.edges_u)
+        with pytest.raises(ParamError):
+            w.log_value(1e7)
 
 
 def test_cumulative_monotone():
