@@ -12,6 +12,13 @@ so right-continuous steps resolve to the correct side despite float rounding
 of exp/log at the breakpoints. At an infinite end the rule takes its limits:
 a cell's mass is +inf at a +inf end, else 0 (log -inf) at a -inf end.
 
+The rule is evaluated without repeated passes. On a grid, each edge is
+exponentiated once and serves as one cell's upper end and the next cell's
+lower end. log phi is one expm1, divide and log over all cells; the cells
+with |d| < 1e-8 (where 0/0 would read NaN) and d > 700 (where expm1
+overflows) are patched afterwards, and only when a batch has any. The bits
+are those of the formulas above, evaluated cell by cell.
+
 Integrals in linear x (the Laplace transform, convolutions) use a batched
 adaptive Gauss-Kronrod rule that refines many integrals together. Each
 starts from dyadic panels: edges at 0, at every power of two 1, 2, 4, ...
@@ -48,12 +55,30 @@ _NUDGE = 1e-12
 def log_phi(d: np.ndarray) -> np.ndarray:
     """log((exp(d) - 1) / d), the exponential-rule correction, stable at 0."""
     d = np.asarray(d, dtype=float)
-    small = np.abs(d) < 1e-8
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = np.where(small, 1.0 + d / 2.0, np.expm1(d) / np.where(small, 1.0, d))
-        # for large positive d, expm1 overflows: log phi ~ d - log d
-        big = d > 700.0
-        out = np.where(big, d - np.log(np.maximum(d, 1.0)), np.log(ratio))
+        return _log_phi(d)
+
+
+def _log_phi(d: np.ndarray) -> np.ndarray:
+    """log_phi of a float array, under the caller's errstate.
+
+    One expm1, divide and log over all of d; the rare cells are patched
+    after, and only when there are any: 1 + d/2 for |d| < 1e-8 (where 0/0
+    would read NaN), d - log d for d > 700 (where expm1 overflows). A NaN
+    in d takes the patch path too, which leaves it NaN.
+    """
+    out = np.abs(d, out=np.empty(d.shape))
+    small = not np.minimum.reduce(out, axis=None, initial=math.inf) >= 1e-8
+    big = not np.maximum.reduce(d, axis=None, initial=-math.inf) <= 700.0
+    np.expm1(d, out=out)
+    np.divide(out, d, out=out)
+    np.log(out, out=out)
+    if small:
+        cells = np.abs(d) < 1e-8
+        out[cells] = np.log(1.0 + d[cells] / 2.0)
+    if big:
+        cells = d > 700.0
+        out[cells] = d[cells] - np.log(d[cells])
     return out
 
 
@@ -75,20 +100,34 @@ def cell_pair_log_masses(log_f, u_lo, u_hi) -> np.ndarray:
     u_hi = np.asarray(u_hi, dtype=float)
     g_lo = log_f(np.exp(u_lo) * (1.0 + _NUDGE))
     g_hi = log_f(np.exp(u_hi) * (1.0 - _NUDGE))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = g_lo + np.log(u_hi - u_lo) + log_phi(g_hi - g_lo)
+    return _cell_rule(g_lo, g_hi, u_hi - u_lo)
+
+
+def cell_log_masses(log_f, u_edges: np.ndarray) -> np.ndarray:
+    """Per-cell log masses of the consecutive cells of a u-grid.
+
+    The cells of cell_pair_log_masses(log_f, u_edges[:-1], u_edges[1:]),
+    bit for bit, with each edge exponentiated once.
+    """
+    u_edges = np.asarray(u_edges, dtype=float)
+    x = np.exp(u_edges)
+    g_lo = log_f(x[:-1] * (1.0 + _NUDGE))
+    g_hi = log_f(x[1:] * (1.0 - _NUDGE))
+    return _cell_rule(g_lo, g_hi, u_edges[1:] - u_edges[:-1])
+
+
+def _cell_rule(g_lo: np.ndarray, g_hi: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """g_lo + log(width) + log_phi(g_hi - g_lo), with the limits at infinite ends."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = np.log(width, out=np.empty(np.shape(width)))
+        out += g_lo
+        out += _log_phi(np.asarray(g_hi - g_lo))
     # the rule's limits at an infinite end, where it reads inf - inf: a +inf
     # end gives mass +inf; a -inf end beside a finite or -inf one gives 0
     if math.isnan(np.minimum.reduce(out, axis=None, initial=math.inf)):
         nan = np.isnan(out)
         out[nan] = np.where(np.maximum(g_lo, g_hi)[nan] == math.inf, math.inf, -math.inf)
     return out
-
-
-def cell_log_masses(log_f, u_edges: np.ndarray) -> np.ndarray:
-    """Per-cell log masses of the consecutive cells of a u-grid."""
-    u_edges = np.asarray(u_edges, dtype=float)
-    return cell_pair_log_masses(log_f, u_edges[:-1], u_edges[1:])
 
 
 _CELLS_PER_OCTAVE = 256

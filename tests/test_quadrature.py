@@ -165,3 +165,127 @@ def test_cell_rule_on_a_2d_batch_equals_its_rows():
     rows = np.stack([quadrature.cell_pair_log_masses(log_f, lo, hi)
                      for lo, hi in zip(u_lo, u_hi)])
     assert got.shape == (3, 4) and got.tobytes() == rows.tobytes()
+
+
+# The cell rule as first written, formula by formula: the reference that the
+# evaluated rule must equal bit for bit.
+def _reference_log_phi(d):
+    d = np.asarray(d, dtype=float)
+    small = np.abs(d) < 1e-8
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.where(small, 1.0 + d / 2.0, np.expm1(d) / np.where(small, 1.0, d))
+        big = d > 700.0
+        return np.where(big, d - np.log(np.maximum(d, 1.0)), np.log(ratio))
+
+
+def _reference_cells(log_f, u_lo, u_hi):
+    u_lo = np.asarray(u_lo, dtype=float)
+    u_hi = np.asarray(u_hi, dtype=float)
+    g_lo = log_f(np.exp(u_lo) * (1.0 + 1e-12))
+    g_hi = log_f(np.exp(u_hi) * (1.0 - 1e-12))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray(g_lo + np.log(u_hi - u_lo) + _reference_log_phi(g_hi - g_lo))
+    nan = np.isnan(out)
+    out[nan] = np.where(np.asarray(np.maximum(g_lo, g_hi))[nan] == math.inf,
+                        math.inf, -math.inf)
+    return out
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# d at 0, on both sides of +-1e-8 and of 700, where expm1 overflows, at the
+# float ends, +-inf and NaN
+_BRANCH_D = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 1e-20, 3e-9, -3e-9,
+    np.nextafter(1e-8, 0.0), 1e-8, np.nextafter(1e-8, 1.0),
+    np.nextafter(-1e-8, 0.0), -1e-8, np.nextafter(-1e-8, -1.0),
+    0.5, -0.5, 37.0, -37.0, 699.0, np.nextafter(700.0, 0.0), 700.0,
+    np.nextafter(700.0, 800.0), 705.0, 709.78, 710.0, 1e300, -700.0, -710.0, -1e300,
+    math.inf, -math.inf, math.nan,
+])
+
+
+def test_log_phi_equals_the_reference_formulas():
+    rng = np.random.default_rng(5)
+    batches = [_BRANCH_D, rng.normal(size=2000) * 10.0, rng.normal(size=2000) * 1e-8,
+               rng.uniform(690.0, 720.0, 500), rng.normal(size=40).reshape(5, 8),
+               np.concatenate([rng.normal(size=33), _BRANCH_D]).reshape(8, 8),
+               np.array([]), np.array(0.0), np.array(800.0), np.array(math.nan)]
+    for d in batches:
+        assert _same_bits(quadrature.log_phi(d), _reference_log_phi(d)), d
+    for d in _BRANCH_D:  # each value alone, 0-d, where only its own branch runs
+        assert _same_bits(quadrature.log_phi(np.array(d)), _reference_log_phi(d)), d
+        assert _same_bits(quadrature.log_phi(np.array([d])), _reference_log_phi([d])), d
+
+
+class _Scripted:
+    """log_f returning given values per call, recording the points asked for."""
+
+    def __init__(self, *values):
+        self.values, self.points = values, []
+
+    def __call__(self, x):
+        self.points.append(np.array(x, copy=True))
+        return np.asarray(self.values[len(self.points) - 1], dtype=float)
+
+
+def test_cell_rule_equals_the_reference_formulas_on_every_branch():
+    # g_hi - g_lo runs through every branch of log phi, and the ends through
+    # +-inf and NaN, on cells of unequal width
+    rng = np.random.default_rng(9)
+    n = _BRANCH_D.size
+    ends = np.array([0.0, -3.0, 12.0, math.inf, -math.inf, math.nan])
+    # 31 branch cells, 36 pairs of ends and 5 plain cells: 72 = 12 x 6
+    g_lo = np.concatenate([rng.normal(size=n) * 5.0, np.repeat(ends, ends.size),
+                           [1.0, 2.0, 3.0, 4.0, 5.0]])
+    g_hi = np.concatenate([g_lo[:n] + _BRANCH_D, np.tile(ends, ends.size),
+                           [1.5, 1.0, -2.0, 4.25, 60.0]])
+    u_edges = np.cumsum(rng.uniform(0.001, 0.3, g_lo.size + 1)) - 5.0
+    want = _reference_cells(_Scripted(g_lo, g_hi), u_edges[:-1], u_edges[1:])
+    assert np.isnan(want).sum() == 0 and np.isinf(want).sum() > 0
+    for shape in [(g_lo.size,), (g_lo.size // 6, 6)]:
+        lo, hi = u_edges[:-1].reshape(shape), u_edges[1:].reshape(shape)
+        spy, ref = _Scripted(g_lo.reshape(shape), g_hi.reshape(shape)), _Scripted(
+            g_lo.reshape(shape), g_hi.reshape(shape))
+        assert _same_bits(quadrature.cell_pair_log_masses(spy, lo, hi),
+                          _reference_cells(ref, lo, hi))
+        assert all(_same_bits(p, q) for p, q in zip(spy.points, ref.points))
+    spy = _Scripted(g_lo, g_hi)
+    assert _same_bits(quadrature.cell_log_masses(spy, u_edges), want)
+    ref = _Scripted(g_lo, g_hi)
+    _reference_cells(ref, u_edges[:-1], u_edges[1:])
+    assert len(spy.points) == 2
+    assert all(_same_bits(p, q) for p, q in zip(spy.points, ref.points))
+    # one cell, 0-d, on each branch
+    for k in [0, 8, 20, 24, n + 3, n + 4 * ends.size + 5]:
+        lo, hi = np.array(u_edges[k]), np.array(u_edges[k + 1])
+        got = quadrature.cell_pair_log_masses(_Scripted(g_lo[k], g_hi[k]), lo, hi)
+        assert _same_bits(got, want[k]), k
+
+
+def test_cell_rule_on_integrands_equals_the_reference_formulas():
+    # the step tail from log 1.93, off its octaves, flat within them; an
+    # integrand that rises by more than 700 across a cell; a power; a
+    # sin-modulated tail; each log_f call counted
+    step = quadrature.moment_log_f(to.make_peter_paul(), 0.0)
+    grids = [
+        (step, math.log(1.93) + np.arange(1025) * (quadrature.LOG2_ / 512)),
+        (lambda x: np.minimum(x, 1e3), np.array([0.0, 1.0, 7.5, 8.0, 9.0])),
+        (quadrature.moment_log_f(to.make_power_tail(-2.0), 0.5), np.linspace(0.1, 40.0, 700)),
+        (quadrature.moment_log_f(to.make_two_plus_sin(), 1.0), np.linspace(0.0, 12.0, 3001)),
+    ]
+    for log_f, edges in grids:
+        calls = []
+
+        def counted(x, log_f=log_f):
+            calls.append(x.size)
+            return log_f(x)
+
+        got = quadrature.cell_log_masses(counted, edges)
+        assert calls == [edges.size - 1] * 2
+        assert _same_bits(got, _reference_cells(log_f, edges[:-1], edges[1:]))
+        pairs = quadrature.cell_pair_log_masses(log_f, edges[:-1], edges[1:])
+        assert _same_bits(pairs, got)
