@@ -7,7 +7,10 @@ Each pair runs ``perfbench/run.py --trace 0`` once in each checkout with the
 same seed, one after the other, alternating which goes first so that a slow
 drift of the machine's speed hits both sides alike. The output holds, per
 workload and end-to-end metric, every run's value and the median and
-quartiles of each side, plus the benchmark's environment stamp. Each
+quartiles of each side, plus the benchmark's environment stamp. Each run's
+count of attempted ops is stored beside its metrics and printed next to its
+``peak_rss_mb``: the benchmark keeps every op's output until the run ends,
+so a run that completes more ops peaks higher on unchanged code. Each
 end-to-end metric also gets the relative change of its median, signed so
 that positive is worse, beside its bound from the change checkout's
 ``BENCHMARK.json``; a change beyond the bound is printed and stored as a
@@ -75,13 +78,16 @@ def main() -> None:
                 runs[side].append(result)
                 doc.setdefault("stamp", {k: v for k, v in stamp["stamp"].items()
                                          if k not in ("seed", "source_sha256", "workload")})
-                print(f"{workload} seed {seed} {side}: "
-                      f"{result['metrics']['ops_per_s']['value']:.3g} ops/s", file=sys.stderr)
+                metrics = result["metrics"]
+                print(f"{workload} seed {seed} {side}: {metrics['ops_per_s']['value']:.3g} "
+                      f"ops/s, peak_rss_mb {metrics['peak_rss_mb']['value']:.2f} after "
+                      f"{result['attempted']} ops", file=sys.stderr)
         names = runs["base"][0]["metrics"]
         entry = doc["workloads"][workload] = {
             "pairs": int(pairs),
             "seeds": [args.first_seed + i for i in range(int(pairs))],
             "correct": {side: [r["correct"] for r in rs] for side, rs in runs.items()},
+            "attempted": {side: [r["attempted"] for r in rs] for side, rs in runs.items()},
             "metrics": {
                 name: {"unit": names[name]["unit"],
                        **{side: summary([r["metrics"][name]["value"] for r in rs])

@@ -4,8 +4,8 @@ Subcommands: ``classify`` (orders, class, moment index), ``report`` (full
 condition suite for the detected class), ``simulate`` (block maxima), and
 ``plots`` (CSV emission for external plotting).
 
-Exit codes: 0 decided, 1 usage error, 2 input/data error, 3 undecided
-classification, 4 numeric failure.
+Exit codes: 0 decided, 1 usage error, 2 input/data error (a request too
+large for memory included), 3 undecided classification, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -341,6 +341,10 @@ def main(argv=None) -> int:
     except TailOrderError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:
+        request = " ".join(sys.argv[1:] if argv is None else argv)
+        print(f"input error: request too large for memory: {request} ({exc})", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

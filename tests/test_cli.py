@@ -125,6 +125,20 @@ def test_simulate_overflowing_scale_exit_four(capsys):
     assert "power_tail(alpha=-0.001): quantile beyond the float range" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--fn", "power_tail", "--param", "alpha=-2", "--points", "1000000000000"],
+    ["simulate", "--fn", "pareto_tail", "--param", "alpha=2", "--reps", "1000000000000",
+     "--seed", "1"],
+])
+def test_request_too_large_for_memory_is_an_input_error(argv, capsys):
+    # 10**12 floats are 7.3 TiB, which numpy refuses before it allocates
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"input error: request too large for memory: {' '.join(argv)} (")
+
+
 @pytest.mark.parametrize("fn", ["two_plus_sin", "peter_paul"])
 def test_grid_starting_at_one_is_an_input_error(fn):
     # log 1 = 0 would divide the first sample by zero
