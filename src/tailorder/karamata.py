@@ -11,9 +11,12 @@ single exponent function ``alpha`` with ``alpha/log x -> inf``.
 The cumulative integrals ``V_r(x) = integral_b^x t^r U dt`` and
 ``W_r(x) = integral_x^inf t^r U dt`` drive the generalized integral-ratio
 checks (branches selected by the sign of rho + r) and the named balance
-conditions C1r/C2r. Both sum one grid's cells from b to x_max; W_r adds the
-tail mass beyond: octaves of the same cells until one adds under 1e-13 of it,
-the first ``_SUSTAIN + 1`` deciding convergence (``order.decay_verdict``).
+conditions C1r/C2r. Both sum one grid's cells from b to x_max: the cells
+lie on the edges k log 2 / 512 in u = log x, whatever b is, after a partial
+first cell from b, so the dyadic steps of an integrand fall on edges. W_r
+adds the tail mass beyond: octaves of the same cells until one adds under
+1e-13 of it, the first ``_SUSTAIN + 1`` deciding convergence
+(``order.decay_verdict``).
 """
 
 from __future__ import annotations
@@ -108,10 +111,12 @@ def cumulative_integral(U: FunctionHandle, kind: str, r: float, b: float,
     u_max = grid.log10_x_max * math.log(10.0)
     if u_max <= u_b:
         raise ParamError("integration range is empty")
-    m = _CELLS_PER_OCTAVE
+    m, h = _CELLS_PER_OCTAVE, LOG2 / _CELLS_PER_OCTAVE
     log_f = moment_log_f(U, r + 1.0)
-    n_cells = int(math.ceil((u_max - u_b) / (LOG2 / m)))
-    edges = u_b + np.arange(n_cells + 1) * (LOG2 / m)
+    # b, then the edges k h above it up to the first at or past u_max
+    k_last = math.ceil(u_max / h)
+    grid_u = np.arange(math.floor(u_b / h), k_last + 1) * h
+    edges = np.append(u_b, grid_u[grid_u > u_b])
     cells = cell_log_masses(log_f, edges)
     if kind == "V":
         return CumulativeIntegral("V", r, b, edges,
@@ -120,7 +125,7 @@ def cumulative_integral(U: FunctionHandle, kind: str, r: float, b: float,
     n_octaves = int((math.log(np.finfo(float).max) - edges[-1]) // LOG2)
     masses, tail = [], -math.inf
     for k in range(n_octaves):
-        octave = edges[-1] + (k * m + np.arange(m + 1)) * (LOG2 / m)
+        octave = (k_last + k * m + np.arange(m + 1)) * h
         masses.append(logsumexp(cell_log_masses(log_f, octave)))
         tail = np.logaddexp(tail, masses[-1])
         if k == _SUSTAIN and (tag := decay_verdict(masses)) != "Convergent":

@@ -349,6 +349,32 @@ def test_quadrature_matches_closed_form():
         assert abs(got / want - 1.0) <= 1e-6
 
 
+def _step_integral(lo: float, hi: float, r: float) -> float:
+    """integral_lo^hi t**r U(t) dt of the dyadic step tail, a level at a time."""
+    total = 0.0
+    while lo < hi and lo < 2.0 ** 1000:
+        n = max(math.frexp(lo)[1] - 1, 0)  # U = 2**-n up to 2**(n+1)
+        top = min(hi, 2.0 ** (n + 1))
+        total += 2.0 ** -n * (top ** (r + 1.0) - lo ** (r + 1.0)) / (r + 1.0)
+        lo = top
+    return total
+
+
+@pytest.mark.parametrize("b", [1.9, 1.93, 2.0, 2.07, 2.2, 3.0, 0.7])
+def test_v_and_w_of_the_step_tail_are_exact_from_any_base_point(b):
+    # the cells lie on k log 2 / 512, where the steps are, whatever b is
+    U = to.make_peter_paul()
+    xs = np.concatenate([[b], np.geomspace(b * 1.01, 1e8, 40), 2.0 ** np.arange(2, 26)])
+    v = to.cumulative_integral(U, "V", 0.0, b)
+    want = np.log([_step_integral(b, x, 0.0) for x in xs[1:]])
+    np.testing.assert_allclose(v.log_value(xs[1:]), want, rtol=0, atol=1e-13)
+    # the tail stops where an octave adds 1e-13 of it; at 2**-0.5 an octave
+    # the octaves left hold about 3.4 times that
+    w = to.cumulative_integral(U, "W", -0.5, b)
+    want = np.log([_step_integral(x, math.inf, -0.5) for x in xs])
+    np.testing.assert_allclose(w.log_value(xs), want, rtol=0, atol=5e-13)
+
+
 # ---------------------------------------------------------------------------
 # representation extraction
 # ---------------------------------------------------------------------------
