@@ -78,7 +78,8 @@ def _log_phi(d: np.ndarray) -> np.ndarray:
         out[cells] = np.log(1.0 + d[cells] / 2.0)
     if big:
         cells = d > 700.0
-        out[cells] = d[cells] - np.log(d[cells])
+        big_d = d[cells]
+        out[cells] = big_d - np.log(big_d)
     return out
 
 

@@ -221,15 +221,15 @@ def test_log_phi_equals_the_reference_formulas():
         assert _same_bits(quadrature.log_phi(np.array([d])), _reference_log_phi([d])), d
 
 
-class _Scripted:
-    """log_f returning given values per call, recording the points asked for."""
+def _scripted(rule, g_lo, g_hi, *u):
+    """rule(log_f, *u), where log_f returns g_lo, then g_hi: (result, points asked for)."""
+    values, points = (g_lo, g_hi), []
 
-    def __init__(self, *values):
-        self.values, self.points = values, []
+    def log_f(x):
+        points.append(np.array(x, copy=True))
+        return np.asarray(values[len(points) - 1], dtype=float)
 
-    def __call__(self, x):
-        self.points.append(np.array(x, copy=True))
-        return np.asarray(self.values[len(self.points) - 1], dtype=float)
+    return rule(log_f, *u), points
 
 
 def test_cell_rule_equals_the_reference_formulas_on_every_branch():
@@ -244,25 +244,20 @@ def test_cell_rule_equals_the_reference_formulas_on_every_branch():
     g_hi = np.concatenate([g_lo[:n] + _BRANCH_D, np.tile(ends, ends.size),
                            [1.5, 1.0, -2.0, 4.25, 60.0]])
     u_edges = np.cumsum(rng.uniform(0.001, 0.3, g_lo.size + 1)) - 5.0
-    want = _reference_cells(_Scripted(g_lo, g_hi), u_edges[:-1], u_edges[1:])
+    want, want_points = _scripted(_reference_cells, g_lo, g_hi, u_edges[:-1], u_edges[1:])
     assert np.isnan(want).sum() == 0 and np.isinf(want).sum() > 0
-    for shape in [(g_lo.size,), (g_lo.size // 6, 6)]:
-        lo, hi = u_edges[:-1].reshape(shape), u_edges[1:].reshape(shape)
-        spy, ref = _Scripted(g_lo.reshape(shape), g_hi.reshape(shape)), _Scripted(
-            g_lo.reshape(shape), g_hi.reshape(shape))
-        assert _same_bits(quadrature.cell_pair_log_masses(spy, lo, hi),
-                          _reference_cells(ref, lo, hi))
-        assert all(_same_bits(p, q) for p, q in zip(spy.points, ref.points))
-    spy = _Scripted(g_lo, g_hi)
-    assert _same_bits(quadrature.cell_log_masses(spy, u_edges), want)
-    ref = _Scripted(g_lo, g_hi)
-    _reference_cells(ref, u_edges[:-1], u_edges[1:])
-    assert len(spy.points) == 2
-    assert all(_same_bits(p, q) for p, q in zip(spy.points, ref.points))
+    got, points = _scripted(quadrature.cell_log_masses, g_lo, g_hi, u_edges)
+    assert _same_bits(got, want) and len(points) == 2
+    assert all(map(_same_bits, points, want_points))
+    for shape in [(-1,), (-1, 6)]:
+        cells = [a.reshape(shape) for a in (g_lo, g_hi, u_edges[:-1], u_edges[1:])]
+        got, points = _scripted(quadrature.cell_pair_log_masses, *cells)
+        ref, ref_points = _scripted(_reference_cells, *cells)
+        assert _same_bits(got, ref) and all(map(_same_bits, points, ref_points))
     # one cell, 0-d, on each branch
     for k in [0, 8, 20, 24, n + 3, n + 4 * ends.size + 5]:
-        lo, hi = np.array(u_edges[k]), np.array(u_edges[k + 1])
-        got = quadrature.cell_pair_log_masses(_Scripted(g_lo[k], g_hi[k]), lo, hi)
+        got, _ = _scripted(quadrature.cell_pair_log_masses, g_lo[k], g_hi[k],
+                           np.array(u_edges[k]), np.array(u_edges[k + 1]))
         assert _same_bits(got, want[k]), k
 
 
