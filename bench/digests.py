@@ -35,10 +35,12 @@ fails outside x in (1e-300, 1e14) prints ``lib failed`` in their place).
 Two tail integrals W_r end the list: of x**-2 at r = 0.9, whose mass beyond
 x = 1e8 takes about 390 octaves to sum out, and of a log-perturbed power
 from b = 1.9, off the octaves, where the octave ratio of the tail drifts.
-The last line pins the cell rule itself: the cells of the dyadic step tail
+Two lines pin the cell rule itself: the cells of the dyadic step tail
 over two octaves of edges from log 1.93, off the octaves, then four cells
 of min(x, 1000) whose log-integrand rises by more than 700 across one cell
-and is flat (a difference under 1e-8) across two others.
+and is flat (a difference under 1e-8) across two others; and last, the
+cells of x**0.5 times the step tail on three rows of edges, one octave of
+256 cells each from log 1.93, in one call.
 Each prints ``lib``, the
 sha256 of its result (the shape and bytes of an array, the sorted JSON of a
 report) and the expression.
@@ -119,6 +121,8 @@ LIBRARY = (
     "to.make_peter_paul(), 0.0), np.log(1.93) + np.arange(1025) * (np.log(2.0) / 512)),"
     " to.quadrature.cell_log_masses(lambda x: np.minimum(x, 1e3),"
     " np.array([0.0, 1.0, 7.5, 8.0, 9.0]))])",
+    "to.quadrature.cell_log_masses(to.quadrature.moment_log_f(to.make_peter_paul(), 0.5),"
+    " np.log(1.93) + (np.arange(3)[:, None] * 256 + np.arange(257)) * (np.log(2.0) / 256))",
 )
 # evaluates each expression of argv in one interpreter and prints its digest line
 LIBRARY_RUNNER = """

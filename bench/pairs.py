@@ -14,7 +14,10 @@ so a run that completes more ops peaks higher on unchanged code. Each
 end-to-end metric also gets the relative change of its median, signed so
 that positive is worse, beside its bound from the change checkout's
 ``BENCHMARK.json``; a change beyond the bound is printed and stored as a
-breach.
+breach. Beside it go the pairs the change won: those whose change run is
+better than the base run of the same seed (a tie counts for neither side),
+so a claim of "better in 9 of 10 pairs" reads straight off the file. One
+pair is enough to write the file; its median and quartiles are its value.
 """
 
 from __future__ import annotations
@@ -39,19 +42,23 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[
 
 
 def summary(values: list[float]) -> dict:
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, q2, q3 = (statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1
+                  else values * 3)
     return {"median": q2, "q1": q1, "q3": q3, "runs": values}
 
 
 def bound_check(metrics: dict, declared: dict) -> dict:
-    """Per end-to-end metric: median change for the worse, bound, breach."""
+    """Per end-to-end metric: median change for the worse, bound, breach, pairs won."""
     out = {}
     for name, spec in declared.items():
-        base, change = metrics[name]["base"]["median"], metrics[name]["change"]["median"]
-        worse = (change - base) / abs(base) if base else float(change != base)
-        if spec["better"] == "higher":
-            worse = -worse
-        out[name] = {"worse_by": worse, "bound": spec["bound"], "breach": worse > spec["bound"]}
+        base, change = metrics[name]["base"], metrics[name]["change"]
+        sign = -1.0 if spec["better"] == "higher" else 1.0
+        b, c = base["median"], change["median"]
+        worse = sign * ((c - b) / abs(b) if b else float(c != b))
+        # per pair, against the base run of the same seed; a tie is no win
+        won = sum(sign * (c - b) < 0 for b, c in zip(base["runs"], change["runs"]))
+        out[name] = {"worse_by": worse, "bound": spec["bound"], "breach": worse > spec["bound"],
+                     "change_won": won}
     return out
 
 
@@ -99,7 +106,8 @@ def main() -> None:
         for name, b in entry["bounds"].items():
             how = "worse" if b["worse_by"] > 0 else "better"
             print(f"{workload} {name}: median {abs(b['worse_by']):.1%} {how}, bound "
-                  f"{b['bound']:.0%}" + (" BREACH" if b["breach"] else ""), file=sys.stderr)
+                  f"{b['bound']:.0%}, change won {b['change_won']} of {pairs} pairs"
+                  + (" BREACH" if b["breach"] else ""), file=sys.stderr)
         args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 

@@ -43,7 +43,7 @@ from .order import (
     rv_ratio_test,
     windowed_limit,
 )
-from .quadrature import cell_log_masses, cell_pair_log_masses, logsumexp, moment_log_f
+from .quadrature import cell_log_masses, logsumexp, moment_log_f
 
 # |rho| below this uses the vanishing-order representation construction
 KAPPA_ZERO_EPS = 0.02
@@ -73,7 +73,7 @@ class CumulativeIntegral:
         """log integral at arbitrary x inside the grid, exact cell splits.
 
         The partial cells of all x (edge to x for V, x to edge for W) take
-        one call of the cell rule.
+        one call of the cell rule, as (n, 2) rows of edges.
         """
         u = np.atleast_1d(np.log(np.asarray(x, dtype=float)))
         edges = self.edges_u
@@ -87,8 +87,8 @@ class CumulativeIntegral:
             base, lo, hi = self.log_values[idx + 1], u, edges[idx + 1]
         part = np.full(u.shape, -math.inf)
         nonempty = hi > lo
-        part[nonempty] = cell_pair_log_masses(moment_log_f(self.source, self.r + 1.0),
-                                              lo[nonempty], hi[nonempty])
+        rows = np.array([lo[nonempty], hi[nonempty]]).T
+        part[nonempty] = cell_log_masses(moment_log_f(self.source, self.r + 1.0), rows)[:, 0]
         out = np.logaddexp(base, part)
         return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 

@@ -8,7 +8,10 @@ runaway magnitudes are clamped to +-inf.
 
 The moment index kappa (sup of r with integral_1^inf x**(r-1) U(x) dx finite)
 is bracketed by probing integral convergence at doubling truncations and
-bisecting between the convergent and divergent regimes.
+bisecting between the convergent and divergent regimes. The probe policy
+lives here: a probe sums the octaves [2**k, 2**(k+1)] up to the grid's x_max,
+each from 256 cells of the exponential cell rule (``quadrature``), and its
+verdict reads the last _SUSTAIN + 1 octave masses.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from .errors import (
     ParamError,
     UndecidedConvergence,
 )
-from .handles import FunctionHandle
+from .handles import LOG2, FunctionHandle
 from .labels import ClassLabel
-from .quadrature import LOG2_, octave_integral
+from .quadrature import cell_log_masses, logsumexp, moment_log_f
 
 INF_THRESHOLD = 100.0
 
@@ -318,6 +321,17 @@ _SUSTAIN = 4
 _KAPPA_R_LO = -64.0
 _KAPPA_R_HI = 64.0
 _KAPPA_TOL = 0.01
+_PROBE_CELLS_PER_OCTAVE = 256
+
+
+def octave_integral(handle, r: float, n_octaves: int) -> np.ndarray:
+    """Per-octave log masses of x**(r-1) U(x) over [2**k, 2**(k+1)], k = 0, 1, ..."""
+    steps = np.arange(_PROBE_CELLS_PER_OCTAVE + 1) / _PROBE_CELLS_PER_OCTAVE
+    masses = np.empty(n_octaves)
+    log_f = moment_log_f(handle, r)
+    for j in range(n_octaves):
+        masses[j] = logsumexp(cell_log_masses(log_f, (j + steps) * LOG2))
+    return masses
 
 
 def probe_integral_convergence(U: FunctionHandle, r: float,
@@ -328,7 +342,7 @@ def probe_integral_convergence(U: FunctionHandle, r: float,
     increments decay geometrically (sustained ratio below 1), divergent when
     they fail to decay, undecided in the razor-thin band between.
     """
-    n_oct = max(_SUSTAIN + 2, int(math.floor(grid.log10_x_max * math.log(10) / LOG2_)))
+    n_oct = max(_SUSTAIN + 2, int(math.floor(grid.log10_x_max * math.log(10) / LOG2)))
     inc = octave_integral(U, r, n_oct)
     partials = np.logaddexp.accumulate(inc)
     trace = tuple(
@@ -380,7 +394,7 @@ def estimate_kappa(U: FunctionHandle, grid: GridSpec = GridSpec()) -> IndexEstim
         else:
             # undecided sits inside the narrow ratio-margin band around the
             # boundary: the midpoint IS the answer, to within that band
-            band = 2.0 * _RATIO_MARGIN / LOG2_
+            band = 2.0 * _RATIO_MARGIN / LOG2
             return IndexEstimate(mid, band, Trend.STABLE, grid)
     return IndexEstimate(0.5 * (lo + hi), hi - lo, Trend.STABLE, grid)
 

@@ -3,7 +3,7 @@
 Integrals of positive integrands are carried as logarithms throughout, so
 integrands ranging over thousands of orders of magnitude never overflow.
 
-The workhorse is the exponential cell rule on a uniform grid in u = log x:
+The workhorse is the exponential cell rule on a grid in u = log x:
 within a cell the log-integrand is treated as linear, giving the exact cell
 mass du * exp(g0) * phi(g1 - g0) with phi(d) = (exp(d) - 1)/d. The rule is
 exact for power-law integrands, and exact for dyadic step integrands when the
@@ -12,12 +12,17 @@ so right-continuous steps resolve to the correct side despite float rounding
 of exp/log at the breakpoints. At an infinite end the rule takes its limits:
 a cell's mass is +inf at a +inf end, else 0 (log -inf) at a -inf end.
 
-The rule is evaluated without repeated passes. On a grid, each edge is
-exponentiated once and serves as one cell's upper end and the next cell's
-lower end. log phi is one expm1, divide and log over all cells; the cells
-with |d| < 1e-8 (where 0/0 would read NaN) and d > 700 (where expm1
-overflows) are patched afterwards, and only when a batch has any. The bits
-are those of the formulas above, evaluated cell by cell.
+``cell_log_masses`` is the one entry point. It takes the edges of one grid,
+or rows of edges along the last axis: (..., k+1) edges give (..., k) masses,
+each row with the bits it has alone, so unrelated cells go as (n, 2) rows.
+The rule is evaluated without repeated passes. Each edge is exponentiated
+once and serves as one cell's upper end and the next cell's lower end. log
+phi is one expm1, divide and log over all cells; the cells with |d| < 1e-8
+(where 0/0 would read NaN) and d > 700 (where expm1 overflows) are patched
+afterwards, and only when a batch has any. The bits are those of the
+formulas above, evaluated cell by cell. The callers choose the grids: the
+octave probes of the moment index kappa in ``order``, the cumulative
+integrals in ``karamata``.
 
 Integrals in linear x (the Laplace transform, convolutions) use a batched
 adaptive Gauss-Kronrod rule that refines many integrals together. Each
@@ -46,8 +51,6 @@ import math
 import numpy as np
 
 from .errors import QuadratureFailure
-
-LOG2_ = math.log(2.0)
 
 _NUDGE = 1e-12
 
@@ -91,30 +94,19 @@ def logsumexp(values: np.ndarray) -> float:
     return float(m + math.log(np.exp(v - m).sum()))
 
 
-def cell_pair_log_masses(log_f, u_lo, u_hi) -> np.ndarray:
-    """Per-cell log of integral exp(log_f(u)) du over cells [u_lo, u_hi].
-
-    ``log_f`` maps x arrays to log-integrand values; endpoints are evaluated
-    just inside each cell, all cells with one ``log_f`` call per side.
-    """
-    u_lo = np.asarray(u_lo, dtype=float)
-    u_hi = np.asarray(u_hi, dtype=float)
-    g_lo = log_f(np.exp(u_lo) * (1.0 + _NUDGE))
-    g_hi = log_f(np.exp(u_hi) * (1.0 - _NUDGE))
-    return _cell_rule(g_lo, g_hi, u_hi - u_lo)
-
-
 def cell_log_masses(log_f, u_edges: np.ndarray) -> np.ndarray:
-    """Per-cell log masses of the consecutive cells of a u-grid.
+    """Per-cell log of integral exp(log_f(u)) du over the cells of u-grids.
 
-    The cells of cell_pair_log_masses(log_f, u_edges[:-1], u_edges[1:]),
-    bit for bit, with each edge exponentiated once.
+    ``u_edges`` holds grids along its last axis: (..., k+1) edges give the
+    (..., k) masses of their consecutive cells. ``log_f`` maps x arrays to
+    log-integrand values; the ends are evaluated just inside each cell, all
+    cells with one ``log_f`` call per side.
     """
     u_edges = np.asarray(u_edges, dtype=float)
     x = np.exp(u_edges)
-    g_lo = log_f(x[:-1] * (1.0 + _NUDGE))
-    g_hi = log_f(x[1:] * (1.0 - _NUDGE))
-    return _cell_rule(g_lo, g_hi, u_edges[1:] - u_edges[:-1])
+    g_lo = log_f(x[..., :-1] * (1.0 + _NUDGE))
+    g_hi = log_f(x[..., 1:] * (1.0 - _NUDGE))
+    return _cell_rule(g_lo, g_hi, u_edges[..., 1:] - u_edges[..., :-1])
 
 
 def _cell_rule(g_lo: np.ndarray, g_hi: np.ndarray, width: np.ndarray) -> np.ndarray:
@@ -131,22 +123,9 @@ def _cell_rule(g_lo: np.ndarray, g_hi: np.ndarray, width: np.ndarray) -> np.ndar
     return out
 
 
-_CELLS_PER_OCTAVE = 256
-
-
 def moment_log_f(handle, p: float):
     """x -> log(x**p U(x)): x**(p-1) U(x) dx = exp(p u) U(e^u) du in u = log x."""
     return lambda x: p * np.log(x) + handle.log_at(x)
-
-
-def octave_integral(handle, r: float, n_octaves: int) -> np.ndarray:
-    """Per-octave log masses of x**(r-1) U(x) over [2**k, 2**(k+1)], k = 0, 1, ..."""
-    steps = np.arange(_CELLS_PER_OCTAVE + 1) / _CELLS_PER_OCTAVE
-    masses = np.empty(n_octaves)
-    log_f = moment_log_f(handle, r)
-    for j in range(n_octaves):
-        masses[j] = logsumexp(cell_log_masses(log_f, (j + steps) * LOG2_))
-    return masses
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 import tailorder as to
 from tailorder import quadrature
 from tailorder.errors import QuadratureFailure
+from tailorder.handles import LOG2
 from tailorder.quadrature import GK_WG, GK_WK, GK_X, adaptive_log_quad, batched_log_quad
 
 
@@ -134,10 +135,10 @@ def test_cell_rule_limits_at_infinite_ends():
         g[2 * k], g[2 * k + 1] = lo, hi
 
     def log_f(x):
-        return np.array([g[round(math.log(v))] for v in x])
+        return np.array([g[round(math.log(v))] for v in x.ravel()]).reshape(x.shape)
 
     u_lo = 2.0 * np.arange(len(pairs))
-    got = quadrature.cell_pair_log_masses(log_f, u_lo, u_lo + 1.0)
+    got = quadrature.cell_log_masses(log_f, np.stack([u_lo, u_lo + 1.0], axis=-1))[:, 0]
     g_lo, g_hi = np.array(pairs).T
     with np.errstate(invalid="ignore"):
         rule = g_lo + np.log(1.0) + quadrature.log_phi(g_hi - g_lo)
@@ -154,17 +155,17 @@ def test_cell_rule_limits_at_infinite_ends():
 
 
 def test_cell_rule_on_a_2d_batch_equals_its_rows():
-    # one cell of a (3, 4) batch ends where the log-integrand is +inf
+    # one cell of a (3, 4, 2) batch of edge rows ends where the log-integrand
+    # is +inf
     def log_f(x):
         return np.where(x > 500.0, math.inf, -1.5 * np.log(x))
 
     u_lo = np.linspace(0.0, 6.0, 12).reshape(3, 4)
-    u_hi = u_lo + 0.5
-    got = quadrature.cell_pair_log_masses(log_f, u_lo, u_hi)
+    edges = np.stack([u_lo, u_lo + 0.5], axis=-1)
+    got = quadrature.cell_log_masses(log_f, edges)
     assert np.isinf(got).sum() == 1
-    rows = np.stack([quadrature.cell_pair_log_masses(log_f, lo, hi)
-                     for lo, hi in zip(u_lo, u_hi)])
-    assert got.shape == (3, 4) and got.tobytes() == rows.tobytes()
+    rows = np.stack([quadrature.cell_log_masses(log_f, row) for row in edges])
+    assert got.shape == (3, 4, 1) and got.tobytes() == rows.tobytes()
 
 
 # The cell rule as first written, formula by formula: the reference that the
@@ -249,16 +250,32 @@ def test_cell_rule_equals_the_reference_formulas_on_every_branch():
     got, points = _scripted(quadrature.cell_log_masses, g_lo, g_hi, u_edges)
     assert _same_bits(got, want) and len(points) == 2
     assert all(map(_same_bits, points, want_points))
+    # every cell alone, as (..., 2) rows of its two edges
     for shape in [(-1,), (-1, 6)]:
         cells = [a.reshape(shape) for a in (g_lo, g_hi, u_edges[:-1], u_edges[1:])]
-        got, points = _scripted(quadrature.cell_pair_log_masses, *cells)
+        rows = np.stack(cells[2:], axis=-1)
+        got, points = _scripted(quadrature.cell_log_masses, *(g[..., None] for g in cells[:2]),
+                                rows)
         ref, ref_points = _scripted(_reference_cells, *cells)
-        assert _same_bits(got, ref) and all(map(_same_bits, points, ref_points))
-    # one cell, 0-d, on each branch
+        assert _same_bits(got[..., 0], ref)
+        assert all(_same_bits(p[..., 0], q) for p, q in zip(points, ref_points))
+    # one cell, a (2,) row, on each branch
     for k in [0, 8, 20, 24, n + 3, n + 4 * ends.size + 5]:
-        got, _ = _scripted(quadrature.cell_pair_log_masses, g_lo[k], g_hi[k],
-                           np.array(u_edges[k]), np.array(u_edges[k + 1]))
-        assert _same_bits(got, want[k]), k
+        got, _ = _scripted(quadrature.cell_log_masses, g_lo[k:k + 1], g_hi[k:k + 1],
+                           u_edges[k:k + 2])
+        assert _same_bits(got, want[k:k + 1]), k
+    # the cells as a (12, 7) batch of grids that share their end edges: every
+    # row has the bits of its own 1-D call, which patches only its own
+    # |d| < 1e-8 and d > 700 cells
+    grids = np.stack([u_edges[6 * i:6 * i + 7] for i in range(12)])
+    got, points = _scripted(quadrature.cell_log_masses, g_lo.reshape(12, 6),
+                            g_hi.reshape(12, 6), grids)
+    assert _same_bits(got, want.reshape(12, 6)) and len(points) == 2
+    for i in range(12):
+        row, row_points = _scripted(quadrature.cell_log_masses, g_lo[6 * i:6 * i + 6],
+                                    g_hi[6 * i:6 * i + 6], grids[i])
+        assert _same_bits(got[i], row), i
+        assert all(_same_bits(p[i], q) for p, q in zip(points, row_points)), i
 
 
 def test_cell_rule_on_integrands_equals_the_reference_formulas():
@@ -267,7 +284,7 @@ def test_cell_rule_on_integrands_equals_the_reference_formulas():
     # sin-modulated tail; each log_f call counted
     step = quadrature.moment_log_f(to.make_peter_paul(), 0.0)
     grids = [
-        (step, math.log(1.93) + np.arange(1025) * (quadrature.LOG2_ / 512)),
+        (step, math.log(1.93) + np.arange(1025) * (LOG2 / 512)),
         (lambda x: np.minimum(x, 1e3), np.array([0.0, 1.0, 7.5, 8.0, 9.0])),
         (quadrature.moment_log_f(to.make_power_tail(-2.0), 0.5), np.linspace(0.1, 40.0, 700)),
         (quadrature.moment_log_f(to.make_two_plus_sin(), 1.0), np.linspace(0.0, 12.0, 3001)),
@@ -282,5 +299,5 @@ def test_cell_rule_on_integrands_equals_the_reference_formulas():
         got = quadrature.cell_log_masses(counted, edges)
         assert calls == [edges.size - 1] * 2
         assert _same_bits(got, _reference_cells(log_f, edges[:-1], edges[1:]))
-        pairs = quadrature.cell_pair_log_masses(log_f, edges[:-1], edges[1:])
-        assert _same_bits(pairs, got)
+        rows = quadrature.cell_log_masses(log_f, np.stack([edges[:-1], edges[1:]], axis=-1))
+        assert _same_bits(rows[:, 0], got)
