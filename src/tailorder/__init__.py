@@ -10,16 +10,13 @@ domain-of-attraction verdicts, threshold-excess probes, block maxima).
 """
 
 from .algebra import (
-    OpKind,
     compose,
     convolve,
-    predicted_class,
     product,
     reciprocal,
     scale_add,
 )
 from .errors import (
-    ArityError,
     ClassMismatch,
     DivergentTail,
     DomainError,

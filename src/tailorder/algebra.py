@@ -12,17 +12,18 @@ space, carrying the label predicted by the closure rules:
 * composition: orders multiply when the inner function diverges.
 
 Whenever the hypotheses of a rule fail, the prediction is Undecided rather
-than a guess.
+than a guess. The constructors are the one entry to these rules: the
+predicted class of an operation is ``.truth.label`` of the handle it builds,
+which reads only its operands' labels.
 """
 
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 import numpy as np
 
-from .errors import ArityError, DomainError, ParamError
+from .errors import DomainError, ParamError
 from .handles import FunctionHandle, KnownTruth
 from .labels import (
     TAG_M,
@@ -32,14 +33,6 @@ from .labels import (
     ClassLabel,
 )
 from .quadrature import batched_log_quad, dyadic_edges
-
-
-class OpKind(str, Enum):
-    SCALE_ADD = "ScaleAdd"
-    RECIPROCAL = "Reciprocal"
-    PRODUCT = "Product"
-    CONVOLVE = "Convolve"
-    COMPOSE = "Compose"
 
 
 # ---------------------------------------------------------------------------
@@ -117,24 +110,6 @@ def _compose_label(lu: ClassLabel, lv: ClassLabel) -> ClassLabel:
     if lu.tag in (TAG_M_INF, TAG_M_NEG_INF) and _inner_diverges(lv):
         return ClassLabel(lu.tag)
     return ClassLabel.undecided()
-
-
-_LABEL_RULES = {OpKind.RECIPROCAL: _reciprocal_label, OpKind.PRODUCT: _product_label,
-                OpKind.CONVOLVE: _convolve_label, OpKind.COMPOSE: _compose_label}
-
-
-def predicted_class(op: OpKind, operands: list[ClassLabel],
-                    a: float | None = None) -> ClassLabel:
-    """Pure label-arithmetic prediction for an operation."""
-    op = OpKind(op)
-    need = 1 if op is OpKind.RECIPROCAL else 2
-    if len(operands) != need:
-        raise ArityError(f"{op.value} takes {need} operand(s), got {len(operands)}")
-    if op is OpKind.SCALE_ADD:
-        if a is None or a < 0:
-            raise ParamError("ScaleAdd requires a >= 0")
-        return _scale_add_label(float(a), *operands)
-    return _LABEL_RULES[op](*operands)
 
 
 def _label_of(h: FunctionHandle) -> ClassLabel:

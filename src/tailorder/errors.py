@@ -25,10 +25,6 @@ class PositivityViolation(FormatError):
     """A linear-kind table value is not strictly positive."""
 
 
-class ArityError(ParamError):
-    """Operand count does not match the operation."""
-
-
 class QuadratureFailure(TailOrderError):
     """Adaptive quadrature did not reach tolerance within budget."""
 

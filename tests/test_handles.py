@@ -503,22 +503,21 @@ def test_closures_over_the_catalog_agree_with_the_prediction():
     # operands' measured labels
     members = [to.make_named(n, _VALID_PARAMS.get(n)) for n in to.catalog_names()]
     measured = {h.name: to.classify(h) for h in members}
-    build = {to.OpKind.RECIPROCAL: to.reciprocal, to.OpKind.PRODUCT: to.product,
-             to.OpKind.SCALE_ADD: functools.partial(to.scale_add, 1.0),
-             to.OpKind.COMPOSE: to.compose}
-    cases = [(to.OpKind.RECIPROCAL, (u,)) for u in members]
-    cases += [(op, (u, v)) for op in list(build)[1:] for u in members for v in members]
+    cases = [(to.reciprocal, (u,)) for u in members]
+    cases += [(op, (u, v)) for op in (to.product, functools.partial(to.scale_add, 1.0), to.compose)
+              for u in members for v in members]
     assert len(cases) == 520
     both = 0
     for op, operands in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                got = to.classify(build[op](*operands))
+                got = to.classify(op(*operands))
             except to.TailOrderError:
                 continue
-        a = 1.0 if op is to.OpKind.SCALE_ADD else None
-        want = to.predicted_class(op, [measured[h.name] for h in operands], a)
+        # the constructor's prediction from operands that carry the measured labels
+        want = op(*(dataclasses.replace(h, truth=to.KnownTruth(measured[h.name]))
+                    for h in operands)).truth.label
         if got.is_decided and want.is_decided:
             both += 1
             assert _labels_agree(got, want), (op, [h.name for h in operands], got, want)
