@@ -132,8 +132,8 @@ def _derived(name: str, log_at_logx, label: ClassLabel, *operands: FunctionHandl
 
 def scale_add(a: float, U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
     """Handle for a*U + V via log-sum-exp; a = 0 degenerates to V."""
-    if a < 0:
-        raise ParamError("scale_add requires a >= 0")
+    if not 0.0 <= a < math.inf:
+        raise ParamError(f"scale_add requires 0 <= a < inf, got a = {a:g}")
     a = float(a)
     label = _scale_add_label(a, _label_of(U), _label_of(V))
     if a == 0.0:

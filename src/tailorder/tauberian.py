@@ -41,13 +41,13 @@ def _check_vanishes_at_origin(U: FunctionHandle) -> None:
 
 
 def regularize_origin(U: FunctionHandle, rho: float) -> FunctionHandle:
-    """Replace U below x = 1 by U(1) * x**rho so U(0+) = 0 (rho > 0).
+    """Replace U below x = 1 by U(1) * x**rho so U(0+) = 0 (0 < rho < inf).
 
     Leaves the asymptotics untouched; makes bounded-near-origin members
     eligible for the transform hypotheses.
     """
-    if rho <= 0:
-        raise ParamError("origin regularization requires a positive order")
+    if not 0.0 < rho < math.inf:
+        raise ParamError(f"origin regularization requires 0 < rho < inf, got rho = {rho:g}")
     log_u1 = float(U.log_at(1.0))
 
     def log_at_logx(u):

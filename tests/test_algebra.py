@@ -71,6 +71,20 @@ def test_predicted_class_table(op, operands, a, expected):
     assert _closure_label(op, *operands, a=a) == expected
 
 
+@pytest.mark.parametrize("build,name,value", [
+    pytest.param(lambda a: to.scale_add(a, to.make_power_tail(1.0), to.make_power_tail(2.0)),
+                 "a", v, id=f"scale_add-a={v:g}") for v in (-1.0, math.inf, math.nan)
+] + [
+    pytest.param(lambda rho: to.regularize_origin(to.make_power_tail(2.0), rho),
+                 "rho", v, id=f"regularize_origin-rho={v:g}") for v in (0.0, -1.0, math.inf, math.nan)
+])
+def test_a_weight_or_order_outside_its_finite_range_is_refused_when_built(build, name, value):
+    # an infinite weight made every value +inf under a finite label, and an
+    # infinite order made log U = -inf below 1; NaN failed only when evaluated
+    with pytest.raises(ParamError, match=f"got {name} = {value:g}$"):
+        build(value)
+
+
 @given(rho=st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
 @settings(max_examples=100, deadline=None)
 def test_reciprocal_label_involution(rho):
