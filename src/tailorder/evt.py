@@ -239,6 +239,8 @@ def gpd_ratio_probe(D: DistributionHandle, xi: float, a_fn: Callable,
         raise ParamError(f"excess-ratio probe requires a finite xi, got xi = {xi:g}")
     spec = GPDSpec(xi=xi)
     xs = np.asarray(x_probe, dtype=float)
+    if not xs.size:
+        raise ParamError("excess-ratio probe requires at least one point in x_probe")
     if np.any(1.0 + xi * xs <= 0.0):
         raise ParamError("probe points must satisfy 1 + xi*x > 0")
     us = np.logspace(2, 7, 64)
@@ -336,12 +338,18 @@ def frechet_cdf(x, alpha: float) -> np.ndarray:
     return out
 
 
+def _check_block_size(n) -> None:
+    if not n >= 2:
+        raise ParamError(f"block size {n} is too small: block maxima need n >= 2")
+
+
 def normalized_maxima_cdf(D: DistributionHandle, n: int, x) -> np.ndarray:
     """Exact distribution of M_n / a_n at x: (1 - F-bar(a_n x))**n.
 
     It is the law of draws through D.quantile: 0 below D.quantile(1-), the
     least value the map returns, where F-bar(floor+) < 1 puts the rest.
     """
+    _check_block_size(n)
     a_n = float(D.quantile(1.0 / n))
     xa = np.asarray(x, dtype=float)
     out = np.zeros_like(xa)
@@ -387,8 +395,7 @@ def block_maxima_simulate(D: DistributionHandle, n_values: Sequence[int],
     ns = [int(n) for n in n_values]
     if not ns:
         raise ParamError("simulation requires at least one block size")
-    if min(ns) < 2:
-        raise ParamError(f"block size {min(ns)} is too small: block maxima need n >= 2")
+    _check_block_size(min(ns))
     xs = np.asarray(_ABSCISSAS, dtype=float)
     rng = np.random.Generator(np.random.Philox(key=seed))
     a_list, cdfs, dists = [], [], []
@@ -421,8 +428,15 @@ def subsequence_witness(D: DistributionHandle, k_values: Sequence[int] = (8, 10)
 
     Compares the exact normalized-maxima laws along n = 2**k and n = 3*2**k;
     a genuine limit would make the two agree. Optionally confirms by
-    simulation when reps and seed are given.
+    simulation when reps and seed are given. Each k lies in 1 <= k <= 1022,
+    so that both block sizes are at least 2 and 3*2**k is a finite float.
     """
+    k_values = list(k_values)
+    if not k_values:
+        raise ParamError("subsequence witness requires at least one k in k_values")
+    for k in k_values:
+        if not 1 <= k <= 1022:
+            raise ParamError(f"k = {k} is out of range: the witness needs 1 <= k <= 1022")
     xs = np.asarray(_ABSCISSAS, dtype=float)
     out: dict = {"pairs": []}
     for k in k_values:

@@ -285,6 +285,14 @@ def test_excess_ratio_refuses_a_non_finite_xi(xi):
         to.gpd_ratio_probe(D, xi, lambda u: np.asarray(u) / 2.0)
 
 
+def test_excess_ratio_refuses_no_probe_points():
+    D = to.distribution_for(to.make_pareto_tail(2.0))
+    with pytest.raises(ParamError, match="at least one point in x_probe$"):
+        to.gpd_ratio_probe(D, 0.5, lambda u: np.asarray(u) / 2.0, x_probe=())
+    with pytest.raises(ParamError, match="at least one point in x_probe$"):
+        to.excess_family_violation(D, x_probe=[])
+
+
 def test_excess_violation_for_oscillating_tails():
     for make in (lambda: to.make_oset_geometric(1.0, -2.0, 2.0),
                  lambda: to.make_oset_tower(1.0, -1.0)):
@@ -389,6 +397,25 @@ def test_peter_paul_subsequences_disagree():
     assert out["max_ks_exact"] >= 0.05
     for pair in out["pairs"]:
         assert pair["ks_empirical"] >= 0.05
+
+
+@pytest.mark.parametrize("k_values,match", [
+    ((), "at least one k in k_values$"),
+    ((0,), "k = 0 is out of range"),
+    ((2000,), "k = 2000 is out of range"),
+    ((8, 1023), "k = 1023 is out of range"),  # 3 * 2**1023 is past the float range
+], ids=["no-k", "k=0", "k=2000", "k=1023"])
+def test_subsequence_witness_refuses_a_bad_k(k_values, match):
+    D = to.distribution_for(to.make_peter_paul())
+    with pytest.raises(ParamError, match=match):
+        to.subsequence_witness(D, k_values=k_values)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_exact_law_refuses_block_sizes_below_two(n):
+    D = to.distribution_for(to.make_pareto_tail(1.0))
+    with pytest.raises(ParamError, match=f"block size {n} is too small"):
+        to.normalized_maxima_cdf(D, n, np.array([1.0, 2.0]))
 
 
 def test_exact_law_matches_draws_when_tail_starts_below_one():
