@@ -38,6 +38,7 @@ from .order import (
     GridSpec,
     IndexEstimate,
     _SUSTAIN,
+    _check_tol,
     classify,
     decay_verdict,
     rv_ratio_test,
@@ -349,6 +350,7 @@ def verify_representation(U: FunctionHandle, rep: RepresentationTriple,
                           grid: GridSpec = GridSpec(),
                           tol: float = DEFAULT_CLASS_TOL) -> ConditionReport:
     """Check pointwise reconstruction and the three exponent limits."""
+    _check_tol(tol)
     lo = max(grid.log10_x_min, math.log10(rep.b_effective) + 0.3)
     sub = replace(grid, log10_x_min=lo)
     xs = sub.xs()

@@ -283,6 +283,11 @@ def estimate_orders(U: FunctionHandle, grid: GridSpec = GridSpec()
 DEFAULT_CLASS_TOL = 0.05
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise ParamError(f"classification tolerance must be positive and finite, got {tol:g}")
+
+
 def classify(U: FunctionHandle, grid: GridSpec = GridSpec(),
              tol: float = DEFAULT_CLASS_TOL, *,
              orders: tuple[IndexEstimate, IndexEstimate] | None = None) -> ClassLabel:
@@ -290,8 +295,7 @@ def classify(U: FunctionHandle, grid: GridSpec = GridSpec(),
 
     ``orders`` is ``estimate_orders(U, grid)`` when the caller has it already.
     """
-    if not 0.0 < tol < math.inf:
-        raise ParamError(f"classification tolerance must be positive and finite, got {tol:g}")
+    _check_tol(tol)
     mu, nu = orders or estimate_orders(U, grid)
     if nu.value == -math.inf:
         return ClassLabel.m_inf()
@@ -431,6 +435,7 @@ def check_second_characterization(U: FunctionHandle, grid: GridSpec = GridSpec()
     ``label`` (``classify(U, grid, tol)``) and ``kappa``
     (``estimate_kappa(U, grid)``) skip their computation when given.
     """
+    _check_tol(tol)
     label = label or classify(U, grid, tol)
     if not label.is_m:
         raise ClassMismatch(f"{U.name}: classified {label}, finite order required")
@@ -467,6 +472,7 @@ def rv_ratio_test(U: FunctionHandle, t_values: Sequence[float] = (2.0, 5.0, 10.0
     stabilises and the implied rho values agree. Scales t = 1 test nothing
     and are skipped; a ParamError when no other t is left.
     """
+    _check_tol(tol)
     xs = grid.xs()
     ts = [t for t in check_ratio_scales(t_values, float(xs[-1]))
           if abs(math.log(t)) >= 1e-12]

@@ -230,6 +230,19 @@ def test_classify_tolerance_must_be_finite():
         to.classify(to.make_x_pow_sin_x(), tol=math.inf)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_every_check_refuses_the_tolerances_that_classify_refuses(tol):
+    # these once read such a tol as a budget and returned a verdict
+    h = to.make_power_tail(-2.0)
+    rep = to.extract_representation(h)
+    checks = (lambda: to.rv_ratio_test(h, tol=tol),
+              lambda: to.verify_representation(h, rep, tol=tol),
+              lambda: to.check_second_characterization(h, tol=tol, label=to.ClassLabel.m(-2.0)))
+    for check in checks:
+        with pytest.raises(ParamError, match=f"tolerance must be positive and finite, got {tol:g}$"):
+            check()
+
+
 @pytest.mark.parametrize("r,tag", [
     (1.0, "Convergent"),   # exponent 1 - 2 below the integrability line
     (3.0, "Divergent"),
