@@ -38,9 +38,12 @@ from b = 1.9, off the octaves, where the octave ratio of the tail drifts.
 Two lines pin the cell rule itself: the cells of the dyadic step tail
 over two octaves of edges from log 1.93, off the octaves, then four cells
 of min(x, 1000) whose log-integrand rises by more than 700 across one cell
-and is flat (a difference under 1e-8) across two others; and last, the
+and is flat (a difference under 1e-8) across two others; then the
 cells of x**0.5 times the step tail on three rows of edges, one octave of
-256 cells each from log 1.93, in one call.
+256 cells each from log 1.93, in one call. The last line pins the closure
+labels: the class that each of nine constructed handles carries, by name,
+over every operation, both rapid classes, an Oscillating operand and two
+Undecided results.
 Each prints ``lib``, the
 sha256 of its result (the shape and bytes of an array, the sorted JSON of a
 report) and the expression.
@@ -123,6 +126,16 @@ LIBRARY = (
     " np.array([0.0, 1.0, 7.5, 8.0, 9.0]))])",
     "to.quadrature.cell_log_masses(to.quadrature.moment_log_f(to.make_peter_paul(), 0.5),"
     " np.log(1.93) + (np.arange(3)[:, None] * 256 + np.arange(257)) * (np.log(2.0) / 256))",
+    "{h.name: h.truth.label.to_dict() for h in ("
+    "to.scale_add(2.0, to.make_power_tail(-2.0), to.make_peter_paul()),"
+    " to.scale_add(1.0, to.make_exp_pos(), to.make_exp_pos()),"
+    " to.reciprocal(to.make_x_pow_sin_x()),"
+    " to.product(to.make_exp_neg(), to.make_power_tail(5.0)),"
+    " to.product(to.make_x_pow_sin_x(), to.make_power_tail(1.0)),"
+    " to.convolve(to.make_power_tail(-3.0), to.make_power_tail(2.0)),"
+    " to.convolve(to.make_power_tail(-1.0), to.make_power_tail(-0.5)),"
+    " to.compose(to.make_power_tail(-2.0), to.make_power_tail(3.0)),"
+    " to.compose(to.make_exp_neg(), to.make_power_tail(2.0)))}",
 )
 # evaluates each expression of argv in one interpreter and prints its digest line
 LIBRARY_RUNNER = """
