@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import tailorder as to
 from tailorder import algebra, quadrature
 from tailorder.errors import DomainError, ParamError, QuadratureFailure
-from tailorder.handles import KnownTruth
 
 L = to.ClassLabel
 
@@ -23,7 +22,7 @@ L = to.ClassLabel
 
 def _carrying(label):
     """A handle whose truth is ``KnownTruth(label)``: the constructors read only its label."""
-    return dataclasses.replace(to.make_power_tail(0.0), truth=KnownTruth(label))
+    return dataclasses.replace(to.make_power_tail(0.0), truth=to.KnownTruth(label))
 
 
 def _closure_label(op, *labels, a=None):
@@ -79,8 +78,8 @@ def test_predicted_class_table(op, operands, a, expected):
                  "rho", v, id=f"regularize_origin-rho={v:g}") for v in (0.0, -1.0, math.inf, math.nan)
 ])
 def test_a_weight_or_order_outside_its_finite_range_is_refused_when_built(build, name, value):
-    # an infinite weight made every value +inf under a finite label, and an
-    # infinite order made log U = -inf below 1; NaN failed only when evaluated
+    # an infinite weight would make every value +inf under a finite label and
+    # an infinite order log U = -inf below 1; a NaN would fail only when evaluated
     with pytest.raises(ParamError, match=f"got {name} = {value:g}$"):
         build(value)
 

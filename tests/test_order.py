@@ -232,7 +232,7 @@ def test_classify_tolerance_must_be_finite():
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
 def test_every_check_refuses_the_tolerances_that_classify_refuses(tol):
-    # these once read such a tol as a budget and returned a verdict
+    # each reads tol as a budget, so such a tol would give a verdict that means nothing
     h = to.make_power_tail(-2.0)
     rep = to.extract_representation(h)
     checks = (lambda: to.rv_ratio_test(h, tol=tol),
