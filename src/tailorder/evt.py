@@ -14,7 +14,6 @@ rapid decay is necessary but not sufficient.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -29,6 +28,7 @@ from .order import (
     GridSpec,
     IndexEstimate,
     classify,
+    _whole,
     rv_ratio_test,
     windowed_limit,
 )
@@ -338,18 +338,13 @@ def frechet_cdf(x, alpha: float) -> np.ndarray:
     return out
 
 
-def _check_block_size(n) -> None:
-    if not n >= 2:
-        raise ParamError(f"block size {n} is too small: block maxima need n >= 2")
-
-
 def normalized_maxima_cdf(D: DistributionHandle, n: int, x) -> np.ndarray:
     """Exact distribution of M_n / a_n at x: (1 - F-bar(a_n x))**n.
 
     It is the law of draws through D.quantile: 0 below D.quantile(1-), the
     least value the map returns, where F-bar(floor+) < 1 puts the rest.
     """
-    _check_block_size(n)
+    n = _whole(n, "block size", 2)
     a_n = float(D.quantile(1.0 / n))
     xa = np.asarray(x, dtype=float)
     out = np.zeros_like(xa)
@@ -387,15 +382,11 @@ def block_maxima_simulate(D: DistributionHandle, n_values: Sequence[int],
     normalized by b_n = 0 and a_n = tail-quantile(1/n), so block sizes start
     at 2.
     """
-    if reps < 1:
-        raise ParamError("simulation requires reps >= 1")
-    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2 ** 128):
-        raise ParamError(f"seed {seed} is out of range: the generator needs an integer "
-                         "0 <= seed < 2**128")
-    ns = [int(n) for n in n_values]
+    reps = _whole(reps, "reps", 1)
+    seed = _whole(seed, "seed", 0, 2 ** 128 - 1)
+    ns = [_whole(n, "block size", 2) for n in n_values]
     if not ns:
         raise ParamError("simulation requires at least one block size")
-    _check_block_size(min(ns))
     xs = np.asarray(_ABSCISSAS, dtype=float)
     rng = np.random.Generator(np.random.Philox(key=seed))
     a_list, cdfs, dists = [], [], []
@@ -417,7 +408,7 @@ def block_maxima_simulate(D: DistributionHandle, n_values: Sequence[int],
         n_values=tuple(ns), a_n=tuple(a_list), b_n=(0.0,) * len(ns),
         abscissas=tuple(float(v) for v in xs),
         empirical_cdfs=tuple(cdfs), distances=tuple(dists),
-        seed=int(seed), reps=int(reps), candidate_alpha=candidate_alpha,
+        seed=seed, reps=reps, candidate_alpha=candidate_alpha,
     )
 
 
@@ -431,12 +422,9 @@ def subsequence_witness(D: DistributionHandle, k_values: Sequence[int] = (8, 10)
     simulation when reps and seed are given. Each k lies in 1 <= k <= 1022,
     so that both block sizes are at least 2 and 3*2**k is a finite float.
     """
-    k_values = list(k_values)
+    k_values = [_whole(k, "k", 1, 1022) for k in k_values]
     if not k_values:
         raise ParamError("subsequence witness requires at least one k in k_values")
-    for k in k_values:
-        if not 1 <= k <= 1022:
-            raise ParamError(f"k = {k} is out of range: the witness needs 1 <= k <= 1022")
     xs = np.asarray(_ABSCISSAS, dtype=float)
     out: dict = {"pairs": []}
     for k in k_values:

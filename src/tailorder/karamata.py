@@ -39,6 +39,7 @@ from .order import (
     IndexEstimate,
     _SUSTAIN,
     _check_tol,
+    _whole,
     classify,
     decay_verdict,
     rv_ratio_test,
@@ -237,8 +238,7 @@ def peter_paul_partial_integral(x: float, a: int) -> float:
     """
     if x < 4.0:
         raise ParamError("closed form requires x >= 4")
-    if a < 0 or int(a) != a:
-        raise ParamError("a must be a natural number")
+    a = _whole(a, "a", 0)
     n = math.frexp(x)[1] - 1
     if a >= n:
         raise ParamError(f"requires 2**a < 2**n <= x (a={a}, n={n})")

@@ -50,6 +50,23 @@ class Trend(str, Enum):
     OSCILLATING = "Oscillating"
 
 
+def _whole(value, what: str, lo: int, hi: float = math.inf) -> int:
+    """A count as a Python int: an integer, not a bool, with lo <= value <= hi.
+
+    Anything else, a float with a whole value included, is a ParamError that
+    names ``what`` and the value.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and lo <= value <= hi:
+        return int(value)
+    bounds = f"{what} >= {lo}" if hi == math.inf else f"{lo} <= {what} <= {hi}"
+    raise ParamError(f"{what} {value!r} is out of range: counts are whole numbers, here {bounds}")
+
+
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise ParamError(f"classification tolerance must be positive and finite, got {tol:g}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Geometric probing grid with trailing analysis windows."""
@@ -60,13 +77,8 @@ class GridSpec:
     windows: int = 8
 
     def __post_init__(self) -> None:
-        if not all(isinstance(v, numbers.Integral) for v in (self.points, self.windows)):
-            raise ParamError(f"grid requires whole numbers of points and windows, "
-                             f"got {self.points} and {self.windows}")
-        if self.windows < 2:
-            raise ParamError("grid requires at least 2 windows")
-        if self.points < 16 * self.windows:
-            raise ParamError("grid requires points >= 16 * windows")
+        object.__setattr__(self, "windows", _whole(self.windows, "grid windows", 2))
+        object.__setattr__(self, "points", _whole(self.points, "grid points", 16 * self.windows))
         with np.errstate(over="ignore"):
             x_min = np.power(10.0, self.log10_x_min)
             x_max = np.power(10.0, self.log10_x_max)
@@ -281,11 +293,6 @@ def estimate_orders(U: FunctionHandle, grid: GridSpec = GridSpec()
 
 
 DEFAULT_CLASS_TOL = 0.05
-
-
-def _check_tol(tol: float) -> None:
-    if not 0.0 < tol < math.inf:
-        raise ParamError(f"classification tolerance must be positive and finite, got {tol:g}")
 
 
 def classify(U: FunctionHandle, grid: GridSpec = GridSpec(),

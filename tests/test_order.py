@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -29,6 +30,45 @@ def test_grid_counts_must_be_integers(field, value):
         to.GridSpec(**{field: value})
     # numpy integers count as integers
     assert to.GridSpec(points=np.int64(2000), windows=np.int64(8)).xs().size == 2000
+
+
+_PARETO = to.distribution_for(to.make_pareto_tail(1.0))
+# each count the library takes, by the name its refusal gives it
+_COUNTS = [
+    ("grid points", lambda v: to.GridSpec(points=v)),
+    ("grid windows", lambda v: to.GridSpec(windows=v)),
+    ("block size", lambda v: to.normalized_maxima_cdf(_PARETO, v, np.array([1.0]))),
+    ("block size", lambda v: to.block_maxima_simulate(_PARETO, [10, v], 5, 1)),
+    ("reps", lambda v: to.block_maxima_simulate(_PARETO, [10], v, 1)),
+    ("seed", lambda v: to.block_maxima_simulate(_PARETO, [10], 5, v)),
+    ("k", lambda v: to.subsequence_witness(_PARETO, k_values=(8, v))),
+    ("a", lambda v: to.peter_paul_partial_integral(100.0, v)),
+]
+
+
+@pytest.mark.parametrize("value", [True, 2.5, 10.0, -1, math.nan, "3"], ids=repr)
+@pytest.mark.parametrize("what, call", _COUNTS,
+                         ids=["points", "windows", "n", "n_values", "reps", "seed", "k_values",
+                              "a"])
+def test_every_count_is_a_whole_number_in_range(what, call, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParamError, match=f"^{what} {re.escape(repr(value))} is out of range"):
+            call(value)
+
+
+def test_a_numpy_integer_count_becomes_a_python_int():
+    grid = to.GridSpec(points=np.int64(2000), windows=np.uint8(8))
+    assert (type(grid.points), type(grid.windows)) == (int, int)
+    sim = to.block_maxima_simulate(_PARETO, np.array([10, 20]), np.int32(5), np.uint64(3))
+    assert {type(v) for v in (*sim.n_values, sim.reps, sim.seed)} == {int}
+    assert to.peter_paul_partial_integral(100.0, np.int64(2)) == \
+        to.peter_paul_partial_integral(100.0, 2)
+    D = to.distribution_for(to.make_peter_paul())
+    [pair] = to.subsequence_witness(D, k_values=np.array([64]))["pairs"]
+    assert pair["n1"] == 2 ** 64 and type(pair["n1"]) is int
+    [pair] = to.subsequence_witness(D, k_values=np.array([8]))["pairs"]
+    assert (pair["n1"], type(pair["n1"]), type(pair["n2"])) == (256, int, int)
 
 
 def test_window_bounds_leave_grid_identity_alone():
