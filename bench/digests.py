@@ -40,10 +40,13 @@ over two octaves of edges from log 1.93, off the octaves, then four cells
 of min(x, 1000) whose log-integrand rises by more than 700 across one cell
 and is flat (a difference under 1e-8) across two others; then the
 cells of x**0.5 times the step tail on three rows of edges, one octave of
-256 cells each from log 1.93, in one call. The last line pins the closure
+256 cells each from log 1.93, in one call. The next line pins the closure
 labels: the class that each of nine constructed handles carries, by name,
 over every operation, both rapid classes, an Oscillating operand and two
-Undecided results.
+Undecided results. The last line pins the refusal of every count the
+library takes (grid points and windows, a block size, reps, a seed, k and
+the a of the closed-form integral) for six bad values each: the exception
+type and message of each call, or ``accepted``.
 Each prints ``lib``, the
 sha256 of its result (the shape and bytes of an array, the sorted JSON of a
 report) and the expression.
@@ -52,8 +55,11 @@ enabled, as float results may differ in their last bits on another build
 or CPU: only printouts with equal first lines compare.
 ``classify --data`` reads ``samples.csv``, a fixed table of 3 x**-1.5 that
 the script writes first, and then ``samples_log.csv``, the same table as
-``x,logvalue`` rows, so both CSV kinds are pinned. Two checkouts whose
-printouts are equal run these commands to the same bytes.
+``x,logvalue`` rows, so both CSV kinds are pinned. The last two commands
+read tables the reader refuses, whose exit code 2 they pin: ``not_utf8.csv``
+holds a byte that is not UTF-8, ``long_field.csv`` a field longer than the
+csv module's limit of 131,072 characters. Two checkouts whose printouts are
+equal run these commands to the same bytes.
 """
 
 from __future__ import annotations
@@ -86,6 +92,8 @@ COMMANDS = (
     "report --fn pareto_tail --param alpha=1.5 --points 1001",
     "report --fn peter_paul --r 1 --b 2 --points 1003",
     "classify --fn floor_log_tail --xmin 305.5 --xmax 308",
+    "classify --data not_utf8.csv",
+    "classify --data long_field.csv",
 )
 PLOT_FILES = ("orders.csv", "kappa_trace.csv", "ratio.csv")
 LIBRARY = (
@@ -136,12 +144,29 @@ LIBRARY = (
     " to.convolve(to.make_power_tail(-1.0), to.make_power_tail(-0.5)),"
     " to.compose(to.make_power_tail(-2.0), to.make_power_tail(3.0)),"
     " to.compose(to.make_exp_neg(), to.make_power_tail(2.0)))}",
+    "{f'{name} {v!r}': refusal(call, v) for name, call in ("
+    "('points', lambda v: to.GridSpec(points=v)),"
+    " ('windows', lambda v: to.GridSpec(windows=v)),"
+    " ('n', lambda v: to.normalized_maxima_cdf(PARETO, v, np.array([1.0]))),"
+    " ('n_values', lambda v: to.block_maxima_simulate(PARETO, [10, v], 5, 1)),"
+    " ('reps', lambda v: to.block_maxima_simulate(PARETO, [10], v, 1)),"
+    " ('seed', lambda v: to.block_maxima_simulate(PARETO, [10], 5, v)),"
+    " ('k_values', lambda v: to.subsequence_witness(PARETO, k_values=(8, v))),"
+    " ('a', lambda v: to.peter_paul_partial_integral(100.0, v)))"
+    " for v in (True, 2.5, 10.0, -1, float('nan'), '3')}",
 )
 # evaluates each expression of argv in one interpreter and prints its digest line
 LIBRARY_RUNNER = """
 import hashlib, json, sys
 import numpy as np
 import tailorder as to
+PARETO = to.distribution_for(to.make_pareto_tail(1.0))
+def refusal(call, value):
+    try:
+        call(value)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "accepted"
 for expr in sys.argv[1:]:
     value = eval(expr)
     if isinstance(value, dict):
@@ -158,7 +183,8 @@ def sha256(data: bytes) -> str:
 
 
 def write_samples(work: Path) -> None:
-    """Write 3 x**-1.5 at 400 points as samples.csv and samples_log.csv."""
+    """Write 3 x**-1.5 at 400 points as samples.csv and samples_log.csv, and
+    two tables the reader refuses: not_utf8.csv and long_field.csv."""
     linear, log = ["x,value"], ["x,logvalue"]
     for i in range(400):
         x = 10.0 ** (0.5 + 5.5 * i / 399)
@@ -166,6 +192,8 @@ def write_samples(work: Path) -> None:
         log.append(f"{x!r},{math.log(3.0 * x ** -1.5)!r}")
     for name, rows in (("samples.csv", linear), ("samples_log.csv", log)):
         (work / name).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    (work / "not_utf8.csv").write_bytes(b"x,value\n10,1\n\xff,2\n")
+    (work / "long_field.csv").write_bytes(b"x,value\n10,1\n20," + b"1" * 131_073 + b"\n")
 
 
 def numpy_header() -> str:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonDifferentiable, ParamError, QuantileError
+from .errors import DomainError, NonDifferentiable, ParamError, QuantileError
 from .handles import FunctionHandle
 from .labels import TAG_M_INF, ClassLabel
 from .order import (
@@ -342,14 +342,20 @@ def normalized_maxima_cdf(D: DistributionHandle, n: int, x) -> np.ndarray:
     """Exact distribution of M_n / a_n at x: (1 - F-bar(a_n x))**n.
 
     It is the law of draws through D.quantile: 0 below D.quantile(1-), the
-    least value the map returns, where F-bar(floor+) < 1 puts the rest.
+    least value the map returns, where F-bar(floor+) < 1 puts the rest. A
+    finite x whose a_n x leaves the float range is a DomainError naming n.
     """
     n = _whole(n, "block size", 2)
     a_n = float(D.quantile(1.0 / n))
     xa = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):
+        scaled = xa * a_n
+    if np.any(np.isinf(scaled) & np.isfinite(xa)):
+        raise DomainError(f"block size {n:.6g}: an abscissa times a_n = {a_n:g} "
+                          "leaves the float range")
     out = np.zeros_like(xa)
-    pos = xa * a_n >= float(D.quantile(np.nextafter(1.0, 0.0)))
-    tail = np.exp(D.base.log_at(np.where(pos, xa * a_n, 1.0)))
+    pos = scaled >= float(D.quantile(np.nextafter(1.0, 0.0)))
+    tail = np.exp(D.base.log_at(np.where(pos, scaled, 1.0)))
     out[pos] = np.exp(n * np.log1p(-np.minimum(tail[pos], 1.0 - 1e-16)))
     return out
 
@@ -420,7 +426,9 @@ def subsequence_witness(D: DistributionHandle, k_values: Sequence[int] = (8, 10)
     Compares the exact normalized-maxima laws along n = 2**k and n = 3*2**k;
     a genuine limit would make the two agree. Optionally confirms by
     simulation when reps and seed are given. Each k lies in 1 <= k <= 1022,
-    so that both block sizes are at least 2 and 3*2**k is a finite float.
+    so that both block sizes are at least 2 and 3*2**k is a finite float; a
+    k whose a_n times an abscissa (up to 100) leaves the float range is a
+    DomainError, as in ``normalized_maxima_cdf``.
     """
     k_values = [_whole(k, "k", 1, 1022) for k in k_values]
     if not k_values:

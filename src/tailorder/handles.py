@@ -498,9 +498,9 @@ def from_table(xs, log_values) -> FunctionHandle:
 
 
 def load_csv(path) -> FunctionHandle:
-    """Read an `x,value` or `x,logvalue` CSV into an interpolating handle."""
+    """Read an `x,value` or `x,logvalue` UTF-8 CSV into an interpolating handle."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -527,6 +527,11 @@ def load_csv(path) -> FunctionHandle:
                 vs.append(v)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"cannot decode {path} as UTF-8: {exc.reason} "
+                          f"{exc.object[exc.start:exc.end]!r}") from None
+    except csv.Error as exc:
+        raise FormatError(f"cannot parse {path}, line {reader.line_num}: {exc}") from None
     return from_table(xs, vs)
 
 

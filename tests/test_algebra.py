@@ -303,3 +303,10 @@ def test_derived_labels_match_numerics_on_sample_pairs():
         assert label.is_m
         got = to.classify(h)
         assert got.tag == "M" and got.rho == pytest.approx(label.rho, abs=0.05), h.name
+
+
+def test_compose_refuses_an_inner_value_outside_the_outer_domain():
+    # floor_log_tail is exactly 0 at 1e306, where power_tail's domain ends
+    h = to.compose(to.make_power_tail(1.0), to.make_floor_log_tail())
+    with pytest.raises(DomainError, match="inner value 0"):
+        h.log_at(1e306)

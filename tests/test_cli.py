@@ -85,6 +85,39 @@ def test_undecided_exit_three(drift_csv):
     assert json.loads(out)["class"]["tag"] == "Undecided"
 
 
+def test_report_of_an_undecided_table_prints_only_the_base_document(drift_csv, capsys):
+    code = main(["report", "--data", drift_csv])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert doc["class"]["tag"] == "Undecided"
+    assert (doc["conditions"], doc["evt"]) == ([], None)
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"", "empty CSV file"),
+    (b"x;value\n10,1\n", "bad CSV header ['x;value']"),
+    (b"x,value\n10,1\n20,1,2\n", "line 3: expected 2 columns"),
+    (b"x,value\n10,one\n", "line 2: non-numeric field"),
+    (None, "cannot read {path}: "),
+    (b"x,value\n10,1\n\xff,2\n", "cannot decode {path} as UTF-8: invalid start byte"),
+    (b"x,value\n10,1\n20," + b"1" * 131_073 + b"\n",
+     "cannot parse {path}, line 3: field larger than field limit"),
+], ids=["empty", "semicolon-header", "three-columns", "non-numeric", "directory",
+        "not-utf8", "field-too-long"])
+def test_unreadable_csv_is_an_input_error(content, message, tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code = main(["classify", "--data", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert message.format(path=path) in captured.err
+
+
 def test_numeric_failure_exit_four():
     code, _, _ = run_cli("report", "--fn", "two_plus_sin", "--tauberian")
     assert code == 4

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -409,6 +410,15 @@ def test_subsequence_witness_refuses_a_bad_k(k_values, match):
     D = to.distribution_for(to.make_peter_paul())
     with pytest.raises(ParamError, match=match):
         to.subsequence_witness(D, k_values=k_values)
+
+
+def test_subsequence_witness_at_the_float_end_is_refused_without_a_warning():
+    # at k = 1022 a_n is about 4.5e307, so a_n times the abscissa 100 overflows
+    D = to.distribution_for(to.make_peter_paul())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(to.TailOrderError, match=r"^block size 4\.49423e\+307: "):
+            to.subsequence_witness(D, k_values=(1022,))
 
 
 @pytest.mark.parametrize("n", [0, 1])

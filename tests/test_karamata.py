@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import tailorder as to
-from tailorder.errors import ClassMismatch, DivergentTail, ParamError, QuadratureFailure
+from tailorder.errors import (ClassMismatch, DivergentTail, ParamError, QuadratureFailure,
+                              SingularDenominator)
 from tailorder.quadrature import cell_log_masses
 
 
@@ -449,3 +450,9 @@ def test_inf_representation():
     assert ir3.alpha_fn(np.array([50.5]))[0] / math.log(50.5) == pytest.approx(50.0)
     with pytest.raises(ClassMismatch):
         to.extract_representation_inf(to.make_power_tail(-2.0))
+
+
+def test_representation_of_a_constant_under_a_nonzero_order_is_singular():
+    # U = 1 given the label M(1): the exponent integral vanishes everywhere
+    with pytest.raises(SingularDenominator):
+        to.extract_representation(to.make_power_tail(0.0), label=to.ClassLabel.m(1.0))
