@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, ParamError
+from .errors import DomainError, _real
 from .handles import FunctionHandle, KnownTruth
 from .labels import (
     TAG_M,
@@ -132,9 +132,7 @@ def _derived(name: str, log_at_logx, label: ClassLabel, *operands: FunctionHandl
 
 def scale_add(a: float, U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
     """Handle for a*U + V via log-sum-exp; a = 0 degenerates to V."""
-    if not 0.0 <= a < math.inf:
-        raise ParamError(f"scale_add requires 0 <= a < inf, got a = {a:g}")
-    a = float(a)
+    a = _real(a, "a", 0.0, closed=True)
     label = _scale_add_label(a, _label_of(U), _label_of(V))
     if a == 0.0:
         return _derived(f"0*{U.name}+{V.name}", V.log_at_logx, label, V)

@@ -33,6 +33,7 @@ from .errors import (
     QuadratureFailure,
     TailOrderError,
     UndecidedConvergence,
+    _real,
 )
 from .handles import FunctionHandle, load_csv, make_named
 from .labels import TAG_M, TAG_M_INF, TAG_M_NEG_INF
@@ -205,6 +206,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    # both representations need 1 < b < inf, whichever class U turns out in
+    b = _real(args.b, "b", 1.0)
+    r_values = [_real(r, "r") for r in args.r or (-1.0, 0.5, 1.0, 3.0)]
     handle, descriptor = _load_handle(args)
     grid = _grid_for(args, handle)
     tol = args.tol
@@ -224,17 +228,17 @@ def _cmd_report(args) -> int:
                 "report cannot check a finite-order table: the representation integrates "
                 "from b, and the ratio test and the moment index evaluate U beyond the "
                 f"tabulated range x in [{lo:g}, {hi:g}]")
-        rep = kar.extract_representation(handle, args.b, grid, tol, label=label)
+        rep = kar.extract_representation(handle, b, grid, tol, label=label)
         conditions.append(kar.verify_representation(handle, rep, grid, tol).to_dict())
         conditions.append(check_second_characterization(
             handle, grid, tol, label=label, kappa=kappa).to_dict())
         rv = rv_ratio_test(handle, grid=grid, tol=tol)
         conditions.append(rv.to_dict())
-        for r in args.r or (-1.0, 0.5, 1.0, 3.0):
+        for r in r_values:
             conditions.append(kar.karamata_theorem_report(
-                handle, r, args.b, grid, tol, label=label, rv=rv).to_dict())
+                handle, r, b, grid, tol, label=label, rv=rv).to_dict())
     elif label.tag in (TAG_M_INF, TAG_M_NEG_INF):
-        inf_rep = kar.extract_representation_inf(handle, args.b, grid, tol, label=label)
+        inf_rep = kar.extract_representation_inf(handle, b, grid, tol, label=label)
         conditions.append(inf_rep.report.to_dict())
     if args.tauberian:
         conditions.append(taub.tauberian_check(handle, grid=grid, tol=tol,

@@ -1,4 +1,8 @@
-"""Exception hierarchy for tailorder."""
+"""Exception hierarchy for tailorder, and the checks of the numbers it takes."""
+
+import contextlib
+import math
+import numbers
 
 
 class TailOrderError(Exception):
@@ -59,3 +63,33 @@ class NonDifferentiable(TailOrderError):
 
 class QuantileError(TailOrderError):
     """Quantile evaluation failed or was called with bad arguments."""
+
+
+def _whole(value, what: str, lo: int, hi: float = math.inf) -> int:
+    """A count as a Python int: an integer, not a bool, with lo <= value <= hi.
+
+    Anything else, a float with a whole value included, is a ParamError that
+    names ``what`` and the value.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and lo <= value <= hi:
+        return int(value)
+    bounds = f"{what} >= {lo}" if hi == math.inf else f"{lo} <= {what} <= {hi}"
+    raise ParamError(f"{what} {value!r} is out of range: counts are whole numbers, here {bounds}")
+
+
+def _real(value, what: str, lo: float = -math.inf, hi: float = math.inf, *,
+          closed: bool = False) -> float:
+    """A real parameter as a Python float: a finite number, not a bool, with
+    lo < value < hi (lo <= value when ``closed``). Anything else, NaN and a
+    string included, is a ParamError that names ``what`` and the value.
+    """
+    x = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond the float range
+            x = float(value)
+    if (lo <= x if closed else lo < x) and x < hi:
+        return x
+    bounds = (f"a finite {what}" if lo == -math.inf and hi == math.inf
+              else f"{lo:g} {'<=' if closed else '<'} {what} < {hi:g}")
+    raise ParamError(f"{what} {value!r} is out of range: real parameters are numbers, "
+                     f"here {bounds}")

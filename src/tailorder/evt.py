@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NonDifferentiable, ParamError, QuantileError
+from .errors import DomainError, NonDifferentiable, ParamError, QuantileError, _real, _whole
 from .handles import FunctionHandle
 from .labels import TAG_M_INF, ClassLabel
 from .order import (
@@ -28,7 +28,6 @@ from .order import (
     GridSpec,
     IndexEstimate,
     classify,
-    _whole,
     rv_ratio_test,
     windowed_limit,
 )
@@ -194,6 +193,7 @@ def classify_domain_attraction(D: DistributionHandle,
     (``rv_ratio_test(D.base, grid=grid, tol=tol)``) skip their computation
     when given.
     """
+    tol = _real(tol, "tol", 0.0)
     label = label or classify(D.base, grid, tol)
     rv = rv or rv_ratio_test(D.base, grid=grid, tol=tol)
     details: dict = {"ratio_regular": rv.passed, "class": label.to_dict()}
@@ -235,8 +235,7 @@ def gpd_ratio_probe(D: DistributionHandle, xi: float, a_fn: Callable,
     holds at this xi and a(.). Persistent spread across a whole scale family
     is the violation signature.
     """
-    if not math.isfinite(xi):
-        raise ParamError(f"excess-ratio probe requires a finite xi, got xi = {xi:g}")
+    xi, tol = _real(xi, "xi"), _real(tol, "tol", 0.0)
     spec = GPDSpec(xi=xi)
     xs = np.asarray(x_probe, dtype=float)
     if not xs.size:
@@ -291,6 +290,7 @@ def excess_family_violation(D: DistributionHandle,
     A tail violating the excess law keeps spread above the threshold for
     every member; returns per-member worst spreads and the overall verdict.
     """
+    threshold = _real(threshold, "threshold", 0.0)
     out = {}
     for name, fn in default_a_family():
         rep = gpd_ratio_probe(D, 0.5, fn, x_probe=x_probe, tol=threshold)
@@ -332,6 +332,8 @@ class SimulationResult:
 
 
 def frechet_cdf(x, alpha: float) -> np.ndarray:
+    """exp(-x**-alpha) for x > 0, 0 below; 0 < alpha < inf."""
+    alpha = _real(alpha, "alpha", 0.0)
     xa = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
         out = np.where(xa > 0.0, np.exp(-np.where(xa > 0, xa, 1.0) ** (-alpha)), 0.0)
@@ -393,6 +395,8 @@ def block_maxima_simulate(D: DistributionHandle, n_values: Sequence[int],
     ns = [_whole(n, "block size", 2) for n in n_values]
     if not ns:
         raise ParamError("simulation requires at least one block size")
+    if candidate_alpha is not None:
+        candidate_alpha = _real(candidate_alpha, "candidate_alpha", 0.0)
     xs = np.asarray(_ABSCISSAS, dtype=float)
     rng = np.random.Generator(np.random.Philox(key=seed))
     a_list, cdfs, dists = [], [], []

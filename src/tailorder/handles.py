@@ -26,7 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, FormatError, ParamError, PositivityViolation, UnknownName
+from .errors import (DomainError, FormatError, ParamError, PositivityViolation, UnknownName,
+                     _real)
 from .labels import TAG_M_INF, TAG_M_NEG_INF, ClassLabel
 
 LOG2 = math.log(2.0)
@@ -158,9 +159,7 @@ def _exp(u: float) -> float:
 
 def make_power_tail(alpha: float) -> FunctionHandle:
     """U = 1 on (0,1), x**alpha on [1,inf)."""
-    a = float(alpha)
-    if not math.isfinite(a):
-        raise ParamError("power_tail requires a finite alpha")
+    a = _real(alpha, "alpha")
     truth = KnownTruth(label=ClassLabel.m(a), is_tail=(a <= 0.0), is_rv=True)
     return FunctionHandle(
         name=f"power_tail(alpha={a:g})",
@@ -172,9 +171,7 @@ def make_power_tail(alpha: float) -> FunctionHandle:
 
 def make_ramp_power(alpha: float) -> FunctionHandle:
     """U = x**alpha on all of (0,inf); vanishes at the origin for alpha > 0."""
-    a = float(alpha)
-    if not 0.0 < a < math.inf:
-        raise ParamError("ramp_power requires a finite alpha > 0")
+    a = _real(alpha, "alpha", 0.0)
     truth = KnownTruth(label=ClassLabel.m(a), is_rv=True)
     return FunctionHandle(
         name=f"ramp_power(alpha={a:g})",
@@ -185,9 +182,7 @@ def make_ramp_power(alpha: float) -> FunctionHandle:
 
 def make_pareto_tail(alpha: float) -> FunctionHandle:
     """Survival function x**(-alpha) on [1,inf), 1 below."""
-    a = float(alpha)
-    if not 0.0 < a < math.inf:
-        raise ParamError("pareto_tail requires a finite alpha > 0")
+    a = _real(alpha, "alpha", 0.0)
     h = make_power_tail(-a)
     return FunctionHandle(
         name=f"pareto_tail(alpha={a:g})",
@@ -252,13 +247,9 @@ def make_oset_geometric(alpha: float, beta: float, x_a: float) -> FunctionHandle
 
     Levels x_n**(alpha*(1+beta)); oscillates between two growth orders.
     """
-    a, b, xa = float(alpha), float(beta), float(x_a)
-    if not 0.0 < a < math.inf:
-        raise ParamError("oset_geometric requires a finite alpha > 0")
-    if not (math.isfinite(b) and b != -1.0):
-        raise ParamError("oset_geometric requires a finite beta != -1")
-    if not 1.0 < xa < math.inf:
-        raise ParamError("oset_geometric requires a finite x_a > 1")
+    a, b, xa = _real(alpha, "alpha", 0.0), _real(beta, "beta"), _real(x_a, "x_a", 1.0)
+    if b == -1.0:
+        raise ParamError("oset_geometric requires beta != -1")
     log_xa = math.log(xa)
     # breakpoints (1+alpha)**n * log(x_a) <= _U_MAX in closed form, up to rounding
     count = math.log(_U_MAX / log_xa) / math.log1p(a)
@@ -289,11 +280,9 @@ TOWER_C_MAX = math.e * LOG2
 
 def make_oset_tower(c: float, alpha: float) -> FunctionHandle:
     """Step function with tower breakpoints x_1 = 1, x_{n+1} = 2**(x_n/c)."""
-    cc, a = float(c), float(alpha)
-    if not cc > 0.0:
-        raise ParamError("oset_tower requires c > 0")
-    if not (math.isfinite(a) and a != 0.0):
-        raise ParamError("oset_tower requires a finite alpha != 0")
+    cc, a = _real(c, "c", 0.0), _real(alpha, "alpha")
+    if a == 0.0:
+        raise ParamError("oset_tower requires alpha != 0")
     if not cc < TOWER_C_MAX:
         raise ParamError(
             f"oset_tower requires c < e*log(2) ~ {TOWER_C_MAX:.4f}: "
@@ -407,11 +396,7 @@ def make_remark7_mix() -> FunctionHandle:
 
 def make_log_perturbed_power(alpha: float = -1.0, c: float = 1.0) -> FunctionHandle:
     """U = x**alpha * (1 + c / log x) for x >= e, frozen below e."""
-    a, cc = float(alpha), float(c)
-    if not math.isfinite(a):
-        raise ParamError("log_perturbed_power requires a finite alpha")
-    if not 0.0 <= cc < math.inf:
-        raise ParamError("log_perturbed_power requires a finite c >= 0")
+    a, cc = _real(alpha, "alpha"), _real(c, "c", 0.0, closed=True)
     truth = KnownTruth(label=ClassLabel.m(a), is_tail=(a < 0), is_rv=True)
 
     def log_at_logx(u):

@@ -27,10 +27,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (ClassMismatch, DivergentTail, ParamError, QuadratureFailure,
-                     SingularDenominator)
+from .errors import (DivergentTail, ParamError, QuadratureFailure, SingularDenominator,
+                     _real, _whole)
 from .handles import LOG2, FunctionHandle
-from .labels import TAG_M_INF, TAG_M_NEG_INF, ClassLabel
+from .labels import TAG_M_INF, ClassLabel
 from .order import (
     DEFAULT_CLASS_TOL,
     INF_THRESHOLD,
@@ -38,9 +38,7 @@ from .order import (
     GridSpec,
     IndexEstimate,
     _SUSTAIN,
-    _check_tol,
-    _whole,
-    classify,
+    _class_gate,
     decay_verdict,
     rv_ratio_test,
     windowed_limit,
@@ -105,10 +103,7 @@ def cumulative_integral(U: FunctionHandle, kind: str, r: float, b: float,
     """
     if kind not in ("V", "W"):
         raise ParamError("kind must be 'V' or 'W'")
-    if not math.isfinite(r):
-        raise ParamError(f"cumulative integral requires a finite r, got {r}")
-    if not 0.0 < b < math.inf:
-        raise ParamError("cumulative integral requires 0 < b < inf")
+    r, b = _real(r, "r"), _real(b, "b", 0.0)
     u_b = math.log(b)
     u_max = grid.log10_x_max * math.log(10.0)
     if u_max <= u_b:
@@ -196,11 +191,8 @@ def karamata_theorem_report(U: FunctionHandle, r: float, b: float,
     tol)``) and ``rv`` (``rv_ratio_test(U, grid=grid, tol=tol)``) skip their
     computation when given.
     """
-    if not math.isfinite(r):
-        raise ParamError(f"integral-ratio check requires a finite r, got {r}")
-    label = label or classify(U, grid, tol)
-    if not label.is_m:
-        raise ClassMismatch(f"{U.name}: classified {label}, finite order required")
+    r, b = _real(r, "r"), _real(b, "b", 0.0)
+    label, tol = _class_gate(U, grid, tol, label)
     s = label.rho + r
     measured: dict = {"rho": label.rho, "r": r, "target": s}
     if s < -tol:
@@ -236,8 +228,7 @@ def peter_paul_partial_integral(x: float, a: int) -> float:
     For 2**a < 2**n <= x < 2**(n+1) the integral equals
     n - a + x * 2**(-n) - 1; serves as the quadrature oracle.
     """
-    if x < 4.0:
-        raise ParamError("closed form requires x >= 4")
+    x = _real(x, "x", 4.0, closed=True)
     a = _whole(a, "a", 0)
     n = math.frexp(x)[1] - 1
     if a >= n:
@@ -287,11 +278,8 @@ def extract_representation(U: FunctionHandle, b: float = 2.0,
     folds the factor x back out. ``label`` (``classify(U, grid, tol)``)
     skips the classification when given.
     """
-    if not 1.0 < b < math.inf:
-        raise ParamError("representation base point requires 1 < b < inf")
-    label = label or classify(U, grid, tol)
-    if not label.is_m:
-        raise ClassMismatch(f"{U.name}: classified {label}, finite order required")
+    b = _real(b, "b", 1.0)
+    label, tol = _class_gate(U, grid, tol, label)
     rho = label.rho
     kappa_zero = abs(rho) <= KAPPA_ZERO_EPS
     s = 1.0 if kappa_zero else 0.0
@@ -350,7 +338,7 @@ def verify_representation(U: FunctionHandle, rep: RepresentationTriple,
                           grid: GridSpec = GridSpec(),
                           tol: float = DEFAULT_CLASS_TOL) -> ConditionReport:
     """Check pointwise reconstruction and the three exponent limits."""
-    _check_tol(tol)
+    tol = _real(tol, "tol", 0.0)
     lo = max(grid.log10_x_min, math.log10(rep.b_effective) + 0.3)
     sub = replace(grid, log10_x_min=lo)
     xs = sub.xs()
@@ -401,13 +389,9 @@ def extract_representation_inf(U: FunctionHandle, b: float = 2.0,
 
     ``label`` (``classify(U, grid, tol)``) skips the classification when given.
     """
-    label = label or classify(U, grid, tol)
-    if label.tag == TAG_M_INF:
-        sign = +1
-    elif label.tag == TAG_M_NEG_INF:
-        sign = -1
-    else:
-        raise ClassMismatch(f"{U.name}: classified {label}, rapid class required")
+    b = _real(b, "b", 1.0)
+    label, tol = _class_gate(U, grid, tol, label, rapid=True)
+    sign = +1 if label.tag == TAG_M_INF else -1
 
     def alpha_fn(x):
         return -sign * U.log_at(x)

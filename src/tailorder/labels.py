@@ -12,10 +12,9 @@ log U(x) / log x:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import ParamError
+from .errors import ParamError, _real
 
 TAG_M = "M"
 TAG_M_INF = "MInf"
@@ -43,8 +42,7 @@ class ClassLabel:
         if self.tag not in _TAGS:
             raise ParamError(f"unknown class tag {self.tag!r}")
         if self.tag == TAG_M:
-            if self.rho is None or not math.isfinite(self.rho):
-                raise ParamError("M label requires a finite rho")
+            object.__setattr__(self, "rho", _real(self.rho, "rho"))
         elif self.rho is not None:
             raise ParamError(f"{self.tag} label carries no rho")
         if self.tag == TAG_OSC:
@@ -56,7 +54,7 @@ class ClassLabel:
     # -- constructors -------------------------------------------------
     @staticmethod
     def m(rho: float) -> "ClassLabel":
-        return ClassLabel(TAG_M, rho=float(rho))
+        return ClassLabel(TAG_M, rho=rho)
 
     @staticmethod
     def m_inf() -> "ClassLabel":

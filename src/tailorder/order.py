@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -31,9 +30,11 @@ from .errors import (
     ExtrapolationFailure,
     ParamError,
     UndecidedConvergence,
+    _real,
+    _whole,
 )
 from .handles import LOG2, FunctionHandle
-from .labels import ClassLabel
+from .labels import TAG_M_INF, TAG_M_NEG_INF, ClassLabel
 from .quadrature import cell_log_masses, logsumexp, moment_log_f
 
 INF_THRESHOLD = 100.0
@@ -50,23 +51,6 @@ class Trend(str, Enum):
     OSCILLATING = "Oscillating"
 
 
-def _whole(value, what: str, lo: int, hi: float = math.inf) -> int:
-    """A count as a Python int: an integer, not a bool, with lo <= value <= hi.
-
-    Anything else, a float with a whole value included, is a ParamError that
-    names ``what`` and the value.
-    """
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and lo <= value <= hi:
-        return int(value)
-    bounds = f"{what} >= {lo}" if hi == math.inf else f"{lo} <= {what} <= {hi}"
-    raise ParamError(f"{what} {value!r} is out of range: counts are whole numbers, here {bounds}")
-
-
-def _check_tol(tol: float) -> None:
-    if not 0.0 < tol < math.inf:
-        raise ParamError(f"classification tolerance must be positive and finite, got {tol:g}")
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Geometric probing grid with trailing analysis windows."""
@@ -79,6 +63,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "windows", _whole(self.windows, "grid windows", 2))
         object.__setattr__(self, "points", _whole(self.points, "grid points", 16 * self.windows))
+        for name in ("log10_x_min", "log10_x_max"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         with np.errstate(over="ignore"):
             x_min = np.power(10.0, self.log10_x_min)
             x_max = np.power(10.0, self.log10_x_max)
@@ -302,7 +288,7 @@ def classify(U: FunctionHandle, grid: GridSpec = GridSpec(),
 
     ``orders`` is ``estimate_orders(U, grid)`` when the caller has it already.
     """
-    _check_tol(tol)
+    tol = _real(tol, "tol", 0.0)
     mu, nu = orders or estimate_orders(U, grid)
     if nu.value == -math.inf:
         return ClassLabel.m_inf()
@@ -320,6 +306,18 @@ def classify(U: FunctionHandle, grid: GridSpec = GridSpec(),
     if drifting:
         return ClassLabel.undecided()
     return ClassLabel.oscillating(mu.value, nu.value)
+
+
+def _class_gate(U: FunctionHandle, grid: GridSpec, tol, label: ClassLabel | None,
+                rapid: bool = False) -> tuple[ClassLabel, float]:
+    """(label, tol): tol checked, then the given label or ``classify(U, grid, tol)``,
+    a ClassMismatch unless of a finite order (a rapid class when ``rapid``)."""
+    tol = _real(tol, "tol", 0.0)
+    label = label or classify(U, grid, tol)
+    if not (label.tag in (TAG_M_INF, TAG_M_NEG_INF) if rapid else label.is_m):
+        required = "rapid class" if rapid else "finite order"
+        raise ClassMismatch(f"{U.name}: classified {label}, {required} required")
+    return label, tol
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +440,7 @@ def check_second_characterization(U: FunctionHandle, grid: GridSpec = GridSpec()
     ``label`` (``classify(U, grid, tol)``) and ``kappa``
     (``estimate_kappa(U, grid)``) skip their computation when given.
     """
-    _check_tol(tol)
-    label = label or classify(U, grid, tol)
-    if not label.is_m:
-        raise ClassMismatch(f"{U.name}: classified {label}, finite order required")
+    label, tol = _class_gate(U, grid, tol, label)
     kappa = kappa or estimate_kappa(U, grid)
     budget = _KAPPA_TOL + tol
     resid = abs(kappa.value + label.rho)
@@ -459,10 +454,8 @@ def check_second_characterization(U: FunctionHandle, grid: GridSpec = GridSpec()
 
 def check_ratio_scales(t_values: Sequence[float], x_max: float) -> list[float]:
     """The ratio-test scales t as floats, each finite and positive with x_max * t finite."""
-    ts = [float(t) for t in t_values]
+    ts = [_real(t, "t", 0.0) for t in t_values]
     for t in ts:
-        if not 0.0 < t < math.inf:
-            raise ParamError(f"ratio test requires a finite t > 0, got t={t:g}")
         if not math.isfinite(x_max * t):
             raise ParamError(
                 f"ratio test at t={t:g} needs U at x_max * t = {x_max:g} * {t:g}, "
@@ -479,7 +472,7 @@ def rv_ratio_test(U: FunctionHandle, t_values: Sequence[float] = (2.0, 5.0, 10.0
     stabilises and the implied rho values agree. Scales t = 1 test nothing
     and are skipped; a ParamError when no other t is left.
     """
-    _check_tol(tol)
+    tol = _real(tol, "tol", 0.0)
     xs = grid.xs()
     ts = [t for t in check_ratio_scales(t_values, float(xs[-1]))
           if abs(math.log(t)) >= 1e-12]

@@ -18,10 +18,10 @@ import math
 
 import numpy as np
 
-from .errors import ClassMismatch, ParamError, PreconditionError, QuadratureFailure
+from .errors import ParamError, PreconditionError, QuadratureFailure, _real
 from .handles import FunctionHandle
 from .labels import ClassLabel
-from .order import DEFAULT_CLASS_TOL, ConditionReport, GridSpec, classify
+from .order import DEFAULT_CLASS_TOL, ConditionReport, GridSpec, _class_gate, classify
 from .quadrature import batched_log_quad, dyadic_edges
 
 
@@ -46,8 +46,7 @@ def regularize_origin(U: FunctionHandle, rho: float) -> FunctionHandle:
     Leaves the asymptotics untouched; makes bounded-near-origin members
     eligible for the transform hypotheses.
     """
-    if not 0.0 < rho < math.inf:
-        raise ParamError(f"origin regularization requires 0 < rho < inf, got rho = {rho:g}")
+    rho = _real(rho, "rho", 0.0)
     log_u1 = float(U.log_at(1.0))
 
     def log_at_logx(u):
@@ -152,8 +151,7 @@ def laplace_stieltjes(U: FunctionHandle, s: float) -> float:
 
     A ParamError when the transform is not a positive finite float.
     """
-    if not 0.0 < s < math.inf:
-        raise ParamError(f"transform requires 0 < s < inf, got s = {s:g}")
+    s = _real(s, "s", 0.0)
     _check_vanishes_at_origin(U)
     log_value = float(_log_transform(U, np.array([s]))[0])
     with np.errstate(over="ignore", under="ignore"):
@@ -205,9 +203,7 @@ def tauberian_check(U: FunctionHandle, grid: GridSpec = GridSpec(),
     hypothesis is reported as a diagnostic, not asserted. ``label``
     (``classify(U, grid, tol)``) skips the input's classification when given.
     """
-    label = label or classify(U, grid, tol)
-    if not label.is_m:
-        raise ClassMismatch(f"{U.name}: classified {label}, finite order required")
+    label, tol = _class_gate(U, grid, tol, label)
     if label.rho <= tol:
         raise PreconditionError(
             f"{U.name}: transform check requires a positive order, got {label.rho:.3g}"

@@ -342,6 +342,15 @@ def test_report_non_finite_r_or_b_is_an_input_error(flag, value, message, capsys
     assert message in captured.err
 
 
+@pytest.mark.parametrize("flag, value", [("--b", "nan"), ("--b", "inf"), ("--r", "nan")])
+def test_a_rapid_class_report_refuses_a_bad_r_or_b_too(flag, value, capsys):
+    # the rapid-class representation reads no r, and before it read no b either
+    code = main(["report", "--fn", "exp_neg", flag, value])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert f"{flag[2:]} {value} is out of range" in captured.err
+
+
 @pytest.mark.parametrize("xmax", ["309", "inf"])
 def test_overflowing_x_max_is_an_input_error(xmax):
     code, out, err = run_cli("classify", "--fn", "power_tail", "--param", "alpha=-2",
@@ -446,7 +455,9 @@ def test_plots_bad_ratio_scale_is_refused_before_any_file(t, tmp_path, capsys):
     code = main(["plots", "--fn", "power_tail", "--param", "alpha=-2",
                  "--plots", str(out), "--t", "2", "--t", t])
     assert code == 2
-    assert f"t={float(t):g}" in capsys.readouterr().err
+    # 1e308 is a scale in range whose x_max * t is not
+    named = "at t=1e+308 needs U" if t == "1e308" else f"t {float(t)!r} is out of range"
+    assert named in capsys.readouterr().err
     assert not out.exists() or not list(out.iterdir())
 
 
@@ -463,18 +474,20 @@ def test_simulate_block_size_one_is_an_input_error(capsys):
     (["simulate", "--fn", "pareto_tail", "--param", "alpha=1", "--reps", "10",
       "--seed", str(2 ** 128)], f"seed {2 ** 128} "),
     (["classify", "--fn", "power_tail", "--param", "alpha=-2", "--points", "0"], "points"),
-    (["classify", "--fn", "x_pow_sin_x", "--tol", "inf"], "tolerance"),
+    (["classify", "--fn", "x_pow_sin_x", "--tol", "inf"], "tol inf is out of range"),
     (["classify", "--fn", "oset_geometric", "--param", "alpha=1", "--param", "beta=0",
       "--param", "x_a=1e300"], "oset_geometric requires x_a**(1+alpha) <= exp(691): "
      "with x_a=1e+300"),
     (["classify", "--fn", "oset_geometric", "--param", "alpha=1", "--param", "beta=0",
-      "--param", "x_a=inf"], "oset_geometric requires a finite x_a > 1"),
+      "--param", "x_a=inf"], "x_a inf is out of range: real parameters are numbers, here "
+     "1 < x_a < inf"),
     (["classify", "--fn", "oset_geometric", "--param", "alpha=1", "--param", "beta=0",
-      "--param", "x_a=nan"], "oset_geometric requires a finite x_a > 1"),
+      "--param", "x_a=nan"], "x_a nan is out of range: real parameters are numbers, here "
+     "1 < x_a < inf"),
     (["classify", "--fn", "log_perturbed_power", "--param", "alpha=-1", "--param", "c=nan"],
-     "log_perturbed_power requires a finite c >= 0"),
+     "c nan is out of range: real parameters are numbers, here 0 <= c < inf"),
     (["classify", "--fn", "log_perturbed_power", "--param", "alpha=-1", "--param", "c=inf"],
-     "log_perturbed_power requires a finite c >= 0"),
+     "c inf is out of range: real parameters are numbers, here 0 <= c < inf"),
 ], ids=["seed-negative", "seed-2**128", "points-0", "tol-inf", "x_a-1e300", "x_a-inf",
         "x_a-nan", "c-nan", "c-inf"])
 def test_out_of_range_option_is_an_input_error(argv, message, capsys):

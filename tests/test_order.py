@@ -266,7 +266,7 @@ def test_classify_tolerance_validation():
 
 def test_classify_tolerance_must_be_finite():
     # an infinite tolerance would call every window gap a finite order
-    with pytest.raises(ParamError, match="got inf"):
+    with pytest.raises(ParamError, match="^tol inf is out of range"):
         to.classify(to.make_x_pow_sin_x(), tol=math.inf)
 
 
@@ -279,8 +279,24 @@ def test_every_check_refuses_the_tolerances_that_classify_refuses(tol):
               lambda: to.verify_representation(h, rep, tol=tol),
               lambda: to.check_second_characterization(h, tol=tol, label=to.ClassLabel.m(-2.0)))
     for check in checks:
-        with pytest.raises(ParamError, match=f"tolerance must be positive and finite, got {tol:g}$"):
+        with pytest.raises(ParamError, match=f"^tol {tol!r} is out of range: .* here 0 < tol < inf$"):
             check()
+
+
+@pytest.mark.parametrize("check, required", [
+    (lambda U, label: to.check_second_characterization(U, label=label), "finite order"),
+    (lambda U, label: to.karamata_theorem_report(U, 1.0, 2.0, label=label), "finite order"),
+    (lambda U, label: to.extract_representation(U, label=label), "finite order"),
+    (lambda U, label: to.tauberian_check(U, label=label), "finite order"),
+    (lambda U, label: to.extract_representation_inf(U, label=label), "rapid class"),
+], ids=["second_characterization", "karamata", "representation", "tauberian",
+        "representation_inf"])
+def test_each_class_gated_check_names_the_class_it_needs(check, required):
+    label = to.ClassLabel.oscillating(-1.0, 1.0) if required == "finite order" \
+        else to.ClassLabel.m(0.0)
+    with pytest.raises(ClassMismatch,
+                       match=rf"^x_pow_sin_x: classified {re.escape(str(label))}, {required} required$"):
+        check(to.make_x_pow_sin_x(), label)
 
 
 @pytest.mark.parametrize("r,tag", [
@@ -389,7 +405,7 @@ def test_rv_ratio_needs_a_scale_other_than_one():
 
 @pytest.mark.parametrize("t", [0.0, -2.0, math.nan, math.inf])
 def test_rv_ratio_bad_scale_is_named(t):
-    with pytest.raises(ParamError, match=f"finite t > 0, got t={t:g}"):
+    with pytest.raises(ParamError, match=f"^t {t!r} is out of range: .* here 0 < t < inf$"):
         to.rv_ratio_test(to.make_power_tail(-2.0), [2.0, t])
 
 
