@@ -331,10 +331,18 @@ class SimulationResult:
         }
 
 
+def _abscissas(x) -> np.ndarray:
+    """x as a float array; a DomainError naming x when one is NaN."""
+    xa = np.asarray(x, dtype=float)
+    if np.isnan(xa).any():
+        raise DomainError("a distribution function requires x that is a number, got x = nan")
+    return xa
+
+
 def frechet_cdf(x, alpha: float) -> np.ndarray:
     """exp(-x**-alpha) for x > 0, 0 below; 0 < alpha < inf."""
     alpha = _real(alpha, "alpha", 0.0)
-    xa = np.asarray(x, dtype=float)
+    xa = _abscissas(x)
     with np.errstate(divide="ignore", over="ignore"):
         out = np.where(xa > 0.0, np.exp(-np.where(xa > 0, xa, 1.0) ** (-alpha)), 0.0)
     return out
@@ -345,11 +353,12 @@ def normalized_maxima_cdf(D: DistributionHandle, n: int, x) -> np.ndarray:
 
     It is the law of draws through D.quantile: 0 below D.quantile(1-), the
     least value the map returns, where F-bar(floor+) < 1 puts the rest. A
-    finite x whose a_n x leaves the float range is a DomainError naming n.
+    finite x whose a_n x leaves the float range is a DomainError naming n, a
+    NaN x one naming x.
     """
     n = _whole(n, "block size", 2)
+    xa = _abscissas(x)
     a_n = float(D.quantile(1.0 / n))
-    xa = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
         scaled = xa * a_n
     if np.any(np.isinf(scaled) & np.isfinite(xa)):

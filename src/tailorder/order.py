@@ -159,11 +159,14 @@ def _combine(summaries: Sequence[float], L: Sequence[float], side: int,
     Ls = np.asarray(L, dtype=float)
     finite = np.isfinite(s)
     if not finite.all():
-        # runaway samples: infinite already
-        v = s[-1] if math.isfinite(s[-1]) else (math.inf if np.any(s == math.inf) else -math.inf)
-        if not math.isfinite(v):
+        if not finite[-1]:  # runaway samples: infinite already
+            v = math.inf if np.any(s == math.inf) else -math.inf
             return v, Trend.INCREASING if v > 0 else Trend.DECREASING
-        s = np.where(finite, s, np.sign(s) * 1e300)
+        # the finite trailing windows alone, if as many as the drop loop keeps
+        first = int(np.flatnonzero(~finite)[-1]) + 1
+        s, Ls = s[first:], Ls[first:]
+        if s.size < 4:
+            return float(s[-1]), Trend.OSCILLATING
     span = float(s.max() - s.min())
     scale = max(1.0, float(np.abs(s).max()))
     if span <= 1e-9 * scale:
@@ -362,16 +365,21 @@ def probe_integral_convergence(U: FunctionHandle, r: float,
 
 def decay_verdict(inc: np.ndarray) -> str:
     """Convergent, Divergent or Undecided: the mean log ratio of the last _SUSTAIN + 1
-    octave log masses ``inc`` below log(1 - margin), above log(1 + margin), or between."""
+    octave log masses ``inc`` below log(1 - margin), above log(1 + margin), or between.
+
+    A last mass of zero (log -inf) is Convergent; with no finite ratio between
+    the masses, one nonzero mass after zeros, the verdict is Undecided.
+    """
     tail = np.asarray(inc[-(_SUSTAIN + 1):], dtype=float)
     if tail.max() == math.inf:  # a partial integral beyond the float range
         return "Divergent"
-    if np.all(~np.isfinite(tail)):
+    if tail[-1] == -math.inf:
         return "Convergent"
-    dlog = np.diff(tail)
+    with np.errstate(invalid="ignore"):  # -inf - -inf between zero masses
+        dlog = np.diff(tail)
     dlog = dlog[np.isfinite(dlog)]
     if dlog.size == 0:
-        return "Convergent"
+        return "Undecided"
     mean_dlog = float(dlog.mean())
     if mean_dlog < math.log(1.0 - _RATIO_MARGIN):
         return "Convergent"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import tailorder as to
 from tailorder import evt
-from tailorder.errors import NonDifferentiable, ParamError, QuantileError
+from tailorder.errors import DomainError, NonDifferentiable, ParamError, QuantileError
 
 
 def gauss_tail():
@@ -492,3 +492,11 @@ def test_one_quantile_call_of_reps_points_per_block_size():
     # per block size: the scalar a_n, then the reps maxima
     assert sizes == [1, 300, 1, 300, 1, 300]
 
+
+def test_a_nan_abscissa_is_refused_by_name():
+    # before, both read the NaN as below the support: probability 0
+    D = to.distribution_for(to.make_pareto_tail(1.0))
+    with pytest.raises(DomainError, match="x = nan$"):
+        to.normalized_maxima_cdf(D, 10, np.array([np.nan, 1.0]))
+    with pytest.raises(DomainError, match="x = nan$"):
+        to.frechet_cdf(np.array([1.0, np.nan]), 1.0)

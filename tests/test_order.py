@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import tailorder as to
 from tailorder.errors import ClassMismatch, ExtrapolationFailure, ParamError, TailOrderError
-from tailorder.order import _combine, _extrapolate_intercept, _logs, _window_extremes
+from tailorder.order import (_combine, _extrapolate_intercept, _logs, _window_extremes,
+                             decay_verdict)
 
 
 def test_grid_validation():
@@ -297,6 +298,39 @@ def test_each_class_gated_check_names_the_class_it_needs(check, required):
     with pytest.raises(ClassMismatch,
                        match=rf"^x_pow_sin_x: classified {re.escape(str(label))}, {required} required$"):
         check(to.make_x_pow_sin_x(), label)
+
+
+_EDGE = 25 * to.handles.LOG2
+# U = 1 from 2**25 on and 0 below, and U = x**2 from 1 to 2**25 and 0 beyond:
+# on the default grid each kappa probe of the first has one nonzero octave
+# mass, its last, and each of the second ends in zero masses
+_ONE_FROM_EDGE = to.FunctionHandle(
+    "one_from_2^25", log_at_logx=lambda u: np.where(u >= _EDGE, 0.0, -np.inf))
+_SQUARE_BELOW_EDGE = to.FunctionHandle(
+    "square_below_2^25", log_at_logx=lambda u: np.where(u < _EDGE, 2.0 * np.maximum(u, 0.0),
+                                                          -np.inf))
+
+
+def test_zero_octave_masses_decide_no_false_moment_index():
+    assert decay_verdict(np.array([3.0, 2.0, 4.0, 5.0, -np.inf])) == "Convergent"
+    assert decay_verdict(np.array([-np.inf] * 4 + [0.0])) == "Undecided"
+    # the truth is kappa = 0; before, kappa = +inf
+    with pytest.raises(to.UndecidedConvergence, match="r_lo=-64"):
+        to.estimate_kappa(_ONE_FROM_EDGE)
+    # U vanishes eventually, so every moment converges; before, kappa = -2
+    assert to.estimate_kappa(_SQUARE_BELOW_EDGE).value == math.inf
+
+
+def test_non_finite_leading_windows_leave_no_placeholder_in_the_estimate():
+    label = to.classify(_ONE_FROM_EDGE)
+    assert (label.tag, label.mu, label.nu) == ("Oscillating", -math.inf, 0.0)
+    L = np.log(np.geomspace(10.0, 1e8, 8))
+    for side in (-1, 0, 1):
+        # four or more finite trailing windows are combined alone
+        assert _combine([-np.inf, -np.inf, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0], L, side) == \
+            (1.0, to.Trend.STABLE)
+        # fewer are too few to read a trend from
+        assert _combine([np.inf] * 5 + [3.0, 2.0, 1.0], L, side) == (1.0, to.Trend.OSCILLATING)
 
 
 @pytest.mark.parametrize("r,tag", [
