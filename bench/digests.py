@@ -11,8 +11,10 @@ generic bisection quantile, the parameter checks of ``oset_geometric``
 and ``log_perturbed_power``, and the Laplace transform of a power that
 vanishes at the origin, so needs no regularization (``ramp_power``).
 Three more run on grids whose points the windows do not divide evenly,
-and the last on a grid at the top of the float range, where the last
-window holds only -inf samples (``floor_log_tail``).
+then one on a grid at the top of the float range, where the last
+window holds only -inf samples (``floor_log_tail``), and two tables the
+reader refuses (below). The last two pin the exit code 2 of a rapid-class
+report given a NaN base point b or exponent r.
 Prints one line per command: its exit code, the sha256 of its stdout and
 the command. ``plots`` adds one line per CSV file it writes. Then come the
 library paths no command reaches: the convolution on a 2-d x, a composition
@@ -46,7 +48,11 @@ over every operation, both rapid classes, an Oscillating operand and two
 Undecided results. The last line pins the refusal of every count the
 library takes (grid points and windows, a block size, reps, a seed, k and
 the a of the closed-form integral) for six bad values each: the exception
-type and message of each call, or ``accepted``.
+type and message of each call, or ``accepted``. The line after pins the
+same for every real parameter (a constructor's shape or weight, a grid
+end, each check's tol, the exponents, base points and scales of the
+integrals and transforms, the EVT shapes) at None, "2", True, NaN, inf,
+-inf and, where the parameter has one, a finite value out of its range.
 Each prints ``lib``, the
 sha256 of its result (the shape and bytes of an array, the sorted JSON of a
 report) and the expression.
@@ -55,8 +61,8 @@ enabled, as float results may differ in their last bits on another build
 or CPU: only printouts with equal first lines compare.
 ``classify --data`` reads ``samples.csv``, a fixed table of 3 x**-1.5 that
 the script writes first, and then ``samples_log.csv``, the same table as
-``x,logvalue`` rows, so both CSV kinds are pinned. The last two commands
-read tables the reader refuses, whose exit code 2 they pin: ``not_utf8.csv``
+``x,logvalue`` rows, so both CSV kinds are pinned. Two commands read
+tables the reader refuses, whose exit code 2 they pin: ``not_utf8.csv``
 holds a byte that is not UTF-8, ``long_field.csv`` a field longer than the
 csv module's limit of 131,072 characters. Two checkouts whose printouts are
 equal run these commands to the same bytes.
@@ -94,6 +100,8 @@ COMMANDS = (
     "classify --fn floor_log_tail --xmin 305.5 --xmax 308",
     "classify --data not_utf8.csv",
     "classify --data long_field.csv",
+    "report --fn exp_neg --b nan",
+    "report --fn exp_neg --r nan",
 )
 PLOT_FILES = ("orders.csv", "kappa_trace.csv", "ratio.csv")
 LIBRARY = (
@@ -154,6 +162,60 @@ LIBRARY = (
     " ('k_values', lambda v: to.subsequence_witness(PARETO, k_values=(8, v))),"
     " ('a', lambda v: to.peter_paul_partial_integral(100.0, v)))"
     " for v in (True, 2.5, 10.0, -1, float('nan'), '3')}",
+    "{f'{name} {v!r}': refusal(call, v) for name, call, out_of_range in ("
+    "('power_tail alpha', to.make_power_tail, ()),"
+    " ('ramp_power alpha', to.make_ramp_power, (-1.0,)),"
+    " ('pareto_tail alpha', to.make_pareto_tail, (-1.0,)),"
+    " ('log_perturbed_power alpha', lambda v: to.make_log_perturbed_power(v, 1.0), ()),"
+    " ('log_perturbed_power c', lambda v: to.make_log_perturbed_power(-2.0, v), (-1.0,)),"
+    " ('oset_geometric alpha', lambda v: to.make_oset_geometric(v, 0.0, 2.0), (-1.0,)),"
+    " ('oset_geometric beta', lambda v: to.make_oset_geometric(1.0, v, 2.0), ()),"
+    " ('oset_geometric x_a', lambda v: to.make_oset_geometric(1.0, 0.0, v), (1.0,)),"
+    " ('oset_tower c', lambda v: to.make_oset_tower(v, 1.0), (-1.0,)),"
+    " ('oset_tower alpha', lambda v: to.make_oset_tower(1.0, v), ()),"
+    " ('scale_add a', lambda v: to.scale_add(v, PARETO.base, PARETO.base), (-1.0,)),"
+    " ('regularize_origin rho', lambda v: to.regularize_origin(PARETO.base, v), (0.0,)),"
+    " ('ClassLabel.m rho', to.ClassLabel.m, ()),"
+    " ('GridSpec log10_x_min', lambda v: to.GridSpec(log10_x_min=v), ()),"
+    " ('GridSpec log10_x_max', lambda v: to.GridSpec(log10_x_max=v), ()),"
+    " ('classify tol', lambda v: to.classify(PARETO.base, tol=v), (0.0,)),"
+    " ('rv_ratio_test tol', lambda v: to.rv_ratio_test(PARETO.base, tol=v), (0.0,)),"
+    " ('check_second_characterization tol', lambda v: to.check_second_characterization("
+    "PARETO.base, tol=v, label=to.ClassLabel.m(-1.0)), (0.0,)),"
+    " ('karamata_theorem_report tol', lambda v: to.karamata_theorem_report("
+    "PARETO.base, 1.0, 2.0, tol=v, label=to.ClassLabel.m(-1.0)), (-1.0,)),"
+    " ('verify_representation tol', lambda v: to.verify_representation(PARETO.base,"
+    " to.extract_representation(PARETO.base, label=to.ClassLabel.m(-1.0)), tol=v), (0.0,)),"
+    " ('tauberian_check tol', lambda v: to.tauberian_check(to.make_ramp_power(2.5), tol=v,"
+    " label=to.ClassLabel.m(2.5)), (0.0,)),"
+    " ('classify_domain_attraction tol', lambda v: to.classify_domain_attraction(PARETO,"
+    " tol=v, label=to.ClassLabel.m(-1.0)), (0.0,)),"
+    " ('gpd_ratio_probe xi', lambda v: to.gpd_ratio_probe(PARETO, v, np.sqrt), ()),"
+    " ('gpd_ratio_probe tol', lambda v: to.gpd_ratio_probe(PARETO, 0.5, np.sqrt, tol=v),"
+    " (0.0,)),"
+    " ('excess_family_violation threshold', lambda v: to.excess_family_violation(PARETO,"
+    " threshold=v), (0.0,)),"
+    " ('cumulative_integral r', lambda v: to.cumulative_integral(PARETO.base, 'V', v, 2.0),"
+    " ()),"
+    " ('cumulative_integral b', lambda v: to.cumulative_integral(PARETO.base, 'V', 1.0, v),"
+    " (0.0,)),"
+    " ('karamata_theorem_report r', lambda v: to.karamata_theorem_report(PARETO.base, v, 2.0,"
+    " label=to.ClassLabel.m(-1.0)), ()),"
+    " ('karamata_theorem_report b', lambda v: to.karamata_theorem_report(PARETO.base, 1.0, v,"
+    " label=to.ClassLabel.m(-1.0)), (0.0,)),"
+    " ('extract_representation b', lambda v: to.extract_representation(PARETO.base, v,"
+    " label=to.ClassLabel.m(-1.0)), (1.0,)),"
+    " ('extract_representation_inf b', lambda v: to.extract_representation_inf("
+    "to.make_exp_neg(), v, label=to.ClassLabel.m_inf()), (1.0,)),"
+    " ('peter_paul_partial_integral x', lambda v: to.peter_paul_partial_integral(v, 1),"
+    " (3.5,)),"
+    " ('laplace_stieltjes s', lambda v: to.laplace_stieltjes(to.make_ramp_power(1.0), v),"
+    " (0.0,)),"
+    " ('rv_ratio_test t', lambda v: to.rv_ratio_test(PARETO.base, [2.0, v]), (-2.0,)),"
+    " ('frechet_cdf alpha', lambda v: to.frechet_cdf(np.array([1.0]), v), (0.0,)),"
+    " ('block_maxima_simulate candidate_alpha', lambda v: to.block_maxima_simulate("
+    "PARETO, [10], 5, 1, candidate_alpha=v), (-1.0,)))"
+    " for v in (None, '2', True, float('nan'), float('inf'), -float('inf')) + out_of_range}",
 )
 # evaluates each expression of argv in one interpreter and prints its digest line
 LIBRARY_RUNNER = """

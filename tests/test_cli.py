@@ -344,7 +344,7 @@ def test_report_non_finite_r_or_b_is_an_input_error(flag, value, message, capsys
 
 @pytest.mark.parametrize("flag, value", [("--b", "nan"), ("--b", "inf"), ("--r", "nan")])
 def test_a_rapid_class_report_refuses_a_bad_r_or_b_too(flag, value, capsys):
-    # the rapid-class representation reads no r, and before it read no b either
+    # the rapid-class branch reads no r, yet a bad r is refused as on a finite order
     code = main(["report", "--fn", "exp_neg", flag, value])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")

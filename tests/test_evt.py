@@ -494,7 +494,7 @@ def test_one_quantile_call_of_reps_points_per_block_size():
 
 
 def test_a_nan_abscissa_is_refused_by_name():
-    # before, both read the NaN as below the support: probability 0
+    # a NaN lies neither in the support nor below it, so no probability is due
     D = to.distribution_for(to.make_pareto_tail(1.0))
     with pytest.raises(DomainError, match="x = nan$"):
         to.normalized_maxima_cdf(D, 10, np.array([np.nan, 1.0]))
