@@ -53,7 +53,9 @@ same for every real parameter (a constructor's shape or weight, a grid
 end, each check's tol, the exponents, base points and scales of the
 integrals and transforms, the EVT shapes) at None, "2", True, NaN, inf,
 -inf and, where the parameter has one, a finite value out of its range.
-Each prints ``lib``, the
+The last line pins the crossed-envelope guard of ``classify``: the label of
+``oset_tower(0.9, -1)``, whose lower order lies above its upper order, is
+Undecided. Each prints ``lib``, the
 sha256 of its result (the shape and bytes of an array, the sorted JSON of a
 report) and the expression.
 The first line names the numpy version and the SIMD extensions numpy
@@ -216,6 +218,7 @@ LIBRARY = (
     " ('block_maxima_simulate candidate_alpha', lambda v: to.block_maxima_simulate("
     "PARETO, [10], 5, 1, candidate_alpha=v), (-1.0,)))"
     " for v in (None, '2', True, float('nan'), float('inf'), -float('inf')) + out_of_range}",
+    "to.classify(to.make_oset_tower(0.9, -1.0)).to_dict()",
 )
 # evaluates each expression of argv in one interpreter and prints its digest line
 LIBRARY_RUNNER = """

@@ -39,6 +39,7 @@ from .handles import FunctionHandle, load_csv, make_named
 from .labels import TAG_M, TAG_M_INF, TAG_M_NEG_INF
 from .order import (
     GridSpec,
+    _fields_dict,
     check_ratio_scales,
     check_second_characterization,
     classify,
@@ -48,7 +49,7 @@ from .order import (
     probe_integral_convergence,
     rv_ratio_test,
 )
-from .report import TOOL_VERSION, ReportDocument, estimate_dict, grid_dict
+from .report import TOOL_VERSION, ReportDocument, estimate_dict
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -175,7 +176,7 @@ def _base_document(args, handle, descriptor, grid, tol, extra_provenance=None):
     }
     provenance = {
         "tool": TOOL_VERSION,
-        "grid": grid_dict(grid),
+        "grid": _fields_dict(grid),
         "tol": tol,
         "seed": getattr(args, "seed", None),
     }
@@ -290,13 +291,13 @@ def _cmd_plots(args) -> int:
     grid = _grid_for(args, handle)
     xs = grid.xs()
     ts = check_ratio_scales(args.t or [2.0, 5.0, 10.0], float(xs[-1]))
+    r_values = sorted({-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0,
+                       *(_real(r, "r") for r in args.r or [])})
     out_dir = Path(args.plots)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_csv(out_dir / "orders.csv", ["x", "log_u_over_log_x"],
                    zip(map(float, xs), map(float, order_samples(handle, xs))))
-        r_values = sorted(set([-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]
-                              + list(args.r or [])))
         if handle.log_domain is None:
             rows = []
             for r in r_values:

@@ -27,6 +27,7 @@ from .order import (
     ConditionReport,
     GridSpec,
     IndexEstimate,
+    _fields_dict,
     classify,
     rv_ratio_test,
     windowed_limit,
@@ -40,6 +41,9 @@ class GPDSpec:
     """Generalized Pareto shape; support respects 1 + xi*x > 0."""
 
     xi: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "xi", _real(self.xi, "xi"))
 
     def cdf_complement(self, x) -> np.ndarray:
         xa = np.asarray(x, dtype=float)
@@ -235,8 +239,8 @@ def gpd_ratio_probe(D: DistributionHandle, xi: float, a_fn: Callable,
     holds at this xi and a(.). Persistent spread across a whole scale family
     is the violation signature.
     """
-    xi, tol = _real(xi, "xi"), _real(tol, "tol", 0.0)
     spec = GPDSpec(xi=xi)
+    xi, tol = spec.xi, _real(tol, "tol", 0.0)
     xs = np.asarray(x_probe, dtype=float)
     if not xs.size:
         raise ParamError("excess-ratio probe requires at least one point in x_probe")
@@ -318,17 +322,7 @@ class SimulationResult:
     candidate_alpha: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "n_values": list(self.n_values),
-            "a_n": list(self.a_n),
-            "b_n": list(self.b_n),
-            "abscissas": list(self.abscissas),
-            "empirical_cdfs": [list(c) for c in self.empirical_cdfs],
-            "distances": list(self.distances),
-            "seed": self.seed,
-            "reps": self.reps,
-            "candidate_alpha": self.candidate_alpha,
-        }
+        return _fields_dict(self)
 
 
 def _abscissas(x) -> np.ndarray:

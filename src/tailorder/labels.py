@@ -12,6 +12,8 @@ log U(x) / log x:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ParamError, _real
@@ -46,7 +48,12 @@ class ClassLabel:
         elif self.rho is not None:
             raise ParamError(f"{self.tag} label carries no rho")
         if self.tag == TAG_OSC:
-            if self.mu is None or self.nu is None or not self.mu < self.nu:
+            for name in ("mu", "nu"):  # extended reals: +-inf or a finite number
+                v = getattr(self, name)
+                if not (isinstance(v, numbers.Real) and abs(v) == math.inf):
+                    v = _real(v, name)
+                object.__setattr__(self, name, float(v))
+            if not self.mu < self.nu:
                 raise ParamError("Oscillating label requires mu < nu")
         elif self.mu is not None or self.nu is not None:
             raise ParamError(f"{self.tag} label carries no mu/nu")
@@ -66,7 +73,7 @@ class ClassLabel:
 
     @staticmethod
     def oscillating(mu: float, nu: float) -> "ClassLabel":
-        return ClassLabel(TAG_OSC, mu=float(mu), nu=float(nu))
+        return ClassLabel(TAG_OSC, mu=mu, nu=nu)
 
     @staticmethod
     def undecided() -> "ClassLabel":

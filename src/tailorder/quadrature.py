@@ -55,15 +55,9 @@ from .errors import QuadratureFailure
 _NUDGE = 1e-12
 
 
-def log_phi(d: np.ndarray) -> np.ndarray:
-    """log((exp(d) - 1) / d), the exponential-rule correction, stable at 0."""
-    d = np.asarray(d, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _log_phi(d)
-
-
 def _log_phi(d: np.ndarray) -> np.ndarray:
-    """log_phi of a float array, under the caller's errstate.
+    """log((exp(d) - 1) / d), the exponential-rule correction, of a float
+    array, under the caller's errstate.
 
     One expm1, divide and log over all of d; the rare cells are patched
     after, and only when there are any: 1 + d/2 for |d| < 1e-8 (where 0/0

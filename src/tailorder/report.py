@@ -12,22 +12,13 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import FormatError
-from .order import GridSpec, IndexEstimate
+from .order import IndexEstimate, _fields_dict
 
 SCHEMA_VERSION = "1"
 TOOL_VERSION = "tailorder 0.1.0"
 
 _FIELDS = ("schema_version", "input", "class", "estimates", "conditions",
            "evt", "provenance")
-
-
-def grid_dict(grid: GridSpec) -> dict:
-    return {
-        "log10_x_min": grid.log10_x_min,
-        "log10_x_max": grid.log10_x_max,
-        "points": grid.points,
-        "windows": grid.windows,
-    }
 
 
 def estimate_dict(est: IndexEstimate | None) -> dict | None:
@@ -37,7 +28,7 @@ def estimate_dict(est: IndexEstimate | None) -> dict | None:
         "value": est.value,
         "spread": est.spread,
         "trend": est.trend.value,
-        "grid": grid_dict(est.grid),
+        "grid": _fields_dict(est.grid),
     }
 
 

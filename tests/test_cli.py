@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -64,9 +65,18 @@ def test_classify_oscillating_decided():
     assert json.loads(out)["class"]["tag"] == "Oscillating"
 
 
-def test_usage_exit_one():
-    code, _, _ = run_cli("classify")
+@pytest.mark.parametrize("argv, message", [
+    (["classify"], "one of the arguments --fn --data is required"),
+    (["classify", "--fn", "power_tail", "--param", "alpha"],
+     "--param expects key=value, got 'alpha'"),
+    (["classify", "--fn", "power_tail", "--param", "alpha=two"],
+     "--param alpha: non-numeric value 'two'"),
+], ids=["no-input", "param-without-value", "param-not-a-number"])
+def test_usage_exit_one(argv, message):
+    code, out, err = run_cli(*argv)
     assert code == 1
+    assert out == ""
+    assert err == f"usage error: {message}\n"
 
 
 def test_unknown_function_exit_two():
@@ -288,12 +298,21 @@ def test_report_document_round_trip(tmp_path):
     assert ReportDocument.from_json(doc.to_json()) == doc
 
 
-def test_report_document_rejects_unknown_fields():
-    doc = ReportDocument(input={}, class_label={"tag": "Undecided"}, estimates={})
-    payload = json.loads(doc.to_json())
-    payload["surprise"] = 1
-    with pytest.raises(to.FormatError):
-        ReportDocument.from_dict(payload)
+_DOC = json.loads(ReportDocument(input={}, class_label={"tag": "Undecided"},
+                                 estimates={}).to_json())
+
+
+@pytest.mark.parametrize("text, message", [
+    (json.dumps({**_DOC, "surprise": 1}), "unknown report fields ['surprise']"),
+    (json.dumps({k: v for k, v in _DOC.items() if k != "evt"}), "missing report fields ['evt']"),
+    (json.dumps({**_DOC, "schema_version": "2"}), "unsupported schema version '2'"),
+    ("{", "bad report JSON: Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1)"),
+    ("[]", "report JSON must be an object"),
+], ids=["unknown-field", "missing-field", "schema-version", "not-json", "not-an-object"])
+def test_report_document_rejects_a_malformed_document(text, message):
+    with pytest.raises(to.FormatError, match=f"^{re.escape(message)}$"):
+        ReportDocument.from_json(text)
 
 
 def test_plots_emission(tmp_path):
@@ -449,14 +468,17 @@ def test_decisions_do_not_depend_on_numpy_simd(argv, simd_envs):
     assert _decisions(argv.split(), scalar_env) == _decisions(argv.split(), plain_env)
 
 
-@pytest.mark.parametrize("t", ["0", "-2", "nan", "inf", "1e308"])
-def test_plots_bad_ratio_scale_is_refused_before_any_file(t, tmp_path, capsys):
+@pytest.mark.parametrize("flag, value", [("--t", "0"), ("--t", "-2"), ("--t", "nan"),
+                                         ("--t", "inf"), ("--t", "1e308"), ("--r", "nan")])
+def test_plots_bad_ratio_scale_or_exponent_is_refused_before_any_file(flag, value, tmp_path,
+                                                                      capsys):
     out = tmp_path / "plots"
     code = main(["plots", "--fn", "power_tail", "--param", "alpha=-2",
-                 "--plots", str(out), "--t", "2", "--t", t])
+                 "--plots", str(out), "--t", "2", flag, value])
     assert code == 2
     # 1e308 is a scale in range whose x_max * t is not
-    named = "at t=1e+308 needs U" if t == "1e308" else f"t {float(t)!r} is out of range"
+    named = ("at t=1e+308 needs U" if value == "1e308"
+             else f"{flag[2:]} {float(value)!r} is out of range")
     assert named in capsys.readouterr().err
     assert not out.exists() or not list(out.iterdir())
 
@@ -488,8 +510,11 @@ def test_simulate_block_size_one_is_an_input_error(capsys):
      "c nan is out of range: real parameters are numbers, here 0 <= c < inf"),
     (["classify", "--fn", "log_perturbed_power", "--param", "alpha=-1", "--param", "c=inf"],
      "c inf is out of range: real parameters are numbers, here 0 <= c < inf"),
+    # a plot directory inside a file
+    (["plots", "--fn", "peter_paul", "--plots", f"{__file__}/plots"],
+     f"cannot write plot data: [Errno 20] Not a directory: '{__file__}/plots'"),
 ], ids=["seed-negative", "seed-2**128", "points-0", "tol-inf", "x_a-1e300", "x_a-inf",
-        "x_a-nan", "c-nan", "c-inf"])
+        "x_a-nan", "c-nan", "c-inf", "plots-in-a-file"])
 def test_out_of_range_option_is_an_input_error(argv, message, capsys):
     code = main(argv)
     captured = capsys.readouterr()

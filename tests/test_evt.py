@@ -60,6 +60,20 @@ def test_quantile_beyond_float_range_is_a_quantile_error():
         to.block_maxima_simulate(D, [100], reps=200, seed=1)
 
 
+@pytest.mark.parametrize("call, message", [
+    # U = x**0 never falls below 1: the bisection bracket runs away
+    (lambda: to.distribution_for(to.make_power_tail(0.0)).quantile(0.5),
+     "quantile bracket ran away"),
+    # a quantile map that reads 0 leaves the maxima no normalizing scale
+    (lambda: to.block_maxima_simulate(
+        to.DistributionHandle(to.make_pareto_tail(1.0), lambda u: 0.0 * np.asarray(u)),
+        [10], 5, 1), "normalizing scale must be positive"),
+], ids=["bracket", "zero-scale"])
+def test_a_quantile_without_a_usable_value_is_a_quantile_error(call, message):
+    with pytest.raises(QuantileError, match=f"^{message}$"):
+        call()
+
+
 @given(u=st.floats(min_value=1e-12, max_value=0.7))
 @settings(max_examples=100, deadline=None)
 def test_generic_quantile_bisection(u):
@@ -175,9 +189,10 @@ def test_hazard_ratio_log_perturbed():
     assert est.value == pytest.approx(1.0, abs=0.05)
 
 
-def test_hazard_ratio_rejects_steps():
-    with pytest.raises(NonDifferentiable):
-        to.von_mises_frechet(to.distribution_for(to.make_peter_paul()))
+@pytest.mark.parametrize("probe", [to.von_mises_frechet, to.von_mises_gumbel])
+def test_derivative_probes_reject_steps(probe):
+    with pytest.raises(NonDifferentiable, match="^peter_paul: tail is not differentiable$"):
+        probe(to.distribution_for(to.make_peter_paul()))
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 4.0])
@@ -277,6 +292,8 @@ def test_excess_ratio_support_validation():
     D = to.distribution_for(to.make_pareto_tail(2.0))
     with pytest.raises(ParamError):
         to.gpd_ratio_probe(D, -0.5, lambda u: np.asarray(u), x_probe=[3.0])
+    with pytest.raises(ParamError, match=r"^scale function a\(u\) must be positive$"):
+        to.gpd_ratio_probe(D, 0.5, lambda u: -np.asarray(u))
 
 
 @pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])

@@ -608,8 +608,9 @@ def test_from_table_needs_one_value_per_abscissa():
 
 def test_load_csv(tmp_path):
     p = tmp_path / "pw.csv"
-    p.write_text("x,value\n" + "\n".join(
-        f"{10.0 ** k!r},{(10.0 ** k) ** -2!r}" for k in range(9)) + "\n")
+    rows = [f"{10.0 ** k!r},{(10.0 ** k) ** -2!r}" for k in range(9)]
+    # a blank row is skipped
+    p.write_text("x,value\n" + "\n".join(rows[:4] + [""] + rows[4:]) + "\n")
     h = to.load_csv(p)
     assert h.log_at(100.0) == pytest.approx(-4.0 * math.log(10.0), abs=1e-9)
 

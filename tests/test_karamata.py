@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -294,6 +295,18 @@ def test_non_finite_exponent_or_base_point_is_refused(bad):
         to.cumulative_integral(U, "V", 0.5, bad)
     with pytest.raises(ParamError, match="1 < b < inf"):
         to.extract_representation(U, bad)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda U: to.cumulative_integral(U, "X", 0.0, 2.0), "kind must be 'V' or 'W'"),
+    # the default grid ends at x_max = 1e8
+    (lambda U: to.cumulative_integral(U, "V", 0.0, 1e9), "integration range is empty"),
+    (lambda U: to.karamata_theorem_report(U, 1.0, 1e7),
+     "grid too short beyond the base point b"),
+], ids=["kind", "b-beyond-x_max", "b-near-x_max"])
+def test_a_bad_kind_or_base_point_is_refused(call, message):
+    with pytest.raises(ParamError, match=f"^{re.escape(message)}$"):
+        call(to.make_power_tail(-2.0))
 
 
 def test_branch_consistency_sweep():

@@ -260,6 +260,34 @@ def test_classify_x_pow_sin_x():
     assert label.nu == pytest.approx(1.0, abs=0.05)
 
 
+@pytest.mark.parametrize("alpha", [-2.0, -1.0, 1.0, 2.0])
+@pytest.mark.parametrize("c", [0.2, 0.3, 0.6, 0.9, 1.3, 1.5])
+def test_crossed_envelopes_are_undecided_or_right(c, alpha):
+    # the extrapolated lower order of these towers lies above the upper one;
+    # classify read the crossed pair as the finite order M((mu + nu)/2)
+    U = to.make_oset_tower(c, alpha)
+    mu, nu = to.estimate_orders(U)
+    assert mu.value - nu.value > 0.3
+    label = to.classify(U)
+    if label.is_decided:
+        truth = U.truth.label
+        assert label.tag == truth.tag, label
+        for got, want in ((label.mu, truth.mu), (label.nu, truth.nu)):
+            assert got == want or abs(got - want) <= 0.05, label
+
+
+@pytest.mark.parametrize("args, message", [
+    (("Q",), "unknown class tag 'Q'"),
+    (("MInf", 1.0), "MInf label carries no rho"),
+    (("Oscillating", None, 1.0, 0.0), "Oscillating label requires mu < nu"),
+    (("Oscillating", None, math.inf, math.inf), "Oscillating label requires mu < nu"),
+    (("M", 1.0, None, 0.0), "M label carries no mu/nu"),
+])
+def test_a_label_refuses_fields_its_tag_does_not_allow(args, message):
+    with pytest.raises(ParamError, match=f"^{re.escape(message)}$"):
+        to.ClassLabel(*args)
+
+
 def test_classify_tolerance_validation():
     with pytest.raises(ParamError):
         to.classify(to.make_power_tail(1.0), tol=0.0)

@@ -43,6 +43,8 @@ _REALS = [
     ("scale_add-a", "a", lambda v: to.scale_add(v, _POW, _RAMP), -1.0, 2),
     ("regularize_origin-rho", "rho", lambda v: to.regularize_origin(_POW, v), 0.0, 2),
     ("label-rho", "rho", to.ClassLabel.m, None, 2),
+    ("label-mu", "mu", lambda v: to.ClassLabel.oscillating(v, math.inf), None, 2),
+    ("label-nu", "nu", lambda v: to.ClassLabel.oscillating(-math.inf, v), None, 2),
     ("grid-log10_x_min", "log10_x_min", lambda v: to.GridSpec(log10_x_min=v), None, 2),
     ("grid-log10_x_max", "log10_x_max", lambda v: to.GridSpec(log10_x_max=v), None, 6),
     ("classify-tol", "tol", lambda v: to.classify(_POW, _GRID, v), 0.0, 1),
@@ -61,6 +63,7 @@ _REALS = [
      lambda v: to.classify_domain_attraction(_PARETO, _GRID, v, label=to.ClassLabel.m(-2.0),
                                              rv=_RV), 0.0, 1),
     ("gpd_ratio_probe-xi", "xi", lambda v: to.gpd_ratio_probe(_PARETO, v, np.sqrt), None, 1),
+    ("GPDSpec-xi", "xi", to.GPDSpec, None, 1),
     ("gpd_ratio_probe-tol", "tol", lambda v: to.gpd_ratio_probe(_PARETO, 0.5, np.sqrt, tol=v),
      0.0, 1),
     ("excess_family_violation-threshold", "threshold",
@@ -69,6 +72,8 @@ _REALS = [
      None, 1),
     ("cumulative_integral-b", "b", lambda v: to.cumulative_integral(_POW, "V", 1.0, v, _GRID),
      0.0, 2),
+    ("probe_integral_convergence-r", "r",
+     lambda v: to.probe_integral_convergence(_POW, v, _GRID), None, 1),
     ("karamata-r", "r",
      lambda v: to.karamata_theorem_report(_POW, v, 2.0, _GRID, label=_M2, rv=_RV), None, 1),
     ("karamata-b", "b",
@@ -90,10 +95,15 @@ _REALS = [
 _BAD = (None, "2", True, math.nan, math.inf, -math.inf)
 
 
+# values a parameter takes that others refuse: None is the "no candidate"
+# default of block_maxima_simulate; the edges of an Oscillating label are
+# extended reals
+_TAKEN = {"candidate_alpha": (None,), "mu": (math.inf, -math.inf), "nu": (math.inf, -math.inf)}
+
+
 def _bad_cases():
     for case_id, what, call, out_of_range, _ in _REALS:
-        # None is the "no candidate" default of block_maxima_simulate
-        bad = _BAD if what != "candidate_alpha" else _BAD[1:]
+        bad = tuple(v for v in _BAD if v not in _TAKEN.get(what, ()))
         for value in bad + (() if out_of_range is None else (out_of_range,)):
             yield pytest.param(what, call, value, id=f"{case_id}-{value!r}")
 
@@ -139,6 +149,8 @@ def test_a_numpy_real_gives_the_result_of_the_python_float(call, value):
 def test_a_real_parameter_becomes_a_python_float():
     assert type(to.GridSpec(log10_x_max=np.int64(6)).log10_x_max) is float
     assert type(to.ClassLabel.m(np.float32(0.5)).rho) is float
+    label = to.ClassLabel.oscillating(np.float32(0.5), np.float32(np.inf))
+    assert type(label.mu) is float and type(label.nu) is float
     sim = to.block_maxima_simulate(_PARETO, [10], 5, 1, candidate_alpha=np.int64(2))
     assert type(sim.candidate_alpha) is float
     assert type(to.cumulative_integral(_POW, "V", np.int64(1), 2, _GRID).b) is float

@@ -32,6 +32,28 @@ def test_transform_requires_vanishing_origin():
         to.laplace_stieltjes(to.make_power_tail(1.0), 0.1)
 
 
+def _on_powers_of_two_from_one(x):
+    mantissa, _ = np.frexp(x)
+    return np.where((mantissa == 0.5) & (x >= 1.0), 0.0, -np.inf)
+
+
+@pytest.mark.parametrize("U, error, message", [
+    # a table's rows do not reach the origin probe x = 1e-300
+    (to.from_table(np.geomspace(2.0, 1e4, 20), -1.5 * np.log(np.geomspace(2.0, 1e4, 20))),
+     PreconditionError,
+     "table: cannot probe the origin: table: log-argument outside tabulated range"),
+    (to.FunctionHandle(name="zero", log_at_x=lambda x: np.full(np.shape(x), -np.inf)),
+     QuadratureFailure, "transform integrand has no finite peak"),
+    # positive on a null set, which the peak scan hits and no Kronrod node
+    # does: the transform is 0
+    (to.FunctionHandle(name="spikes", log_at_x=_on_powers_of_two_from_one),
+     QuadratureFailure, "transform quadrature returned a non-positive value"),
+], ids=["table", "zero", "null-set"])
+def test_transform_of_a_u_without_a_positive_transform_is_refused(U, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        to.laplace_stieltjes(U, 1.0)
+
+
 def test_transform_handle_probes_the_origin_when_it_is_built():
     with pytest.raises(PreconditionError, match="does not vanish at the origin"):
         to.transform_handle(to.make_power_tail(2.0))
