@@ -40,10 +40,11 @@ from .order import (
     _SUSTAIN,
     _class_gate,
     decay_verdict,
+    octave_log_masses,
     rv_ratio_test,
     windowed_limit,
 )
-from .quadrature import cell_log_masses, logsumexp, moment_log_f
+from .quadrature import cell_log_masses, moment_log_f
 
 # |rho| below this uses the vanishing-order representation construction
 KAPPA_ZERO_EPS = 0.02
@@ -108,7 +109,7 @@ def cumulative_integral(U: FunctionHandle, kind: str, r: float, b: float,
     u_max = grid.log10_x_max * math.log(10.0)
     if u_max <= u_b:
         raise ParamError("integration range is empty")
-    m, h = _CELLS_PER_OCTAVE, LOG2 / _CELLS_PER_OCTAVE
+    h = LOG2 / _CELLS_PER_OCTAVE
     log_f = moment_log_f(U, r + 1.0)
     # b, then the edges k h above it up to the first at or past u_max
     k_last = math.ceil(u_max / h)
@@ -121,11 +122,10 @@ def cumulative_integral(U: FunctionHandle, kind: str, r: float, b: float,
     # tail kind: the mass beyond x_max, summed one octave of cells at a time
     n_octaves = int((math.log(np.finfo(float).max) - edges[-1]) // LOG2)
     masses, tail = [], -math.inf
-    for k in range(n_octaves):
-        octave = (k_last + k * m + np.arange(m + 1)) * h
-        masses.append(logsumexp(cell_log_masses(log_f, octave)))
-        tail = np.logaddexp(tail, masses[-1])
-        if k == _SUSTAIN and (tag := decay_verdict(masses)) != "Convergent":
+    for k, mass in enumerate(octave_log_masses(log_f, k_last, _CELLS_PER_OCTAVE, n_octaves)):
+        masses.append(mass)
+        tail = np.logaddexp(tail, mass)
+        if k == _SUSTAIN and (tag := decay_verdict(masses).tag) != "Convergent":
             raise DivergentTail(f"tail integral of t**{r:g} * {U.name} does not converge ({tag})")
         if k >= _SUSTAIN and masses[-1] <= tail + math.log(1e-13):
             break

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Sequence
 
@@ -103,18 +103,22 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class IndexEstimate:
-    """An extended-real limit estimate with window diagnostics."""
+    """An extended-real limit estimate with window diagnostics, which equality ignores:
+    the exit of ``_combine`` that decided it and the misfit of its extrapolation."""
 
     value: float
     spread: float
     trend: Trend
     grid: GridSpec
+    rule: str = field(default="", compare=False)
+    residual: float = field(default=math.nan, compare=False)  # NaN unless extrapolated
 
 
 @dataclass(frozen=True)
 class ConvergenceVerdict:
     tag: str  # Convergent | Divergent | Undecided
     trace: tuple = ()  # (log10 truncation, log partial integral)
+    mean_log_ratio: float = field(default=math.nan, compare=False)  # decay_verdict's evidence
 
     @property
     def is_convergent(self) -> bool:
@@ -130,8 +134,9 @@ class ConvergenceVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _extrapolate_intercept(L: np.ndarray, s: np.ndarray) -> float:
-    """Limit of a drifting window series, modelled as a + b/L + c*logL/L.
+def _extrapolate_intercept(L: np.ndarray, s: np.ndarray) -> tuple[float, float, bool]:
+    """(limit, largest misfit, clamped) of a drifting window series s, modelled
+    as a + b/L + c*logL/L; a is clamped to within the span of s of its range.
 
     Weighted toward large L, where the correction model is accurate and the
     limit lives.
@@ -139,45 +144,54 @@ def _extrapolate_intercept(L: np.ndarray, s: np.ndarray) -> float:
     with np.errstate(all="ignore"):
         A = np.column_stack([np.ones_like(L), 1.0 / L, np.log(L) / L])
         w = L * L
-        A, rhs = A * w[:, None], s * w
-    if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
+        Aw, rhs = A * w[:, None], s * w
+    if not (np.isfinite(Aw).all() and np.isfinite(rhs).all()):
         raise ExtrapolationFailure("window-limit extrapolation: non-finite fit data")
     try:
-        coef, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+        coef, *_ = np.linalg.lstsq(Aw, rhs, rcond=None)
     except np.linalg.LinAlgError as exc:
         raise ExtrapolationFailure(f"window-limit extrapolation failed: {exc}") from None
     v = float(coef[0])
     lo, hi = float(s.min()), float(s.max())
     pad = hi - lo
-    return min(max(v, lo - pad), hi + pad)
+    limit = min(max(v, lo - pad), hi + pad)
+    return limit, float(np.abs(A @ coef - s).max()), limit != v
 
 
-def _combine(summaries: Sequence[float], L: Sequence[float], side: int,
-             inf_threshold: float = INF_THRESHOLD) -> tuple[float, Trend]:
-    """Reduce per-window summaries to one limit estimate.
+def _combine(summaries: Sequence[float], L: Sequence[float], side: int, ys: np.ndarray,
+             grid: GridSpec, inf_threshold: float = INF_THRESHOLD) -> IndexEstimate:
+    """Reduce per-window summaries of the samples ys on grid to one limit estimate.
 
     side > 0 treats the series as an upper envelope, side < 0 as a lower one,
     side == 0 as plain means. Window means of sawtooth-like samples wobble
     with the fractional period coverage, so the mean mode tolerates more
     countertrend wobble than the envelope modes (which must never mistake
-    genuine oscillation for drift).
+    genuine oscillation for drift). The spread is the range of the last
+    window's finite samples (inf when it has none); a spread of 0 is Stable.
     """
+    last = ys[slice(*grid.window_bounds[-2:].tolist())]
+    last = last[np.isfinite(last)]
+    spread = float(last.max() - last.min()) if last.size else math.inf
+
+    def estimate(value: float, trend: Trend, rule: str, residual: float = math.nan):
+        return IndexEstimate(value, spread, trend if spread else Trend.STABLE, grid, rule, residual)
+
     s = np.asarray(summaries, dtype=float)
     Ls = np.asarray(L, dtype=float)
     finite = np.isfinite(s)
     if not finite.all():
         if not finite[-1]:  # runaway samples: infinite already
             v = math.inf if np.any(s == math.inf) else -math.inf
-            return v, Trend.INCREASING if v > 0 else Trend.DECREASING
+            return estimate(v, Trend.INCREASING if v > 0 else Trend.DECREASING, "runaway")
         # the finite trailing windows alone, if as many as the drop loop keeps
         first = int(np.flatnonzero(~finite)[-1]) + 1
         s, Ls = s[first:], Ls[first:]
         if s.size < 4:
-            return float(s[-1]), Trend.OSCILLATING
+            return estimate(float(s[-1]), Trend.OSCILLATING, "short finite tail")
     span = float(s.max() - s.min())
     scale = max(1.0, float(np.abs(s).max()))
     if span <= 1e-9 * scale:
-        return float(s[-1]), Trend.STABLE
+        return estimate(float(s[-1]), Trend.STABLE, "stable")
     wob_frac = _MEAN_WOBBLE if side == 0 else _MONOTONE_WOBBLE
 
     def _monotone(seg: np.ndarray) -> tuple[bool, bool]:
@@ -196,8 +210,10 @@ def _combine(summaries: Sequence[float], L: Sequence[float], side: int,
     if inc or dec:
         trend = Trend.INCREASING if inc else Trend.DECREASING
         if abs(s[-1]) > inf_threshold:
-            return math.copysign(math.inf, s[-1]), trend
-        return _extrapolate_intercept(Ls[drop:], s[drop:]), trend
+            return estimate(math.copysign(math.inf, s[-1]), trend, "drift beyond the threshold")
+        v, residual, clamped = _extrapolate_intercept(Ls[drop:], s[drop:])
+        return estimate(v, trend, "clamped extrapolation" if clamped else "extrapolation",
+                        residual)
     # oscillating summaries: envelope over the trailing half, so decaying
     # transients in early windows do not pin the estimate
     tail = s[s.size // 2:]
@@ -208,8 +224,9 @@ def _combine(summaries: Sequence[float], L: Sequence[float], side: int,
     else:
         v = float(s[-1])
     if abs(v) > inf_threshold:
-        return math.copysign(math.inf, v), Trend.OSCILLATING
-    return v, Trend.OSCILLATING
+        return estimate(math.copysign(math.inf, v), Trend.OSCILLATING,
+                        "envelope beyond the threshold")
+    return estimate(v, Trend.OSCILLATING, "envelope")
 
 
 def _logs(xs: np.ndarray) -> np.ndarray:
@@ -235,13 +252,6 @@ def _window_extremes(ys: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.nda
     return firsts[0], firsts[1]
 
 
-def _last_window_spread(ys: np.ndarray, grid: GridSpec) -> float:
-    """Range of the finite samples of the last window; inf when it has none."""
-    last = ys[slice(*grid.window_bounds[-2:].tolist())]
-    last = last[np.isfinite(last)]
-    return float(last.max() - last.min()) if last.size else math.inf
-
-
 def windowed_limit(xs: np.ndarray, ys: np.ndarray, grid: GridSpec,
                    inf_threshold: float = INF_THRESHOLD) -> IndexEstimate:
     """Limit estimate for samples ys over xs via window means."""
@@ -252,11 +262,7 @@ def windowed_limit(xs: np.ndarray, ys: np.ndarray, grid: GridSpec,
     with np.errstate(over="ignore"):
         means = [float(ys[a:b].mean()) for a, b in windows]
     L_mid = _logs(xs[[a + (b - a) // 2 for a, b in windows]])
-    value, trend = _combine(means, L_mid, side=0, inf_threshold=inf_threshold)
-    spread = _last_window_spread(ys, grid)
-    if spread == 0.0:
-        trend = Trend.STABLE
-    return IndexEstimate(value=value, spread=spread, trend=trend, grid=grid)
+    return _combine(means, L_mid, 0, ys, grid, inf_threshold)
 
 
 def order_samples(U: FunctionHandle, xs) -> np.ndarray:
@@ -278,14 +284,8 @@ def estimate_orders(U: FunctionHandle, grid: GridSpec = GridSpec()
     xs = grid.xs()
     rs = order_samples(U, xs)
     i_min, i_max = _window_extremes(rs, grid)
-    mu_val, mu_trend = _combine(rs[i_min], _logs(xs[i_min]), side=-1)
-    nu_val, nu_trend = _combine(rs[i_max], _logs(xs[i_max]), side=+1)
-    spread = _last_window_spread(rs, grid)
-    if spread == 0.0:
-        mu_trend = nu_trend = Trend.STABLE
-    mu = IndexEstimate(value=mu_val, spread=spread, trend=mu_trend, grid=grid)
-    nu = IndexEstimate(value=nu_val, spread=spread, trend=nu_trend, grid=grid)
-    return mu, nu
+    return (_combine(rs[i_min], _logs(xs[i_min]), -1, rs, grid),
+            _combine(rs[i_max], _logs(xs[i_max]), +1, rs, grid))
 
 
 DEFAULT_CLASS_TOL = 0.05
@@ -349,14 +349,12 @@ _KAPPA_TOL = 0.01
 _PROBE_CELLS_PER_OCTAVE = 256
 
 
-def octave_integral(handle, r: float, n_octaves: int) -> np.ndarray:
-    """Per-octave log masses of x**(r-1) U(x) over [2**k, 2**(k+1)], k = 0, 1, ..."""
-    steps = np.arange(_PROBE_CELLS_PER_OCTAVE + 1) / _PROBE_CELLS_PER_OCTAVE
-    masses = np.empty(n_octaves)
-    log_f = moment_log_f(handle, r)
-    for j in range(n_octaves):
-        masses[j] = logsumexp(cell_log_masses(log_f, (j + steps) * LOG2))
-    return masses
+def octave_log_masses(log_f, first: int, cells: int, n: int):
+    """Log mass of integral exp(log_f) du over n octaves in turn: octave j has the
+    cells of edges (first + j cells + arange(cells + 1)) log 2 / cells."""
+    steps = np.arange(cells + 1)
+    for j in range(n):
+        yield logsumexp(cell_log_masses(log_f, (first + j * cells + steps) * (LOG2 / cells)))
 
 
 def probe_integral_convergence(U: FunctionHandle, r: float,
@@ -368,37 +366,38 @@ def probe_integral_convergence(U: FunctionHandle, r: float,
     they fail to decay, undecided in the razor-thin band between.
     """
     n_oct = max(_SUSTAIN + 2, int(math.floor(grid.log10_x_max * math.log(10) / LOG2)))
-    inc = octave_integral(U, _real(r, "r"), n_oct)
+    log_f = moment_log_f(U, _real(r, "r"))
+    inc = np.fromiter(octave_log_masses(log_f, 0, _PROBE_CELLS_PER_OCTAVE, n_oct), float, n_oct)
     partials = np.logaddexp.accumulate(inc)
     trace = tuple(
         (float((k + 1) * math.log10(2.0)), float(p)) for k, p in enumerate(partials)
     )
-    return ConvergenceVerdict(decay_verdict(inc), trace)
+    return replace(decay_verdict(inc), trace=trace)
 
 
-def decay_verdict(inc: np.ndarray) -> str:
+def decay_verdict(inc) -> ConvergenceVerdict:
     """Convergent, Divergent or Undecided: the mean log ratio of the last _SUSTAIN + 1
     octave log masses ``inc`` below log(1 - margin), above log(1 + margin), or between.
 
     A last mass of zero (log -inf) is Convergent; with no finite ratio between
-    the masses, one nonzero mass after zeros, the verdict is Undecided.
+    the masses, one nonzero mass after zeros, the verdict is Undecided. The
+    verdict carries its mean log ratio: +inf for a mass beyond the float
+    range, -inf for a last mass of zero, NaN with no finite ratio.
     """
     tail = np.asarray(inc[-(_SUSTAIN + 1):], dtype=float)
     if tail.max() == math.inf:  # a partial integral beyond the float range
-        return "Divergent"
+        return ConvergenceVerdict("Divergent", mean_log_ratio=math.inf)
     if tail[-1] == -math.inf:
-        return "Convergent"
+        return ConvergenceVerdict("Convergent", mean_log_ratio=-math.inf)
     with np.errstate(invalid="ignore"):  # -inf - -inf between zero masses
         dlog = np.diff(tail)
     dlog = dlog[np.isfinite(dlog)]
     if dlog.size == 0:
-        return "Undecided"
+        return ConvergenceVerdict("Undecided")
     mean_dlog = float(dlog.mean())
-    if mean_dlog < math.log(1.0 - _RATIO_MARGIN):
-        return "Convergent"
-    if mean_dlog > math.log1p(_RATIO_MARGIN):
-        return "Divergent"
-    return "Undecided"
+    tag = ("Convergent" if mean_dlog < math.log(1.0 - _RATIO_MARGIN) else
+           "Divergent" if mean_dlog > math.log1p(_RATIO_MARGIN) else "Undecided")
+    return ConvergenceVerdict(tag, mean_log_ratio=mean_dlog)
 
 
 def estimate_kappa(U: FunctionHandle, grid: GridSpec = GridSpec()) -> IndexEstimate:

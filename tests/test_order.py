@@ -146,15 +146,16 @@ def test_windowed_limit_reads_the_slice_means(seed, drift, windows, extra):
     means = [float(ys[sl].mean()) for sl in slices]
     L_mid = [math.log(xs[sl][len(xs[sl]) // 2]) for sl in slices]
     try:
-        want = _combine(means, L_mid, side=0)
+        want = _combine(means, L_mid, 0, ys, grid)
     except ExtrapolationFailure:
         with pytest.raises(ExtrapolationFailure):
             to.windowed_limit(xs, ys, grid)
         return
     got = to.windowed_limit(xs, ys, grid)
     last = ys[slices[-1]]
-    assert (got.value, got.spread) == (want[0], float(last.max() - last.min()))
-    assert got.trend is (to.Trend.STABLE if got.spread == 0.0 else want[1])
+    assert (got.value, got.spread) == (want.value, float(last.max() - last.min()))
+    assert got.trend is (to.Trend.STABLE if got.spread == 0.0 else want.trend)
+    assert got.rule == want.rule
 
 
 def test_order_spread_reads_finite_samples_only():
@@ -340,8 +341,8 @@ _SQUARE_BELOW_EDGE = to.FunctionHandle(
 
 
 def test_zero_octave_masses_decide_no_false_moment_index():
-    assert decay_verdict(np.array([3.0, 2.0, 4.0, 5.0, -np.inf])) == "Convergent"
-    assert decay_verdict(np.array([-np.inf] * 4 + [0.0])) == "Undecided"
+    assert decay_verdict(np.array([3.0, 2.0, 4.0, 5.0, -np.inf])).tag == "Convergent"
+    assert decay_verdict(np.array([-np.inf] * 4 + [0.0])).tag == "Undecided"
     # the truth is kappa = 0; before, kappa = +inf
     with pytest.raises(to.UndecidedConvergence, match="r_lo=-64"):
         to.estimate_kappa(_ONE_FROM_EDGE)
@@ -353,12 +354,16 @@ def test_non_finite_leading_windows_leave_no_placeholder_in_the_estimate():
     label = to.classify(_ONE_FROM_EDGE)
     assert (label.tag, label.mu, label.nu) == ("Oscillating", -math.inf, 0.0)
     L = np.log(np.geomspace(10.0, 1e8, 8))
+    grid = to.GridSpec()
+    ys = np.linspace(0.0, 1.0, grid.points)  # samples whose last window has a spread
     for side in (-1, 0, 1):
         # four or more finite trailing windows are combined alone
-        assert _combine([-np.inf, -np.inf, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0], L, side) == \
-            (1.0, to.Trend.STABLE)
+        est = _combine([-np.inf, -np.inf, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0], L, side, ys, grid)
+        assert (est.value, est.trend, est.rule) == (1.0, to.Trend.STABLE, "stable")
         # fewer are too few to read a trend from
-        assert _combine([np.inf] * 5 + [3.0, 2.0, 1.0], L, side) == (1.0, to.Trend.OSCILLATING)
+        est = _combine([np.inf] * 5 + [3.0, 2.0, 1.0], L, side, ys, grid)
+        assert (est.value, est.trend, est.rule) == \
+            (1.0, to.Trend.OSCILLATING, "short finite tail")
 
 
 @pytest.mark.parametrize("r,tag", [
