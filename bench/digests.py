@@ -26,15 +26,15 @@ span several blocks of panels, a product over a table, evaluated inside the
 table's range, the Laplace transform at s = 1e-306, whose peak scan stops
 where y/s leaves the float range (a checkout that refuses that s prints
 ``lib failed`` in its place), the moment index of a reciprocal, a closure
-that reads its operand's raw rule at every probe point, and last a
+that reads its operand's raw rule at every probe point, and a
 composition over a tabulated outer function, evaluated where the inner
 values lie within the table's rows (a checkout that refuses a tabulated
 outer function prints ``lib failed`` in its place). Three convolutions
-close the list: a ramp pair from x = 1e-300 to 1e300, a power pair in
+follow: a ramp pair from x = 1e-300 to 1e300, a power pair in
 log-argument coordinates at u = 650 and 705, and the Tauberian report of
 that ramp pair, which vanishes at the origin (a checkout whose convolution
 fails outside x in (1e-300, 1e14) prints ``lib failed`` in their place).
-Two tail integrals W_r end the list: of x**-2 at r = 0.9, whose mass beyond
+Two tail integrals W_r come next: of x**-2 at r = 0.9, whose mass beyond
 x = 1e8 takes about 390 octaves to sum out, and of a log-perturbed power
 from b = 1.9, off the octaves, where the octave ratio of the tail drifts.
 Two lines pin the cell rule itself: the cells of the dyadic step tail
@@ -45,7 +45,7 @@ cells of x**0.5 times the step tail on three rows of edges, one octave of
 256 cells each from log 1.93, in one call. The next line pins the closure
 labels: the class that each of nine constructed handles carries, by name,
 over every operation, both rapid classes, an Oscillating operand and two
-Undecided results. The last line pins the refusal of every count the
+Undecided results. The next line pins the refusal of every count the
 library takes (grid points and windows, a block size, reps, a seed, k and
 the a of the closed-form integral) for six bad values each: the exception
 type and message of each call, or ``accepted``. The line after pins the
@@ -53,9 +53,16 @@ same for every real parameter (a constructor's shape or weight, a grid
 end, each check's tol, the exponents, base points and scales of the
 integrals and transforms, the EVT shapes) at None, "2", True, NaN, inf,
 -inf and, where the parameter has one, a finite value out of its range.
-The last line pins the crossed-envelope guard of ``classify``: the label of
+The next line pins the crossed-envelope guard of ``classify``: the label of
 ``oset_tower(0.9, -1)``, whose lower order lies above its upper order, is
-Undecided. Each prints ``lib``, the
+Undecided. The next pins the labels of two U that reach or leave 0 inside
+the last window: 1 from 2**25 on and 0 below is M(0), x**2 below 2**25 and
+0 beyond is MInf. The last line pins, for eight members, the rule that
+decided each of the lower and upper order (``IndexEstimate.rule``) and
+its trend: every exit of the window reduction but the short finite tail.
+It pins rules, not fit residuals, whose last bits may depend on the SIMD
+tier (a checkout whose estimates name no rule prints ``lib failed`` in its
+place). Each prints ``lib``, the
 sha256 of its result (the shape and bytes of an array, the sorted JSON of a
 report) and the expression.
 The first line names the numpy version and the SIMD extensions numpy
@@ -219,6 +226,17 @@ LIBRARY = (
     "PARETO, [10], 5, 1, candidate_alpha=v), (-1.0,)))"
     " for v in (None, '2', True, float('nan'), float('inf'), -float('inf')) + out_of_range}",
     "to.classify(to.make_oset_tower(0.9, -1.0)).to_dict()",
+    "{h.name: to.classify(h).to_dict() for h in ("
+    "to.FunctionHandle('one_from_2^25', log_at_logx=lambda u:"
+    " np.where(u >= 25 * np.log(2.0), 0.0, -np.inf)),"
+    " to.FunctionHandle('square_below_2^25', log_at_logx=lambda u:"
+    " np.where(u < 25 * np.log(2.0), 2.0 * np.maximum(u, 0.0), -np.inf)))}",
+    "{h.name: [[e.rule, e.trend.value] for e in to.estimate_orders(h)] for h in ("
+    "to.compose(to.make_exp_neg(), to.make_exp_pos()), to.make_power_tail(-3.0),"
+    " to.make_exp_neg(), to.make_peter_paul(),"
+    " to.scale_add(0.5, to.make_power_tail(-1.0), to.make_pareto_tail(1.5)),"
+    " to.make_oset_tower(0.1, -2.0), to.make_log_perturbed_power(-2.0, 0.5),"
+    " to.make_oset_tower(0.9, -1.0))}",
 )
 # evaluates each expression of argv in one interpreter and prints its digest line
 LIBRARY_RUNNER = """

@@ -14,9 +14,9 @@ checks (branches selected by the sign of rho + r) and the named balance
 conditions C1r/C2r. Both sum one grid's cells from b to x_max: the cells
 lie on the edges k log 2 / 512 in u = log x, whatever b is, after a partial
 first cell from b, so the dyadic steps of an integrand fall on edges. W_r
-adds the tail mass beyond: octaves of the same cells until one adds under
-1e-13 of it, the first ``_SUSTAIN + 1`` deciding convergence
-(``order.decay_verdict``).
+adds the tail mass beyond, the same cells an octave at a time
+(``order.octave_log_masses``) until one adds under 1e-13 of it, the first
+``_SUSTAIN + 1`` deciding convergence (``order.decay_verdict``).
 """
 
 from __future__ import annotations

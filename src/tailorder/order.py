@@ -284,6 +284,13 @@ def estimate_orders(U: FunctionHandle, grid: GridSpec = GridSpec()
     xs = grid.xs()
     rs = order_samples(U, xs)
     i_min, i_max = _window_extremes(rs, grid)
+    # U reaching or leaving 0 inside the last window: one switch between
+    # finite and non-finite samples there, and the run after it is the tail
+    a = int(grid.window_bounds[-2])
+    switch = np.flatnonzero(np.diff(np.isfinite(rs[a:])))
+    if switch.size == 1:
+        a += int(switch[0]) + 1
+        i_min[-1], i_max[-1] = a + np.argmin(rs[a:]), a + np.argmax(rs[a:])
     return (_combine(rs[i_min], _logs(xs[i_min]), -1, rs, grid),
             _combine(rs[i_max], _logs(xs[i_max]), +1, rs, grid))
 
@@ -375,7 +382,7 @@ def probe_integral_convergence(U: FunctionHandle, r: float,
     return replace(decay_verdict(inc), trace=trace)
 
 
-def decay_verdict(inc) -> ConvergenceVerdict:
+def decay_verdict(inc: Sequence[float]) -> ConvergenceVerdict:
     """Convergent, Divergent or Undecided: the mean log ratio of the last _SUSTAIN + 1
     octave log masses ``inc`` below log(1 - margin), above log(1 + margin), or between.
 

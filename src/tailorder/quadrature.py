@@ -205,9 +205,15 @@ def _gk_panels(log_f, a: np.ndarray, b: np.ndarray, ids: np.ndarray):
 
 
 def _gk_block(log_f, a: np.ndarray, b: np.ndarray, ids: np.ndarray):
-    """(log K15, log |K15 - G7|) of the panels of one block, one ``log_f`` call."""
+    """(log K15, log |K15 - G7|) of the panels of one block, one ``log_f`` call;
+    first a QuadratureFailure if a panel's outermost nodes round onto its ends."""
     half = 0.5 * (b - a)
     x = (0.5 * (a + b))[:, None] + half[:, None] * GK_X
+    inside = (x[:, 0] > a) & (x[:, -1] < b)
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise QuadratureFailure(f"adaptive quadrature: panel [{a[i]:.3g}, {b[i]:.3g}] is too "
+                                "narrow for its nodes")
     g = np.asarray(log_f(x, ids), dtype=float)
     # row maxima through a transposed copy, which numpy reduces far faster
     # than many 15-long rows; a NaN or +inf anywhere in a row propagates

@@ -351,8 +351,10 @@ def test_zero_octave_masses_decide_no_false_moment_index():
 
 
 def test_non_finite_leading_windows_leave_no_placeholder_in_the_estimate():
-    label = to.classify(_ONE_FROM_EDGE)
-    assert (label.tag, label.mu, label.nu) == ("Oscillating", -math.inf, 0.0)
+    # U reaches or leaves 0 inside the last window: its extremes are read
+    # from the samples after the switch
+    assert to.classify(_ONE_FROM_EDGE) == to.ClassLabel.m(0.0)
+    assert to.classify(_SQUARE_BELOW_EDGE) == to.ClassLabel.m_inf()
     L = np.log(np.geomspace(10.0, 1e8, 8))
     grid = to.GridSpec()
     ys = np.linspace(0.0, 1.0, grid.points)  # samples whose last window has a spread
@@ -381,6 +383,52 @@ def test_probe_peter_paul_razor():
     pp = to.make_peter_paul()
     assert to.probe_integral_convergence(pp, 0.999).tag == "Convergent"
     assert to.probe_integral_convergence(pp, 1.001).tag == "Divergent"
+
+
+@pytest.mark.parametrize("U, side, rule", [
+    (to.compose(to.make_exp_neg(), to.make_exp_pos()), 0, "runaway"),
+    (_ONE_FROM_EDGE, 0, "short finite tail"),
+    (to.make_power_tail(-3.0), 0, "stable"),
+    (to.make_exp_neg(), 0, "drift beyond the threshold"),
+    (to.make_peter_paul(), 1, "extrapolation"),
+    (to.scale_add(0.5, to.make_power_tail(-1.0), to.make_pareto_tail(1.5)), 0,
+     "clamped extrapolation"),
+    (to.make_oset_tower(0.1, -2.0), 0, "envelope beyond the threshold"),
+    (to.make_peter_paul(), 0, "envelope"),
+], ids=lambda v: v.name if isinstance(v, to.FunctionHandle) else str(v))
+def test_each_exit_of_the_window_reduction_names_its_rule(U, side, rule):
+    est = to.estimate_orders(U)[side]
+    assert est.rule == rule
+    assert math.isnan(est.residual) is not rule.endswith("extrapolation")
+
+
+def test_an_extrapolated_estimate_carries_its_fit_residual():
+    mu, nu = to.estimate_orders(to.make_log_perturbed_power(-2.0, 0.5))
+    assert (mu.rule, nu.rule) == ("extrapolation", "extrapolation")
+    assert (mu.residual, nu.residual) == (pytest.approx(8.757e-4, rel=1e-3),
+                                          pytest.approx(7.286e-3, rel=1e-3))
+    # the crossed tower's lower order: the window minima fit the model exactly
+    mu, nu = to.estimate_orders(to.make_oset_tower(0.9, -1.0))
+    assert mu.rule == "extrapolation" and mu.residual < 1e-13
+    assert nu.rule == "envelope" and math.isnan(nu.residual)
+
+
+def test_a_convergence_verdict_carries_its_mean_log_ratio():
+    v = to.probe_integral_convergence(to.make_two_plus_sin(), 0.0)
+    assert v.tag == "Divergent"
+    assert v.mean_log_ratio == pytest.approx(6.393e-3, rel=1e-3)
+    assert decay_verdict(np.array([0.0, 1.0, 2.0, 3.0, np.inf])).mean_log_ratio == math.inf
+    assert decay_verdict(np.array([3.0, 2.0, 4.0, 5.0, -np.inf])).mean_log_ratio == -math.inf
+    assert math.isnan(decay_verdict(np.array([-np.inf] * 4 + [0.0])).mean_log_ratio)
+
+
+def test_equality_and_reports_ignore_the_evidence():
+    mu, _ = to.estimate_orders(to.make_log_perturbed_power(-2.0, 0.5))
+    other = dataclasses.replace(mu, rule="stable", residual=math.nan)
+    assert mu == other and hash(mu) == hash(other)
+    assert set(to.report.estimate_dict(mu)) == {"value", "spread", "trend", "grid"}
+    v = to.probe_integral_convergence(to.make_two_plus_sin(), 0.0)
+    assert v == dataclasses.replace(v, mean_log_ratio=math.nan)
 
 
 @pytest.mark.parametrize("alpha", [-3.0, -2.0, -1.0, 0.0, 2.0])

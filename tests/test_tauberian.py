@@ -37,6 +37,10 @@ def _on_powers_of_two_from_one(x):
     return np.where((mantissa == 0.5) & (x >= 1.0), 0.0, -np.inf)
 
 
+def _on_powers_of_two(x):
+    return np.where(np.frexp(x)[0] == 0.5, 0.0, -np.inf)
+
+
 @pytest.mark.parametrize("U, error, message", [
     # a table's rows do not reach the origin probe x = 1e-300
     (to.from_table(np.geomspace(2.0, 1e4, 20), -1.5 * np.log(np.geomspace(2.0, 1e4, 20))),
@@ -48,7 +52,11 @@ def _on_powers_of_two_from_one(x):
     # does: the transform is 0
     (to.FunctionHandle(name="spikes", log_at_x=_on_powers_of_two_from_one),
      QuadratureFailure, "transform quadrature returned a non-positive value"),
-], ids=["table", "zero", "null-set"])
+    # the centre of every panel [0, 2**-k] is a power of two, so the panels
+    # are halved toward 0 until one is too narrow for its nodes
+    (to.FunctionHandle(name="spikes", log_at_x=_on_powers_of_two),
+     QuadratureFailure, "adaptive quadrature: panel [0, 3.16e-322] is too narrow for its nodes"),
+], ids=["table", "zero", "null-set", "null-set-down-to-0"])
 def test_transform_of_a_u_without_a_positive_transform_is_refused(U, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         to.laplace_stieltjes(U, 1.0)
