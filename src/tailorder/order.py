@@ -103,8 +103,8 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class IndexEstimate:
-    """An extended-real limit estimate with window diagnostics, which equality ignores:
-    the exit of ``_combine`` that decided it and the misfit of its extrapolation."""
+    """An extended-real limit estimate with window diagnostics. Equality ignores
+    ``rule``, the exit of ``_combine`` that decided it, and ``residual``."""
 
     value: float
     spread: float
@@ -359,9 +359,9 @@ _PROBE_CELLS_PER_OCTAVE = 256
 def octave_log_masses(log_f, first: int, cells: int, n: int):
     """Log mass of integral exp(log_f) du over n octaves in turn: octave j has the
     cells of edges (first + j cells + arange(cells + 1)) log 2 / cells."""
-    steps = np.arange(cells + 1)
+    steps, h = np.arange(cells + 1.0), LOG2 / cells
     for j in range(n):
-        yield logsumexp(cell_log_masses(log_f, (first + j * cells + steps) * (LOG2 / cells)))
+        yield logsumexp(cell_log_masses(log_f, (first + j * cells + steps) * h))
 
 
 def probe_integral_convergence(U: FunctionHandle, r: float,
