@@ -158,20 +158,23 @@ def _extrapolate_intercept(L: np.ndarray, s: np.ndarray) -> tuple[float, float, 
     return limit, float(np.abs(A @ coef - s).max()), limit != v
 
 
-def _combine(summaries: Sequence[float], L: Sequence[float], side: int, ys: np.ndarray,
+def _spread(ys: np.ndarray) -> float:
+    """Range of the finite samples ys; inf when there are none."""
+    ys = ys[np.isfinite(ys)]
+    return float(ys.max() - ys.min()) if ys.size else math.inf
+
+
+def _combine(summaries: Sequence[float], L: Sequence[float], side: int, spread: float,
              grid: GridSpec, inf_threshold: float = INF_THRESHOLD) -> IndexEstimate:
-    """Reduce per-window summaries of the samples ys on grid to one limit estimate.
+    """Reduce per-window summaries to one limit estimate on grid.
 
     side > 0 treats the series as an upper envelope, side < 0 as a lower one,
     side == 0 as plain means. Window means of sawtooth-like samples wobble
     with the fractional period coverage, so the mean mode tolerates more
     countertrend wobble than the envelope modes (which must never mistake
-    genuine oscillation for drift). The spread is the range of the last
-    window's finite samples (inf when it has none); a spread of 0 is Stable.
+    genuine oscillation for drift). spread is the caller's range of the tail
+    samples (``_spread``); a spread of 0 is Stable.
     """
-    last = ys[slice(*grid.window_bounds[-2:].tolist())]
-    last = last[np.isfinite(last)]
-    spread = float(last.max() - last.min()) if last.size else math.inf
 
     def estimate(value: float, trend: Trend, rule: str, residual: float = math.nan):
         return IndexEstimate(value, spread, trend if spread else Trend.STABLE, grid, rule, residual)
@@ -262,7 +265,7 @@ def windowed_limit(xs: np.ndarray, ys: np.ndarray, grid: GridSpec,
     with np.errstate(over="ignore"):
         means = [float(ys[a:b].mean()) for a, b in windows]
     L_mid = _logs(xs[[a + (b - a) // 2 for a, b in windows]])
-    return _combine(means, L_mid, 0, ys, grid, inf_threshold)
+    return _combine(means, L_mid, 0, _spread(ys[slice(*windows[-1])]), grid, inf_threshold)
 
 
 def order_samples(U: FunctionHandle, xs) -> np.ndarray:
@@ -284,15 +287,19 @@ def estimate_orders(U: FunctionHandle, grid: GridSpec = GridSpec()
     xs = grid.xs()
     rs = order_samples(U, xs)
     i_min, i_max = _window_extremes(rs, grid)
-    # U reaching or leaving 0 inside the last window: one switch between
-    # finite and non-finite samples there, and the run after it is the tail
+    # U reaching or leaving 0 for good inside the last window: the window's
+    # ends differ in finiteness and the grid switches between finite and
+    # non-finite samples once, so the run after that switch is the tail the
+    # last window's extremes and the spread read
     a = int(grid.window_bounds[-2])
-    switch = np.flatnonzero(np.diff(np.isfinite(rs[a:])))
-    if switch.size == 1:
-        a += int(switch[0]) + 1
-        i_min[-1], i_max[-1] = a + np.argmin(rs[a:]), a + np.argmax(rs[a:])
-    return (_combine(rs[i_min], _logs(xs[i_min]), -1, rs, grid),
-            _combine(rs[i_max], _logs(xs[i_max]), +1, rs, grid))
+    if math.isfinite(rs[a]) != math.isfinite(rs[-1]):
+        switch = np.flatnonzero(np.diff(np.isfinite(rs)))
+        if switch.size == 1:
+            a = int(switch[0]) + 1
+            i_min[-1], i_max[-1] = a + np.argmin(rs[a:]), a + np.argmax(rs[a:])
+    spread = _spread(rs[a:])
+    return (_combine(rs[i_min], _logs(xs[i_min]), -1, spread, grid),
+            _combine(rs[i_max], _logs(xs[i_max]), +1, spread, grid))
 
 
 DEFAULT_CLASS_TOL = 0.05

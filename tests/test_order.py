@@ -145,17 +145,23 @@ def test_windowed_limit_reads_the_slice_means(seed, drift, windows, extra):
     slices = grid.window_slices()
     means = [float(ys[sl].mean()) for sl in slices]
     L_mid = [math.log(xs[sl][len(xs[sl]) // 2]) for sl in slices]
+    last = ys[slices[-1]]
+    spread = float(last.max() - last.min())
     try:
-        want = _combine(means, L_mid, 0, ys, grid)
+        want = _combine(means, L_mid, 0, spread, grid)
     except ExtrapolationFailure:
         with pytest.raises(ExtrapolationFailure):
             to.windowed_limit(xs, ys, grid)
         return
     got = to.windowed_limit(xs, ys, grid)
-    last = ys[slices[-1]]
-    assert (got.value, got.spread) == (want.value, float(last.max() - last.min()))
-    assert got.trend is (to.Trend.STABLE if got.spread == 0.0 else want.trend)
-    assert got.rule == want.rule
+    assert (got.value, got.spread, got.trend, got.rule) == \
+        (want.value, spread, want.trend, want.rule)
+
+
+def _one_on_octaves(residues):
+    """U = 1 on the octaves [2**n, 2**(n+1)) with n % 4 in residues, 0 elsewhere."""
+    return to.FunctionHandle(f"one_on_octaves_{residues}", log_at_logx=lambda u: np.where(
+        np.isin(np.floor(u / to.handles.LOG2) % 4, residues), 0.0, -np.inf))
 
 
 def test_order_spread_reads_finite_samples_only():
@@ -165,9 +171,13 @@ def test_order_spread_reads_finite_samples_only():
     mu, nu = to.estimate_orders(U, to.GridSpec(log10_x_min=305.5, log10_x_max=308.0))
     assert mu.spread == nu.spread == math.inf
     assert (mu.value, nu.value) == (-math.inf, -math.inf)
-    # here 4 of the last 250 samples are -inf: the range of the rest is finite
+    # here the last 4 of 2000 samples are -inf, the grid's one switch: the
+    # last window's extremes and spread read those 4 alone
     mu, nu = to.estimate_orders(U, to.GridSpec(log10_x_max=306.0))
-    assert mu.spread == nu.spread and math.isfinite(mu.spread)
+    assert mu.spread == nu.spread == math.inf
+    # here the last window switches many times: the range of its finite samples
+    mu, nu = to.estimate_orders(_one_on_octaves((0, 3)))
+    assert mu.spread == nu.spread == 0.0
 
 
 def test_extrapolation_failure_is_typed():
@@ -351,19 +361,28 @@ def test_zero_octave_masses_decide_no_false_moment_index():
 
 
 def test_non_finite_leading_windows_leave_no_placeholder_in_the_estimate():
-    # U reaches or leaves 0 inside the last window: its extremes are read
-    # from the samples after the switch
+    # U reaches or leaves 0 for good inside the last window: its extremes and
+    # the spread are read from the samples after the switch
+    mu, nu = to.estimate_orders(_ONE_FROM_EDGE)
+    assert (mu.value, nu.value, nu.spread, nu.trend) == (0.0, 0.0, 0.0, to.Trend.STABLE)
     assert to.classify(_ONE_FROM_EDGE) == to.ClassLabel.m(0.0)
+    _, nu = to.estimate_orders(_SQUARE_BELOW_EDGE)
+    assert (nu.value, nu.spread, nu.trend, nu.rule) == \
+        (-math.inf, math.inf, to.Trend.DECREASING, "runaway")
     assert to.classify(_SQUARE_BELOW_EDGE) == to.ClassLabel.m_inf()
+    # U = 1 on an unbounded set with recurring zero gaps: the last window
+    # switches once, at 2**25, but the grid many times
+    for residues in ((0, 3), (1, 2)):
+        assert to.classify(_one_on_octaves(residues)) == \
+            to.ClassLabel.oscillating(-math.inf, 0.0), residues
     L = np.log(np.geomspace(10.0, 1e8, 8))
     grid = to.GridSpec()
-    ys = np.linspace(0.0, 1.0, grid.points)  # samples whose last window has a spread
     for side in (-1, 0, 1):
         # four or more finite trailing windows are combined alone
-        est = _combine([-np.inf, -np.inf, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0], L, side, ys, grid)
+        est = _combine([-np.inf, -np.inf, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0], L, side, 1.0, grid)
         assert (est.value, est.trend, est.rule) == (1.0, to.Trend.STABLE, "stable")
         # fewer are too few to read a trend from
-        est = _combine([np.inf] * 5 + [3.0, 2.0, 1.0], L, side, ys, grid)
+        est = _combine([np.inf] * 5 + [3.0, 2.0, 1.0], L, side, 1.0, grid)
         assert (est.value, est.trend, est.rule) == \
             (1.0, to.Trend.OSCILLATING, "short finite tail")
 
