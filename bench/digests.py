@@ -57,12 +57,16 @@ The next line pins the crossed-envelope guard of ``classify``: the label of
 ``oset_tower(0.9, -1)``, whose lower order lies above its upper order, is
 Undecided. The next pins the labels of two U that reach or leave 0 inside
 the last window: 1 from 2**25 on and 0 below is M(0), x**2 below 2**25 and
-0 beyond is MInf. The last line pins, for eight members, the rule that
+0 beyond is MInf. The next line pins, for eight members, the rule that
 decided each of the lower and upper order (``IndexEstimate.rule``) and
 its trend: every exit of the window reduction but the short finite tail.
 It pins rules, not fit residuals, whose last bits may depend on the SIMD
 tier (a checkout whose estimates name no rule prints ``lib failed`` in its
-place). Each prints ``lib``, the
+place). The line after pins a constant factor: the labels of e**c x**alpha
+for alpha in {-80, 0, 80} and c in {-5000, -1000, 300, 500, 1000, 5000},
+each M(alpha), and the moment index of ``power_tail(+-70)``, -+70, both
+orders within the one range +-128 that bounds every decided order. Each
+prints ``lib``, the
 sha256 of its result (the shape and bytes of an array, the sorted JSON of a
 report) and the expression.
 The first line names the numpy version and the SIMD extensions numpy
@@ -237,6 +241,11 @@ LIBRARY = (
     " to.scale_add(0.5, to.make_power_tail(-1.0), to.make_pareto_tail(1.5)),"
     " to.make_oset_tower(0.1, -2.0), to.make_log_perturbed_power(-2.0, 0.5),"
     " to.make_oset_tower(0.9, -1.0))}",
+    "{f'e**{c:g} x**{a:g}': to.classify(to.FunctionHandle('e**c x**a', log_at_logx=lambda u,"
+    " a=a, c=c: c + a * u)).to_dict() for a in (-80.0, 0.0, 80.0)"
+    " for c in (-5000.0, -1000.0, 300.0, 500.0, 1000.0, 5000.0)}"
+    " | {f'kappa power_tail({a:g})': to.estimate_kappa(to.make_power_tail(a)).value"
+    " for a in (70.0, -70.0)}",
 )
 # evaluates each expression of argv in one interpreter and prints its digest line
 LIBRARY_RUNNER = """

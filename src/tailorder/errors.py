@@ -80,16 +80,17 @@ def _whole(value, what: str, lo: int, hi: float = math.inf) -> int:
 def _real(value, what: str, lo: float = -math.inf, hi: float = math.inf, *,
           closed: bool = False) -> float:
     """A real parameter as a Python float: a finite number, not a bool, with
-    lo < value < hi (lo <= value when ``closed``). Anything else, NaN and a
-    string included, is a ParamError that names ``what`` and the value.
+    lo < value < hi (lo <= value <= hi when ``closed``). Anything else, NaN and
+    a string included, is a ParamError that names ``what`` and the value.
     """
     x = math.nan
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         with contextlib.suppress(OverflowError):  # an int beyond the float range
             x = float(value)
-    if (lo <= x if closed else lo < x) and x < hi:
+    if math.isfinite(x) and (lo <= x <= hi if closed else lo < x < hi):
         return x
+    op = "<=" if closed else "<"
     bounds = (f"a finite {what}" if lo == -math.inf and hi == math.inf
-              else f"{lo:g} {'<=' if closed else '<'} {what} < {hi:g}")
+              else f"{lo:g} {op} {what} {op if hi < math.inf else '<'} {hi:g}")
     raise ParamError(f"{what} {value!r} is out of range: real parameters are numbers, "
                      f"here {bounds}")

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (DomainError, FormatError, ParamError, PositivityViolation, UnknownName,
                      _real)
-from .labels import TAG_M_INF, TAG_M_NEG_INF, ClassLabel
+from .labels import ORDER_BOUND, TAG_M_INF, TAG_M_NEG_INF, ClassLabel
 
 LOG2 = math.log(2.0)
 
@@ -157,9 +157,14 @@ def _exp(u: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _order(rho: float, what: str) -> float:
+    """A finite order or edge of a member's truth, within +-ORDER_BOUND."""
+    return _real(rho, what, -ORDER_BOUND, ORDER_BOUND, closed=True)
+
+
 def make_power_tail(alpha: float) -> FunctionHandle:
     """U = 1 on (0,1), x**alpha on [1,inf)."""
-    a = _real(alpha, "alpha")
+    a = _order(_real(alpha, "alpha"), "alpha")
     truth = KnownTruth(label=ClassLabel.m(a), is_tail=(a <= 0.0), is_rv=True)
     return FunctionHandle(
         name=f"power_tail(alpha={a:g})",
@@ -171,7 +176,7 @@ def make_power_tail(alpha: float) -> FunctionHandle:
 
 def make_ramp_power(alpha: float) -> FunctionHandle:
     """U = x**alpha on all of (0,inf); vanishes at the origin for alpha > 0."""
-    a = _real(alpha, "alpha", 0.0)
+    a = _order(_real(alpha, "alpha", 0.0), "alpha")
     truth = KnownTruth(label=ClassLabel.m(a), is_rv=True)
     return FunctionHandle(
         name=f"ramp_power(alpha={a:g})",
@@ -182,7 +187,7 @@ def make_ramp_power(alpha: float) -> FunctionHandle:
 
 def make_pareto_tail(alpha: float) -> FunctionHandle:
     """Survival function x**(-alpha) on [1,inf), 1 below."""
-    a = _real(alpha, "alpha", 0.0)
+    a = _order(_real(alpha, "alpha", 0.0), "alpha")
     h = make_power_tail(-a)
     return FunctionHandle(
         name=f"pareto_tail(alpha={a:g})",
@@ -263,7 +268,7 @@ def make_oset_geometric(alpha: float, beta: float, x_a: float) -> FunctionHandle
         raise ParamError(
             f"oset_geometric requires x_a**(1+alpha) <= exp({_U_MAX:g}): with x_a={xa:g} "
             "the first breakpoint lies beyond the probing range")
-    top = a * (1.0 + b)
+    top = _order(a * (1.0 + b), "alpha*(1+beta)")
     bottom = top / (1.0 + a)
     mu, nu = (bottom, top) if 1.0 + b > 0 else (top, bottom)
     truth = KnownTruth(label=ClassLabel.oscillating(mu, nu), is_tail=(1.0 + b < 0),
@@ -288,10 +293,8 @@ def make_oset_tower(c: float, alpha: float) -> FunctionHandle:
             f"oset_tower requires c < e*log(2) ~ {TOWER_C_MAX:.4f}: "
             "the breakpoint recursion stalls at a fixed point otherwise"
         )
-    if a > 0:
-        mu, nu = a * cc, math.inf
-    else:
-        mu, nu = -math.inf, a * cc
+    edge = _order(a * cc, "alpha*c")
+    mu, nu = (edge, math.inf) if a > 0 else (-math.inf, edge)
     truth = KnownTruth(label=ClassLabel.oscillating(mu, nu), is_tail=(a < 0), is_rv=False)
     bps, u = [], 0.0
     while u <= _U_MAX:
@@ -396,7 +399,7 @@ def make_remark7_mix() -> FunctionHandle:
 
 def make_log_perturbed_power(alpha: float = -1.0, c: float = 1.0) -> FunctionHandle:
     """U = x**alpha * (1 + c / log x) for x >= e, frozen below e."""
-    a, cc = _real(alpha, "alpha"), _real(c, "c", 0.0, closed=True)
+    a, cc = _order(_real(alpha, "alpha"), "alpha"), _real(c, "c", 0.0, closed=True)
     truth = KnownTruth(label=ClassLabel.m(a), is_tail=(a < 0), is_rv=True)
 
     def log_at_logx(u):

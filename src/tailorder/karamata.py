@@ -30,10 +30,9 @@ import numpy as np
 from .errors import (DivergentTail, ParamError, QuadratureFailure, SingularDenominator,
                      _real, _whole)
 from .handles import LOG2, FunctionHandle
-from .labels import TAG_M_INF, ClassLabel
+from .labels import ORDER_BOUND, TAG_M_INF, ClassLabel
 from .order import (
     DEFAULT_CLASS_TOL,
-    INF_THRESHOLD,
     ConditionReport,
     GridSpec,
     IndexEstimate,
@@ -155,16 +154,16 @@ def _ratio_checks(U: FunctionHandle, ci: CumulativeIntegral, r: float, grid: Gri
     log(ci)/log x - log U/log x -> r, from one reading of ci and of U.
 
     ``ci`` is V_{r-1} (condition C1r) or W_{r-1} (condition C2r) from its
-    base point. The runaway bound of both ratios lies above their limits
-    rho + r and r, because a finite-order label has |rho| <= INF_THRESHOLD.
+    base point. Both are read less r, as orders within +-ORDER_BOUND whatever
+    r is (their limits are rho and 0), and r is added back.
     """
     sub = _clipped_grid(grid, ci.b)
     xs = sub.xs()
     log_x = np.log(xs)
     log_ci = np.asarray(ci.log_value(xs), dtype=float)
-    threshold = 2.0 * INF_THRESHOLD + abs(r)
-    limit = windowed_limit(xs, log_ci / log_x, sub, threshold)
-    est = windowed_limit(xs, (log_ci - U.log_at(xs)) / log_x, sub, threshold)
+    limit = windowed_limit(xs, log_ci / log_x - r, sub)
+    est = windowed_limit(xs, (log_ci - U.log_at(xs)) / log_x - r, sub)
+    limit, est = replace(limit, value=limit.value + r), replace(est, value=est.value + r)
     resid = abs(est.value - r) if math.isfinite(est.value) else math.inf
     cond = ConditionReport(
         condition="C1r" if ci.kind == "V" else "C2r",
@@ -402,13 +401,10 @@ def extract_representation_inf(U: FunctionHandle, b: float = 2.0,
     last_mean = float(np.mean(ratio[grid.window_slices()[-1]]))
     report = ConditionReport(
         condition="REP-INF",
-        passed=bool(est.value == math.inf or last_mean > INF_ALPHA_FLOOR),
+        passed=bool(est.value == math.inf or last_mean > ORDER_BOUND),
         measured={"alpha_over_logx_limit": est.value,
                   "alpha_over_logx_last_window": last_mean,
                   "class": label.tag},
-        tolerance=INF_ALPHA_FLOOR,
+        tolerance=ORDER_BOUND,
     )
     return InfRepresentation(b=b, sign=sign, alpha_fn=alpha_fn, report=report)
-
-
-INF_ALPHA_FLOOR = 100.0

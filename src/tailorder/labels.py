@@ -18,6 +18,10 @@ from dataclasses import dataclass
 
 from .errors import ParamError, _real
 
+# The one range of decided orders: a limit beyond it reads as +-inf, and kappa is
+# bisected within it. A power of two, so kappa keeps the dyadic steps of 2**k.
+ORDER_BOUND = 128.0
+
 TAG_M = "M"
 TAG_M_INF = "MInf"
 TAG_M_NEG_INF = "MNegInf"

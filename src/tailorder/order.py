@@ -4,7 +4,7 @@ The primitive observable is the order ratio r(x) = log U(x) / log x sampled
 on a geometric grid. Its liminf/limsup (the lower and upper orders) are
 estimated from per-window envelopes over trailing equal-log-width windows;
 window statistics that still drift are extrapolated against 1/log x, and
-runaway magnitudes are clamped to +-inf.
+any limit beyond +-ORDER_BOUND, the one range of decided orders, is +-inf.
 
 The moment index kappa (sup of r with integral_1^inf x**(r-1) U(x) dx finite)
 is bracketed by probing integral convergence at doubling truncations and
@@ -34,10 +34,8 @@ from .errors import (
     _whole,
 )
 from .handles import LOG2, FunctionHandle
-from .labels import TAG_M_INF, TAG_M_NEG_INF, ClassLabel
+from .labels import ORDER_BOUND, TAG_M_INF, TAG_M_NEG_INF, ClassLabel
 from .quadrature import cell_log_masses, logsumexp, moment_log_f
-
-INF_THRESHOLD = 100.0
 
 # tolerated countertrend wobble, as a fraction of the summary span
 _MONOTONE_WOBBLE = 1e-3
@@ -134,9 +132,10 @@ class ConvergenceVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _extrapolate_intercept(L: np.ndarray, s: np.ndarray) -> tuple[float, float, bool]:
+def _extrapolate_intercept(L: np.ndarray, s: np.ndarray) -> tuple[float, float, bool] | None:
     """(limit, largest misfit, clamped) of a drifting window series s, modelled
     as a + b/L + c*logL/L; a is clamped to within the span of s of its range.
+    None when the weighted fit data leave the float range.
 
     Weighted toward large L, where the correction model is accurate and the
     limit lives.
@@ -146,7 +145,7 @@ def _extrapolate_intercept(L: np.ndarray, s: np.ndarray) -> tuple[float, float, 
         w = L * L
         Aw, rhs = A * w[:, None], s * w
     if not (np.isfinite(Aw).all() and np.isfinite(rhs).all()):
-        raise ExtrapolationFailure("window-limit extrapolation: non-finite fit data")
+        return None
     try:
         coef, *_ = np.linalg.lstsq(Aw, rhs, rcond=None)
     except np.linalg.LinAlgError as exc:
@@ -165,7 +164,7 @@ def _spread(ys: np.ndarray) -> float:
 
 
 def _combine(summaries: Sequence[float], L: Sequence[float], side: int, spread: float,
-             grid: GridSpec, inf_threshold: float = INF_THRESHOLD) -> IndexEstimate:
+             grid: GridSpec) -> IndexEstimate:
     """Reduce per-window summaries to one limit estimate on grid.
 
     side > 0 treats the series as an upper envelope, side < 0 as a lower one,
@@ -173,11 +172,14 @@ def _combine(summaries: Sequence[float], L: Sequence[float], side: int, spread: 
     with the fractional period coverage, so the mean mode tolerates more
     countertrend wobble than the envelope modes (which must never mistake
     genuine oscillation for drift). spread is the caller's range of the tail
-    samples (``_spread``); a spread of 0 is Stable.
+    samples (``_spread``); 0 makes a finite value Stable. Values beyond +-ORDER_BOUND are +-inf.
     """
 
     def estimate(value: float, trend: Trend, rule: str, residual: float = math.nan):
-        return IndexEstimate(value, spread, trend if spread else Trend.STABLE, grid, rule, residual)
+        if abs(value) > ORDER_BOUND:
+            value = math.copysign(math.inf, value)
+        stable = not spread and math.isfinite(value)
+        return IndexEstimate(value, spread, Trend.STABLE if stable else trend, grid, rule, residual)
 
     s = np.asarray(summaries, dtype=float)
     Ls = np.asarray(L, dtype=float)
@@ -212,9 +214,10 @@ def _combine(summaries: Sequence[float], L: Sequence[float], side: int, spread: 
             inc, dec = _monotone(s[drop:])
     if inc or dec:
         trend = Trend.INCREASING if inc else Trend.DECREASING
-        if abs(s[-1]) > inf_threshold:
-            return estimate(math.copysign(math.inf, s[-1]), trend, "drift beyond the threshold")
-        v, residual, clamped = _extrapolate_intercept(Ls[drop:], s[drop:])
+        fit = _extrapolate_intercept(Ls[drop:], s[drop:])
+        if fit is None:  # a drift beyond the float range
+            return estimate(math.copysign(math.inf, s[-1]), trend, "runaway")
+        v, residual, clamped = fit
         return estimate(v, trend, "clamped extrapolation" if clamped else "extrapolation",
                         residual)
     # oscillating summaries: envelope over the trailing half, so decaying
@@ -226,9 +229,6 @@ def _combine(summaries: Sequence[float], L: Sequence[float], side: int, spread: 
         v = float(tail.min())
     else:
         v = float(s[-1])
-    if abs(v) > inf_threshold:
-        return estimate(math.copysign(math.inf, v), Trend.OSCILLATING,
-                        "envelope beyond the threshold")
     return estimate(v, Trend.OSCILLATING, "envelope")
 
 
@@ -255,8 +255,7 @@ def _window_extremes(ys: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.nda
     return firsts[0], firsts[1]
 
 
-def windowed_limit(xs: np.ndarray, ys: np.ndarray, grid: GridSpec,
-                   inf_threshold: float = INF_THRESHOLD) -> IndexEstimate:
+def windowed_limit(xs: np.ndarray, ys: np.ndarray, grid: GridSpec) -> IndexEstimate:
     """Limit estimate for samples ys over xs via window means."""
     ys = np.asarray(ys, dtype=float)
     bounds = grid.window_bounds.tolist()
@@ -265,7 +264,7 @@ def windowed_limit(xs: np.ndarray, ys: np.ndarray, grid: GridSpec,
     with np.errstate(over="ignore"):
         means = [float(ys[a:b].mean()) for a, b in windows]
     L_mid = _logs(xs[[a + (b - a) // 2 for a, b in windows]])
-    return _combine(means, L_mid, 0, _spread(ys[slice(*windows[-1])]), grid, inf_threshold)
+    return _combine(means, L_mid, 0, _spread(ys[slice(*windows[-1])]), grid)
 
 
 def order_samples(U: FunctionHandle, xs) -> np.ndarray:
@@ -356,9 +355,6 @@ def _class_gate(U: FunctionHandle, grid: GridSpec, tol, label: ClassLabel | None
 
 _RATIO_MARGIN = 5e-4
 _SUSTAIN = 4
-# bisection bracket and width of the moment-index search
-_KAPPA_R_LO = -64.0
-_KAPPA_R_HI = 64.0
 _KAPPA_TOL = 0.01
 _PROBE_CELLS_PER_OCTAVE = 256
 
@@ -416,7 +412,7 @@ def decay_verdict(inc: Sequence[float]) -> ConvergenceVerdict:
 
 def estimate_kappa(U: FunctionHandle, grid: GridSpec = GridSpec()) -> IndexEstimate:
     """Moment index: bisection between convergent and divergent exponents."""
-    lo, hi = _KAPPA_R_LO, _KAPPA_R_HI
+    lo, hi = -ORDER_BOUND, ORDER_BOUND
     v_lo = probe_integral_convergence(U, lo, grid)
     v_hi = probe_integral_convergence(U, hi, grid)
     if not (v_lo.is_convergent or v_lo.is_divergent):
@@ -497,9 +493,9 @@ def rv_ratio_test(U: FunctionHandle, t_values: Sequence[float] = (2.0, 5.0, 10.0
                   tol: float = DEFAULT_CLASS_TOL) -> ConditionReport:
     """Test the scaling-ratio law U(xt)/U(x) -> t**rho for each t.
 
-    Passes (ratio-regular with a common rho) only when every per-t log ratio
-    stabilises and the implied rho values agree. Scales t = 1 test nothing
-    and are skipped; a ParamError when no other t is left.
+    Passes (ratio-regular with a common rho) only when every per-t log ratio,
+    read over log t as an order, stabilises and the implied rho values agree.
+    Scales t = 1 test nothing and are skipped; a ParamError when no other t is left.
     """
     tol = _real(tol, "tol", 0.0)
     xs = grid.xs()
@@ -516,15 +512,15 @@ def rv_ratio_test(U: FunctionHandle, t_values: Sequence[float] = (2.0, 5.0, 10.0
         # NaN where U(xt) = U(x) = 0; that t comes out unstable
         with np.errstate(invalid="ignore"):
             log_ratio = log_ut - log_u
-        est = windowed_limit(xs, log_ratio, grid)
-        stable = est.spread <= tol and math.isfinite(est.value)
-        rho_t = est.value / math.log(t) if math.isfinite(est.value) else math.nan
-        per_t[t] = {"limit": est.value, "spread": est.spread, "rho": rho_t,
-                    "stable": bool(stable)}
+        est = windowed_limit(xs, log_ratio / math.log(t), grid)
+        limit, spread = est.value * math.log(t), est.spread * abs(math.log(t))
+        stable = spread <= tol and math.isfinite(limit)
+        rho_t = est.value if math.isfinite(est.value) else math.nan
+        per_t[t] = {"limit": limit, "spread": spread, "rho": rho_t, "stable": bool(stable)}
         if not stable and failed_t is None:
             failed_t = t
         if stable:
-            rho_num += est.value * math.log(t)
+            rho_num += limit * math.log(t)
             rho_den += math.log(t) ** 2
     rho_hat = None
     if failed_t is None:  # every t is stable, so rho_den > 0

@@ -510,11 +510,14 @@ def test_simulate_block_size_one_is_an_input_error(capsys):
      "c nan is out of range: real parameters are numbers, here 0 <= c < inf"),
     (["classify", "--fn", "log_perturbed_power", "--param", "alpha=-1", "--param", "c=inf"],
      "c inf is out of range: real parameters are numbers, here 0 <= c < inf"),
+    (["report", "--fn", "ramp_power", "--param", "alpha=1e6"],
+     "alpha 1000000.0 is out of range: real parameters are numbers, here "
+     "-128 <= alpha <= 128"),
     # a plot directory inside a file
     (["plots", "--fn", "peter_paul", "--plots", f"{__file__}/plots"],
      f"cannot write plot data: [Errno 20] Not a directory: '{__file__}/plots'"),
 ], ids=["seed-negative", "seed-2**128", "points-0", "tol-inf", "x_a-1e300", "x_a-inf",
-        "x_a-nan", "c-nan", "c-inf", "plots-in-a-file"])
+        "x_a-nan", "c-nan", "c-inf", "alpha-1e6", "plots-in-a-file"])
 def test_out_of_range_option_is_an_input_error(argv, message, capsys):
     code = main(argv)
     captured = capsys.readouterr()

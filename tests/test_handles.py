@@ -162,6 +162,33 @@ def test_non_finite_or_out_of_range_parameter_is_named(name, params, message):
     assert message in str(info.value)
 
 
+@pytest.mark.parametrize("make, what", [
+    (lambda: to.make_power_tail(129), "alpha 129.0"),
+    (lambda: to.make_power_tail(-129.0), "alpha -129.0"),
+    (lambda: to.make_ramp_power(1e6), "alpha 1000000.0"),
+    (lambda: to.make_ramp_power(1000), "alpha 1000.0"),
+    (lambda: to.make_pareto_tail(200.0), "alpha 200.0"),
+    (lambda: to.make_log_perturbed_power(-129.0, 1.0), "alpha -129.0"),
+    (lambda: to.make_oset_geometric(1.0, 128.0, 2.0), "alpha*(1+beta) 129.0"),
+    (lambda: to.make_oset_geometric(1.0, -130.0, 2.0), "alpha*(1+beta) -129.0"),
+    (lambda: to.make_oset_tower(1.0, 129.0), "alpha*c 129.0"),
+    (lambda: to.make_oset_tower(0.5, -300.0), "alpha*c -150.0"),
+])
+def test_the_catalog_refuses_an_order_beyond_the_bound(make, what):
+    # the orders a grid decides end at +-ORDER_BOUND: a member's finite order
+    # or edge beyond it would be read as an infinite class
+    with pytest.raises(ParamError, match=re.escape(
+            f"{what} is out of range: real parameters are numbers, here -128 <= ")):
+        make()
+
+
+def test_the_catalog_takes_an_order_on_the_bound():
+    assert to.make_power_tail(-128).truth.rho == -128.0
+    assert to.make_ramp_power(128).truth.rho == 128.0
+    assert to.make_oset_geometric(1.0, 127.0, 2.0).truth.nu == 128.0
+    assert to.make_oset_tower(1.0, -128.0).truth.nu == -128.0
+
+
 def test_remark_mix_branches():
     h = to.make_remark7_mix()
     # inside the interval (3, 3 + 3**-3) the value is 1/x

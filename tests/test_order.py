@@ -180,9 +180,13 @@ def test_order_spread_reads_finite_samples_only():
     assert mu.spread == nu.spread == 0.0
 
 
-def test_extrapolation_failure_is_typed():
-    with pytest.raises(ExtrapolationFailure):
-        _extrapolate_intercept(np.array([0.0, 1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0, 4.0]))
+def test_a_drift_beyond_the_float_range_is_a_runaway():
+    # fit data that leave the float range give no fit
+    assert _extrapolate_intercept(np.array([0.0, 1.0, 2.0, 3.0]),
+                                  np.array([1.0, 2.0, 3.0, 4.0])) is None
+    # exp_neg's window minima to x = 1e306 times L**2 overflow
+    mu, _ = to.estimate_orders(to.make_exp_neg(), to.GridSpec(log10_x_max=306.0))
+    assert (mu.value, mu.trend, mu.rule) == (-math.inf, to.Trend.DECREASING, "runaway")
 
 
 # parameters for the catalog members that have no defaults
@@ -354,7 +358,7 @@ def test_zero_octave_masses_decide_no_false_moment_index():
     assert decay_verdict(np.array([3.0, 2.0, 4.0, 5.0, -np.inf])).tag == "Convergent"
     assert decay_verdict(np.array([-np.inf] * 4 + [0.0])).tag == "Undecided"
     # the truth is kappa = 0; before, kappa = +inf
-    with pytest.raises(to.UndecidedConvergence, match="r_lo=-64"):
+    with pytest.raises(to.UndecidedConvergence, match="r_lo=-128"):
         to.estimate_kappa(_ONE_FROM_EDGE)
     # U vanishes eventually, so every moment converges; before, kappa = -2
     assert to.estimate_kappa(_SQUARE_BELOW_EDGE).value == math.inf
@@ -408,11 +412,11 @@ def test_probe_peter_paul_razor():
     (to.compose(to.make_exp_neg(), to.make_exp_pos()), 0, "runaway"),
     (_ONE_FROM_EDGE, 0, "short finite tail"),
     (to.make_power_tail(-3.0), 0, "stable"),
-    (to.make_exp_neg(), 0, "drift beyond the threshold"),
+    (to.make_exp_neg(), 0, "clamped extrapolation"),
     (to.make_peter_paul(), 1, "extrapolation"),
     (to.scale_add(0.5, to.make_power_tail(-1.0), to.make_pareto_tail(1.5)), 0,
      "clamped extrapolation"),
-    (to.make_oset_tower(0.1, -2.0), 0, "envelope beyond the threshold"),
+    (to.make_oset_tower(0.1, -2.0), 0, "envelope"),
     (to.make_peter_paul(), 0, "envelope"),
 ], ids=lambda v: v.name if isinstance(v, to.FunctionHandle) else str(v))
 def test_each_exit_of_the_window_reduction_names_its_rule(U, side, rule):
@@ -430,6 +434,60 @@ def test_an_extrapolated_estimate_carries_its_fit_residual():
     mu, nu = to.estimate_orders(to.make_oset_tower(0.9, -1.0))
     assert mu.rule == "extrapolation" and mu.residual < 1e-13
     assert nu.rule == "envelope" and math.isnan(nu.residual)
+
+
+def _times_constant(U, c):
+    """e**c * U, evaluated at the points U is."""
+    return to.FunctionHandle(f"e**{c:g}*{U.name}", log_at_x=lambda x: c + U.log_at(x))
+
+
+@pytest.mark.parametrize("c", [-5000.0, -1000.0, 300.0, 500.0, 1000.0, 5000.0])
+@pytest.mark.parametrize("alpha", [-80.0, 0.0, 80.0])
+def test_a_constant_factor_keeps_the_order_of_a_power(alpha, c):
+    # the window statistics carry log c / log x, up to 2,171 at x = 10; their
+    # limit does not
+    label = to.classify(to.FunctionHandle("e**c*x**alpha", log_at_logx=lambda u: c + alpha * u))
+    assert label.is_m and label.rho == pytest.approx(alpha, abs=1e-9)
+
+
+_POWERS = st.one_of(st.floats(-127.0, 127.0).map(to.make_power_tail),
+                    st.floats(0.0, 127.0, exclude_min=True).map(to.make_ramp_power),
+                    st.floats(0.0, 127.0, exclude_min=True).map(to.make_pareto_tail))
+
+
+@given(U=_POWERS, c=st.floats(-5000.0, 5000.0))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_classify_is_closed_under_constant_factors(U, c):
+    # M(rho) is closed under positive constant factors. The orders stay a unit
+    # inside +-ORDER_BOUND, where an estimate's last bits cannot cross it.
+    label, scaled = to.classify(U), to.classify(_times_constant(U, c))
+    assert scaled.tag == label.tag == "M"
+    assert scaled.rho == pytest.approx(label.rho, rel=1e-9, abs=1e-9)
+
+
+def test_a_limit_beyond_the_order_bound_is_infinite_on_every_exit():
+    for alpha, rule in ((150.0, "stable"), (-150.0, "stable"), (129.0, "extrapolation")):
+        c = 0.0 if rule == "stable" else 1000.0
+        U = to.FunctionHandle("e**c*x**alpha", log_at_logx=lambda u: c + alpha * u)
+        for est in to.estimate_orders(U):
+            assert (est.value, est.rule) == (math.copysign(math.inf, alpha), rule)
+    mu, nu = to.estimate_orders(to.make_oset_tower(0.1, -2.0))
+    assert (mu.value, mu.rule, nu.rule) == (-math.inf, "envelope", "envelope")
+    assert math.isfinite(nu.value)
+    # an order of 70 is inside the moment index's bracket too
+    for alpha in (70.0, -70.0):
+        U = to.make_power_tail(alpha)
+        kappa = to.estimate_kappa(U)
+        assert kappa.value == pytest.approx(-alpha, abs=0.01)
+        assert to.check_second_characterization(U, kappa=kappa).passed
+
+
+def test_an_infinite_estimate_keeps_its_runaway_trend():
+    # U = 1 on the octaves n % 4 in {0, 3}: the last window's finite samples
+    # agree (spread 0), but its minima are -inf, a runaway, not a Stable order
+    mu, _ = to.estimate_orders(_one_on_octaves((0, 3)))
+    assert (mu.value, mu.spread, mu.trend, mu.rule) == \
+        (-math.inf, 0.0, to.Trend.DECREASING, "runaway")
 
 
 def test_a_convergence_verdict_carries_its_mean_log_ratio():
@@ -515,6 +573,11 @@ def test_rv_ratio_power():
     rep = to.rv_ratio_test(to.make_power_tail(-2.0), [2.0, 5.0, 10.0])
     assert rep.passed
     assert rep.measured["rho"] == pytest.approx(-2.0, abs=1e-6)
+    # the log ratio at t = 10, 276, lies beyond +-ORDER_BOUND, its order does not
+    for alpha in (120.0, -120.0):
+        rep = to.rv_ratio_test(to.make_power_tail(alpha), [0.1, 2.0, 10.0])
+        assert rep.passed
+        assert rep.measured["rho"] == pytest.approx(alpha, abs=1e-6)
 
 
 def test_rv_ratio_peter_paul_fails():
@@ -560,6 +623,6 @@ def test_order_samples_validates():
 
 def test_kappa_undecided_at_bracket_boundary():
     # moment index exactly at the search edge: the probe cannot take sides
-    h = to.make_power_tail(-64.0)
+    h = to.make_power_tail(-128.0)
     with pytest.raises(to.UndecidedConvergence):
         to.estimate_kappa(h)
