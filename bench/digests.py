@@ -65,7 +65,11 @@ tier (a checkout whose estimates name no rule prints ``lib failed`` in its
 place). The line after pins a constant factor: the labels of e**c x**alpha
 for alpha in {-80, 0, 80} and c in {-5000, -1000, 300, 500, 1000, 5000},
 each M(alpha), and the moment index of ``power_tail(+-70)``, -+70, both
-orders within the one range +-128 that bounds every decided order. Each
+orders within the one range +-128 that bounds every decided order. The
+last line pins the closure labels at that bound: products, a composition,
+a reciprocal and a convolution of powers whose orders lie beyond +-128,
+each a rapid class, then five members of finite nonzero order composed
+with ``exp_pos``, each a rapid class by the sign of its order. Each
 prints ``lib``, the
 sha256 of its result (the shape and bytes of an array, the sorted JSON of a
 report) and the expression.
@@ -246,6 +250,15 @@ LIBRARY = (
     " for c in (-5000.0, -1000.0, 300.0, 500.0, 1000.0, 5000.0)}"
     " | {f'kappa power_tail({a:g})': to.estimate_kappa(to.make_power_tail(a)).value"
     " for a in (70.0, -70.0)}",
+    "{h.name: h.truth.label.to_dict() for h in ("
+    "to.product(to.make_power_tail(100.0), to.make_power_tail(100.0)),"
+    " to.product(to.make_power_tail(-100.0), to.make_power_tail(-100.0)),"
+    " to.compose(to.make_power_tail(20.0), to.make_power_tail(20.0)),"
+    " to.reciprocal(to.product(to.make_power_tail(100.0), to.make_power_tail(100.0))),"
+    " to.convolve(to.make_power_tail(100.0), to.make_power_tail(100.0)))"
+    " + tuple(to.compose(h, to.make_exp_pos()) for h in (to.make_power_tail(-2.0),"
+    " to.make_pareto_tail(1.5), to.make_peter_paul(), to.make_ramp_power(1.0),"
+    " to.make_log_perturbed_power(-2.0, 0.5)))}",
 )
 # evaluates each expression of argv in one interpreter and prints its digest line
 LIBRARY_RUNNER = """

@@ -1,20 +1,24 @@
 """Closure operations on handles with predicted order arithmetic.
 
 Each operation returns a new handle evaluating the combined function in log
-space, carrying the label predicted by the closure rules:
+space, carrying the label predicted by the closure rules. A rule reads each
+operand's limit: the order its two orders (mu, nu) agree on, +-inf for the
+rapid classes, NaN when they disagree (Oscillating, Undecided). It does
+arithmetic on these, and ``ClassLabel.from_orders`` labels the result, so a
+limit beyond +-ORDER_BOUND is a rapid class and a NaN is Undecided:
 
-* scale/add:  order of aU + V is max(rho_U, rho_V); rapid-decay and
-  rapid-growth classes are closed under addition;
-* product:    orders add; an infinite class absorbs a finite partner;
-* convolution: order rho_V when the lighter factor is integrable
-  (rho_U <= rho_V < -1, or rho_U < -1 <= 0 <= rho_V), order
-  rho_U + rho_V + 1 when both exceed -1; the -1 boundaries stay undecided;
-* composition: orders multiply when the inner function diverges.
+* scale/add:  the limit of aU + V is the larger limit, when both are
+  finite or both equal (a finite limit beside a rapid one stays Undecided);
+* reciprocal: (mu, nu) -> (-nu, -mu), for any label;
+* product:    limits add (inf - inf is NaN);
+* convolution: with limits lo <= hi, hi = +inf gives +inf; the heavier
+  limit hi when the lighter factor is integrable (hi < -1, or lo < -1 <=
+  0 <= hi); lo + hi + 1 when both exceed -1; the -1 boundaries stay NaN;
+* composition: limits multiply when the inner limit is > 0 (0 * inf is NaN).
 
-Whenever the hypotheses of a rule fail, the prediction is Undecided rather
-than a guess. The constructors are the one entry to these rules: the
-predicted class of an operation is ``.truth.label`` of the handle it builds,
-which reads only its operands' labels.
+The constructors are the one entry to these rules: the predicted class of
+an operation is ``.truth.label`` of the handle it builds, which reads only
+its operands' labels.
 """
 
 from __future__ import annotations
@@ -25,13 +29,7 @@ import numpy as np
 
 from .errors import DomainError, _real
 from .handles import FunctionHandle, KnownTruth
-from .labels import (
-    TAG_M,
-    TAG_M_INF,
-    TAG_M_NEG_INF,
-    TAG_OSC,
-    ClassLabel,
-)
+from .labels import ClassLabel
 from .quadrature import batched_log_quad, dyadic_edges
 
 
@@ -40,82 +38,28 @@ from .quadrature import batched_log_quad, dyadic_edges
 # ---------------------------------------------------------------------------
 
 
-def _scale_add_label(a: float, lu: ClassLabel, lv: ClassLabel) -> ClassLabel:
-    if a == 0.0:
-        return lv
-    if lu.is_m and lv.is_m:
-        return ClassLabel.m(max(lu.rho, lv.rho))
-    if lu.tag == lv.tag and lu.tag in (TAG_M_INF, TAG_M_NEG_INF):
-        return ClassLabel(lu.tag)
-    return ClassLabel.undecided()
-
-
-def _reciprocal_label(l: ClassLabel) -> ClassLabel:
-    if l.is_m:
-        return ClassLabel.m(-l.rho)
-    if l.tag == TAG_M_INF:
-        return ClassLabel.m_neg_inf()
-    if l.tag == TAG_M_NEG_INF:
-        return ClassLabel.m_inf()
-    if l.tag == TAG_OSC:
-        return ClassLabel.oscillating(-l.nu, -l.mu)
-    return ClassLabel.undecided()
-
-
-def _product_label(lu: ClassLabel, lv: ClassLabel) -> ClassLabel:
-    tags = {lu.tag, lv.tag}
-    if lu.is_m and lv.is_m:
-        return ClassLabel.m(lu.rho + lv.rho)
-    if tags == {TAG_M_INF}:
-        return ClassLabel.m_inf()
-    if tags == {TAG_M_NEG_INF}:
-        return ClassLabel.m_neg_inf()
-    if tags == {TAG_M_INF, TAG_M}:
-        return ClassLabel.m_inf()
-    if tags == {TAG_M_NEG_INF, TAG_M}:
-        return ClassLabel.m_neg_inf()
-    return ClassLabel.undecided()
-
-
-def _convolve_label(lu: ClassLabel, lv: ClassLabel) -> ClassLabel:
-    if lu.is_m and lv.is_m:
-        lo, hi = sorted((lu.rho, lv.rho))
-        if hi < -1.0:
-            return ClassLabel.m(hi)
-        if lo < -1.0 and hi >= 0.0:
-            return ClassLabel.m(hi)
-        if lo > -1.0:
-            return ClassLabel.m(lo + hi + 1.0)
-        # lo == -1 exactly, or lo < -1 with -1 <= hi < 0: no closure rule
-        return ClassLabel.undecided()
-    pair = {lu.tag, lv.tag}
-    if pair == {TAG_M_INF}:
-        return ClassLabel.m_inf()
-    if TAG_M_NEG_INF in pair and pair <= {TAG_M_NEG_INF, TAG_M, TAG_M_INF}:
-        return ClassLabel.m_neg_inf()
-    if pair == {TAG_M_INF, TAG_M}:
-        rho = lu.rho if lu.is_m else lv.rho
-        if rho >= 0.0 or rho < -1.0:
-            return ClassLabel.m(rho)
-    return ClassLabel.undecided()
-
-
-def _inner_diverges(lv: ClassLabel) -> bool:
-    return (lv.is_m and lv.rho > 0.0) or lv.tag == TAG_M_NEG_INF
-
-
-def _compose_label(lu: ClassLabel, lv: ClassLabel) -> ClassLabel:
-    if lu.is_m and lv.is_m and lv.rho > 0.0:
-        return ClassLabel.m(lu.rho * lv.rho)
-    if lu.tag in (TAG_M_INF, TAG_M_NEG_INF) and _inner_diverges(lv):
-        return ClassLabel(lu.tag)
-    return ClassLabel.undecided()
-
-
 def _label_of(h: FunctionHandle) -> ClassLabel:
-    if h.truth is not None:
-        return h.truth.label
-    return ClassLabel.undecided()
+    return h.truth.label if h.truth is not None else ClassLabel.undecided()
+
+
+def _limits(*operands: FunctionHandle) -> list[float]:
+    """Each operand's limit: the order both its orders agree on, NaN without one."""
+    orders = [_label_of(h).orders for h in operands]
+    return [mu if mu == nu else math.nan for mu, nu in orders]
+
+
+def _of_limit(v: float) -> ClassLabel:
+    return ClassLabel.from_orders(v, v)
+
+
+def _convolve_limit(p: float, q: float) -> float:
+    lo, hi = sorted((p, q))
+    if math.isnan(lo) or math.isnan(hi):
+        return math.nan
+    if hi == math.inf or hi < -1.0 or (lo < -1.0 and hi >= 0.0):
+        return hi
+    # lo == -1 exactly, or lo < -1 with -1 <= hi < 0: no closure rule
+    return lo + hi + 1.0 if lo > -1.0 else math.nan
 
 
 def _derived(name: str, log_at_logx, label: ClassLabel, *operands: FunctionHandle,
@@ -133,9 +77,11 @@ def _derived(name: str, log_at_logx, label: ClassLabel, *operands: FunctionHandl
 def scale_add(a: float, U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
     """Handle for a*U + V via log-sum-exp; a = 0 degenerates to V."""
     a = _real(a, "a", 0.0, closed=True)
-    label = _scale_add_label(a, _label_of(U), _label_of(V))
     if a == 0.0:
-        return _derived(f"0*{U.name}+{V.name}", V.log_at_logx, label, V)
+        return _derived(f"0*{U.name}+{V.name}", V.log_at_logx, _label_of(V), V)
+    p, q = _limits(U, V)
+    # both limits finite, or both the same rapid class
+    label = _of_limit(max(p, q) if p == q or (math.isfinite(p) and math.isfinite(q)) else math.nan)
     log_a = math.log(a)
 
     def log_at_logx(u):
@@ -146,12 +92,14 @@ def scale_add(a: float, U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
 
 
 def reciprocal(U: FunctionHandle) -> FunctionHandle:
-    label = _reciprocal_label(_label_of(U))
+    mu, nu = _label_of(U).orders
+    label = ClassLabel.from_orders(-nu, -mu)
     return _derived(f"1/({U.name})", lambda u: -U.log_at_logx(u), label, U)
 
 
 def product(U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
-    label = _product_label(_label_of(U), _label_of(V))
+    p, q = _limits(U, V)
+    label = _of_limit(p + q)
 
     def log_at_logx(u):
         with np.errstate(invalid="ignore"):  # inf * 0 gives NaN: the composite refuses it
@@ -162,7 +110,8 @@ def product(U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
 
 def compose(U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
     """Handle for U(V(x)); prediction requires the inner function to diverge."""
-    label = _compose_label(_label_of(U), _label_of(V))
+    p, q = _limits(U, V)
+    label = _of_limit(p * q if q > 0.0 else math.nan)
 
     def log_at_logx(u):
         inner = V.log_at_u(u)  # checked: a step outer rule maps NaN to a level
@@ -186,7 +135,7 @@ def convolve(U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
     power-law mass piles up at every scale near s = 0. The operands are read
     checked, so a NaN names them. A subnormal x is refused: it loses digits.
     """
-    label = _convolve_label(_label_of(U), _label_of(V))
+    label = _of_limit(_convolve_limit(*_limits(U, V)))
     name = f"({U.name})conv({V.name})"
 
     def log_at_x(x):

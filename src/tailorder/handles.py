@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (DomainError, FormatError, ParamError, PositivityViolation, UnknownName,
                      _real)
-from .labels import ORDER_BOUND, TAG_M_INF, TAG_M_NEG_INF, ClassLabel
+from .labels import ORDER_BOUND, ClassLabel
 
 LOG2 = math.log(2.0)
 
@@ -42,9 +42,6 @@ _MAX_BREAKPOINTS = 10_000
 # (right-continuous) side.
 _EDGE_NUDGE = 1e-15
 
-# order of the rapid classes: MInf decays, MNegInf grows faster than any power
-_RAPID_ORDER = {TAG_M_INF: -math.inf, TAG_M_NEG_INF: math.inf}
-
 
 @dataclass(frozen=True)
 class KnownTruth:
@@ -53,9 +50,10 @@ class KnownTruth:
     The label fixes the orders and the moment index: M(rho) has
     mu = nu = rho and kappa = -rho, MInf has mu = nu = -inf and kappa = inf,
     MNegInf has mu = nu = inf and kappa = -inf. ``rho``, ``mu``, ``nu`` and
-    that ``kappa`` are read from the label; ``kappa`` is given only for an
-    Oscillating label, whose orders do not fix it. A given kappa that
-    disagrees with the label is a ParamError.
+    that ``kappa`` are read from the label (``mu``, ``nu`` from its orders,
+    NaN when Undecided); ``kappa`` is given only for an Oscillating label,
+    whose orders do not fix it. A given kappa that disagrees with the label
+    is a ParamError.
     """
 
     label: ClassLabel
@@ -64,7 +62,7 @@ class KnownTruth:
     is_rv: bool | None = None
 
     def __post_init__(self) -> None:
-        if self.label.is_m or self.label.tag in _RAPID_ORDER:
+        if self.mu == self.nu:  # a limit: M or a rapid class
             implied = -self.mu
             if self.kappa not in (None, implied) and not abs(self.kappa - implied) <= 1e-12:
                 raise ParamError(f"{self.label} label has kappa = {implied:g}, got {self.kappa:g}")
@@ -77,14 +75,12 @@ class KnownTruth:
         return self.label.rho
 
     @property
-    def mu(self) -> float | None:
-        label = self.label
-        return label.rho if label.is_m else _RAPID_ORDER.get(label.tag, label.mu)
+    def mu(self) -> float:
+        return self.label.orders[0]
 
     @property
-    def nu(self) -> float | None:
-        label = self.label
-        return label.rho if label.is_m else _RAPID_ORDER.get(label.tag, label.nu)
+    def nu(self) -> float:
+        return self.label.orders[1]
 
 
 @dataclass(frozen=True)
@@ -158,8 +154,8 @@ def _exp(u: float) -> float:
 
 
 def _order(rho: float, what: str) -> float:
-    """A finite order or edge of a member's truth, within +-ORDER_BOUND."""
-    return _real(rho, what, -ORDER_BOUND, ORDER_BOUND, closed=True)
+    """A finite order or edge of a member's truth, strictly within +-ORDER_BOUND."""
+    return _real(rho, what, -ORDER_BOUND, ORDER_BOUND)
 
 
 def make_power_tail(alpha: float) -> FunctionHandle:

@@ -401,7 +401,7 @@ def extract_representation_inf(U: FunctionHandle, b: float = 2.0,
     last_mean = float(np.mean(ratio[grid.window_slices()[-1]]))
     report = ConditionReport(
         condition="REP-INF",
-        passed=bool(est.value == math.inf or last_mean > ORDER_BOUND),
+        passed=bool(est.value == math.inf),
         measured={"alpha_over_logx_limit": est.value,
                   "alpha_over_logx_last_window": last_mean,
                   "class": label.tag},

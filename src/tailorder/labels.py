@@ -1,13 +1,17 @@
 """Growth-class labels.
 
-A positive function U on (0, inf) is labelled by the limiting behaviour of
-log U(x) / log x:
+A positive function U on (0, inf) is labelled by its two orders, the lower
+order mu = liminf and the upper order nu = limsup of log U(x) / log x:
 
-* ``M(rho)``      -- the limit exists and equals the finite number rho;
-* ``MInf``        -- the limit is -inf (decay faster than any power);
-* ``MNegInf``     -- the limit is +inf (growth faster than any power);
-* ``Oscillating`` -- liminf mu < limsup nu (no limit);
-* ``Undecided``   -- the numerics could not tell.
+* ``M(rho)``      -- mu = nu = rho, a finite number: the limit exists;
+* ``MInf``        -- mu = nu = -inf (decay faster than any power);
+* ``MNegInf``     -- mu = nu = +inf (growth faster than any power);
+* ``Oscillating`` -- mu < nu (no limit);
+* ``Undecided``   -- the numerics could not tell: the orders are NaN.
+
+This map is the one place where orders and labels meet: ``ClassLabel.orders``
+reads it one way and ``ClassLabel.from_orders`` the other, and an order
+beyond +-ORDER_BOUND is +-inf (``bounded_order``).
 """
 
 from __future__ import annotations
@@ -29,6 +33,15 @@ TAG_OSC = "Oscillating"
 TAG_UNDECIDED = "Undecided"
 
 _TAGS = (TAG_M, TAG_M_INF, TAG_M_NEG_INF, TAG_OSC, TAG_UNDECIDED)
+
+# (mu, nu) of the labels whose tag alone fixes them
+_TAG_ORDERS = {TAG_M_INF: (-math.inf, -math.inf), TAG_M_NEG_INF: (math.inf, math.inf),
+               TAG_UNDECIDED: (math.nan, math.nan)}
+
+
+def bounded_order(v: float) -> float:
+    """An order as it is decided: beyond +-ORDER_BOUND it is +-inf."""
+    return math.copysign(math.inf, v) if abs(v) > ORDER_BOUND else v
 
 
 @dataclass(frozen=True)
@@ -83,6 +96,22 @@ class ClassLabel:
     def undecided() -> "ClassLabel":
         return ClassLabel(TAG_UNDECIDED)
 
+    @staticmethod
+    def from_orders(mu: float, nu: float) -> "ClassLabel":
+        """The label of the orders (mu, nu), each bounded first: nu = -inf is
+        MInf, then mu = +inf MNegInf, equal orders M, mu < nu Oscillating and
+        anything else (a NaN, mu > nu) Undecided."""
+        mu, nu = bounded_order(mu), bounded_order(nu)
+        if nu == -math.inf:
+            return ClassLabel.m_inf()
+        if mu == math.inf:
+            return ClassLabel.m_neg_inf()
+        if mu == nu:
+            return ClassLabel.m(mu)
+        if mu < nu:
+            return ClassLabel.oscillating(mu, nu)
+        return ClassLabel.undecided()
+
     # -- predicates ---------------------------------------------------
     @property
     def is_m(self) -> bool:
@@ -91,6 +120,15 @@ class ClassLabel:
     @property
     def is_decided(self) -> bool:
         return self.tag != TAG_UNDECIDED
+
+    @property
+    def orders(self) -> tuple[float, float]:
+        """(mu, nu) as extended reals; (NaN, NaN) when Undecided."""
+        if self.tag == TAG_M:
+            return self.rho, self.rho
+        if self.tag == TAG_OSC:
+            return self.mu, self.nu
+        return _TAG_ORDERS[self.tag]
 
     # -- serialization ------------------------------------------------
     def to_dict(self) -> dict:

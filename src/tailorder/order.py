@@ -34,7 +34,7 @@ from .errors import (
     _whole,
 )
 from .handles import LOG2, FunctionHandle
-from .labels import ORDER_BOUND, TAG_M_INF, TAG_M_NEG_INF, ClassLabel
+from .labels import ORDER_BOUND, TAG_M_INF, TAG_M_NEG_INF, ClassLabel, bounded_order
 from .quadrature import cell_log_masses, logsumexp, moment_log_f
 
 # tolerated countertrend wobble, as a fraction of the summary span
@@ -176,8 +176,7 @@ def _combine(summaries: Sequence[float], L: Sequence[float], side: int, spread: 
     """
 
     def estimate(value: float, trend: Trend, rule: str, residual: float = math.nan):
-        if abs(value) > ORDER_BOUND:
-            value = math.copysign(math.inf, value)
+        value = bounded_order(value)
         stable = not spread and math.isfinite(value)
         return IndexEstimate(value, spread, Trend.STABLE if stable else trend, grid, rule, residual)
 
@@ -318,23 +317,15 @@ def classify(U: FunctionHandle, grid: GridSpec = GridSpec(),
     """
     tol = _real(tol, "tol", 0.0)
     mu, nu = orders or estimate_orders(U, grid)
-    if nu.value == -math.inf:
-        return ClassLabel.m_inf()
-    if mu.value == math.inf:
-        return ClassLabel.m_neg_inf()
-    if mu.value == -math.inf or nu.value == math.inf:
-        # one-sided runaway: oscillation with an infinite edge; mu < nu, as
-        # mu = nu = -inf and mu = nu = +inf returned above
-        return ClassLabel.oscillating(mu.value, nu.value)
     gap = nu.value - mu.value
-    if gap < -_CROSSED_TOLS * tol:
-        return ClassLabel.undecided()
-    if gap <= tol:
-        return ClassLabel.m(0.5 * (mu.value + nu.value))
-    drifting = mu.trend is Trend.INCREASING or nu.trend is Trend.DECREASING
-    if drifting:
-        return ClassLabel.undecided()
-    return ClassLabel.oscillating(mu.value, nu.value)
+    if math.isfinite(gap):  # both orders finite: the gap decides
+        if gap < -_CROSSED_TOLS * tol:
+            return ClassLabel.undecided()
+        if gap <= tol:
+            return ClassLabel.m(0.5 * (mu.value + nu.value))
+        if mu.trend is Trend.INCREASING or nu.trend is Trend.DECREASING:  # drifting
+            return ClassLabel.undecided()
+    return ClassLabel.from_orders(mu.value, nu.value)
 
 
 def _class_gate(U: FunctionHandle, grid: GridSpec, tol, label: ClassLabel | None,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import tailorder as to
 from tailorder import algebra, quadrature
 from tailorder.errors import DomainError, ParamError, QuadratureFailure
+from tailorder.labels import ORDER_BOUND
 
 L = to.ClassLabel
 
@@ -65,6 +66,8 @@ _OP_IDS = {to.scale_add: "ScaleAdd", to.reciprocal: "Reciprocal", to.product: "P
     (to.compose, [L.m_inf(), L.m(2.0)], None, L.m_inf()),
     (to.compose, [L.m_inf(), L.m_neg_inf()], None, L.m_inf()),
     (to.compose, [L.oscillating(0.0, 1.0), L.m(2.0)], None, L.undecided()),
+    (to.compose, [L.m(-2.0), L.m_neg_inf()], None, L.m_inf()),
+    (to.compose, [L.m(0.5), L.m_neg_inf()], None, L.m_neg_inf()),
 ], ids=lambda v: _OP_IDS.get(v) if callable(v) else None)
 def test_predicted_class_table(op, operands, a, expected):
     assert _closure_label(op, *operands, a=a) == expected
@@ -82,6 +85,44 @@ def test_a_weight_or_order_outside_its_finite_range_is_refused_when_built(build,
     # an infinite order log U = -inf below 1; a NaN would fail only when evaluated
     with pytest.raises(ParamError, match=f"^{name} {value!r} is out of range"):
         build(value)
+
+
+_P = to.make_power_tail
+
+
+@pytest.mark.parametrize("h, expected", [
+    (to.product(_P(100.0), _P(100.0)), L.m_neg_inf()),
+    (to.product(_P(-100.0), _P(-100.0)), L.m_inf()),
+    (to.compose(_P(20.0), _P(20.0)), L.m_neg_inf()),
+    (to.reciprocal(to.product(_P(100.0), _P(100.0))), L.m_inf()),
+    (to.convolve(_P(100.0), _P(100.0)), L.m_neg_inf()),
+], ids=lambda v: v.name if isinstance(v, to.FunctionHandle) else str(v))
+def test_a_closure_order_beyond_the_bound_is_the_infinite_class(h, expected):
+    # orders 200, -200, 400, -200 and 201: classify reads each as infinite,
+    # and so does the closure rule
+    assert h.truth.label == expected
+    assert to.classify(h) == expected
+
+
+_ORDER = st.floats(min_value=-ORDER_BOUND, max_value=ORDER_BOUND)
+_EDGE = st.one_of(_ORDER, st.sampled_from([-math.inf, math.inf]))
+
+
+@given(label=st.one_of(
+    _ORDER.map(L.m),
+    st.just(L.m_inf()),
+    st.just(L.m_neg_inf()),
+    st.tuples(_EDGE, _EDGE).filter(lambda e: e[0] < e[1]).map(lambda e: L.oscillating(*e)),
+))
+@settings(max_examples=200, deadline=None)
+def test_a_decided_label_is_its_pair_of_orders(label):
+    assert L.from_orders(*label.orders) == label
+
+
+def test_undecided_has_no_orders():
+    assert all(math.isnan(v) for v in L.undecided().orders)
+    assert L.from_orders(math.nan, 1.0) == L.undecided()
+    assert L.from_orders(2.0, 1.0) == L.undecided()
 
 
 @given(rho=st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))

@@ -512,7 +512,7 @@ def test_simulate_block_size_one_is_an_input_error(capsys):
      "c inf is out of range: real parameters are numbers, here 0 <= c < inf"),
     (["report", "--fn", "ramp_power", "--param", "alpha=1e6"],
      "alpha 1000000.0 is out of range: real parameters are numbers, here "
-     "-128 <= alpha <= 128"),
+     "-128 < alpha < 128"),
     # a plot directory inside a file
     (["plots", "--fn", "peter_paul", "--plots", f"{__file__}/plots"],
      f"cannot write plot data: [Errno 20] Not a directory: '{__file__}/plots'"),

@@ -622,7 +622,8 @@ def test_order_samples_validates():
 
 
 def test_kappa_undecided_at_bracket_boundary():
-    # moment index exactly at the search edge: the probe cannot take sides
-    h = to.make_power_tail(-128.0)
+    # moment index exactly at the search edge: the probe cannot take sides;
+    # power_tail's rule, as the catalog refuses an order on the bound
+    h = to.FunctionHandle("x**-128", log_at_logx=lambda u: -128.0 * np.maximum(u, 0.0))
     with pytest.raises(to.UndecidedConvergence):
         to.estimate_kappa(h)
