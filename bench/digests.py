@@ -66,10 +66,15 @@ place). The line after pins a constant factor: the labels of e**c x**alpha
 for alpha in {-80, 0, 80} and c in {-5000, -1000, 300, 500, 1000, 5000},
 each M(alpha), and the moment index of ``power_tail(+-70)``, -+70, both
 orders within the one range +-128 that bounds every decided order. The
-last line pins the closure labels at that bound: products, a composition,
+next line pins the closure labels at that bound: products, a composition,
 a reciprocal and a convolution of powers whose orders lie beyond +-128,
 each a rapid class, then five members of finite nonzero order composed
-with ``exp_pos``, each a rapid class by the sign of its order. Each
+with ``exp_pos``, each a rapid class by the sign of its order. The last
+line pins the sum rule, the larger limit, and closures that read their
+operands at x: the truths of x**-2 plus ``exp_neg`` and plus ``exp_pos``
+(M(-2) and MNegInf), the label of x**-2 plus ``remark7_mix``, and
+1/``remark7_mix`` at x = 10, which lies outside its interval (10, 10 + 1e-10)
+where exp(log 10) lies inside it. Each
 prints ``lib``, the
 sha256 of its result (the shape and bytes of an array, the sorted JSON of a
 report) and the expression.
@@ -259,6 +264,12 @@ LIBRARY = (
     " + tuple(to.compose(h, to.make_exp_pos()) for h in (to.make_power_tail(-2.0),"
     " to.make_pareto_tail(1.5), to.make_peter_paul(), to.make_ramp_power(1.0),"
     " to.make_log_perturbed_power(-2.0, 0.5)))}",
+    "{h.name: h.truth.label.to_dict() for h in ("
+    "to.scale_add(1.0, to.make_exp_neg(), to.make_power_tail(-2.0)),"
+    " to.scale_add(1.0, to.make_exp_pos(), to.make_power_tail(-2.0)))}"
+    " | {'classify': to.classify(to.scale_add(1.0, to.make_power_tail(-2.0),"
+    " to.make_remark7_mix())).to_dict(),"
+    " 'reciprocal at 10': float(to.reciprocal(to.make_remark7_mix()).log_at(10.0))}",
 )
 # evaluates each expression of argv in one interpreter and prints its digest line
 LIBRARY_RUNNER = """

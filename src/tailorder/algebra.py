@@ -1,14 +1,15 @@
 """Closure operations on handles with predicted order arithmetic.
 
 Each operation returns a new handle evaluating the combined function in log
-space, carrying the label predicted by the closure rules. A rule reads each
+space, carrying the label predicted by the closure rules. A closure reads
+its operands in the coordinate it is read in: at x through their x rules,
+at u = log x through their u rules, never at x = exp(log x). A rule reads each
 operand's limit: the order its two orders (mu, nu) agree on, +-inf for the
 rapid classes, NaN when they disagree (Oscillating, Undecided). It does
 arithmetic on these, and ``ClassLabel.from_orders`` labels the result, so a
 limit beyond +-ORDER_BOUND is a rapid class and a NaN is Undecided:
 
-* scale/add:  the limit of aU + V is the larger limit, when both are
-  finite or both equal (a finite limit beside a rapid one stays Undecided);
+* scale/add:  the limit of aU + V (a > 0) is the larger limit, NaN if either is;
 * reciprocal: (mu, nu) -> (-nu, -mu), for any label;
 * product:    limits add (inf - inf is NaN);
 * convolution: with limits lo <= hi, hi = +inf gives +inf; the heavier
@@ -62,11 +63,16 @@ def _convolve_limit(p: float, q: float) -> float:
     return lo + hi + 1.0 if lo > -1.0 else math.nan
 
 
-def _derived(name: str, log_at_logx, label: ClassLabel, *operands: FunctionHandle,
-             log_at_x=None) -> FunctionHandle:
-    differentiable = all(h.differentiable for h in operands)
-    return FunctionHandle(name=name, log_at_logx=log_at_logx, truth=KnownTruth(label),
-                          log_at_x=log_at_x, differentiable=differentiable)
+def _derived(name: str, combine, label: ClassLabel, *operands: FunctionHandle) -> FunctionHandle:
+    """combine(*operand log values), whose x rule reads the operands' raw x rules
+    at x and whose u rule reads their u rules at u: never x = exp(log x)."""
+
+    def rule(read):  # inf - inf or a NaN operand gives NaN: the composite refuses it
+        return np.errstate(invalid="ignore")(lambda v: combine(*(read(h)(v) for h in operands)))
+
+    return FunctionHandle(name=name, log_at_logx=rule(lambda h: h.log_at_logx),
+                          log_at_x=rule(lambda h: h._x_rule), truth=KnownTruth(label),
+                          differentiable=all(h.differentiable for h in operands))
 
 
 # ---------------------------------------------------------------------------
@@ -78,43 +84,27 @@ def scale_add(a: float, U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
     """Handle for a*U + V via log-sum-exp; a = 0 degenerates to V."""
     a = _real(a, "a", 0.0, closed=True)
     if a == 0.0:
-        return _derived(f"0*{U.name}+{V.name}", V.log_at_logx, _label_of(V), V)
-    p, q = _limits(U, V)
-    # both limits finite, or both the same rapid class
-    label = _of_limit(max(p, q) if p == q or (math.isfinite(p) and math.isfinite(q)) else math.nan)
+        return _derived(f"0*{U.name}+{V.name}", np.positive, _label_of(V), V)
     log_a = math.log(a)
-
-    def log_at_logx(u):
-        with np.errstate(invalid="ignore"):  # a NaN operand gives NaN: the composite refuses it
-            return np.logaddexp(log_a + U.log_at_logx(u), V.log_at_logx(u))
-
-    return _derived(f"{a:g}*{U.name}+{V.name}", log_at_logx, label, U, V)
+    return _derived(f"{a:g}*{U.name}+{V.name}", lambda p, q: np.logaddexp(log_a + p, q),
+                    _of_limit(float(np.maximum(*_limits(U, V)))), U, V)
 
 
 def reciprocal(U: FunctionHandle) -> FunctionHandle:
     mu, nu = _label_of(U).orders
-    label = ClassLabel.from_orders(-nu, -mu)
-    return _derived(f"1/({U.name})", lambda u: -U.log_at_logx(u), label, U)
+    return _derived(f"1/({U.name})", np.negative, ClassLabel.from_orders(-nu, -mu), U)
 
 
 def product(U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
     p, q = _limits(U, V)
-    label = _of_limit(p + q)
-
-    def log_at_logx(u):
-        with np.errstate(invalid="ignore"):  # inf * 0 gives NaN: the composite refuses it
-            return U.log_at_logx(u) + V.log_at_logx(u)
-
-    return _derived(f"({U.name})*({V.name})", log_at_logx, label, U, V)
+    return _derived(f"({U.name})*({V.name})", np.add, _of_limit(p + q), U, V)
 
 
 def compose(U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
-    """Handle for U(V(x)); prediction requires the inner function to diverge."""
+    """Handle for U(V(x)), U's u rule at log V; prediction requires V to diverge."""
     p, q = _limits(U, V)
-    label = _of_limit(p * q if q > 0.0 else math.nan)
 
-    def log_at_logx(u):
-        inner = V.log_at_u(u)  # checked: a step outer rule maps NaN to a level
+    def outer(inner):  # inner read checked: a step outer rule maps NaN to a level
         if np.any(inner == -math.inf):
             raise DomainError(f"compose: inner value 0 lies outside the domain of {U.name}")
         # U's rule reads these log values raw, past the float range of exp too,
@@ -123,7 +113,11 @@ def compose(U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
         with np.errstate(all="ignore"):
             return U.log_at_logx(inner)
 
-    return _derived(f"({U.name})o({V.name})", log_at_logx, label, U, V)
+    return FunctionHandle(name=f"({U.name})o({V.name})",
+                          log_at_logx=lambda u: outer(V.log_at_u(u)),
+                          log_at_x=lambda x: outer(V.log_at(x)),
+                          truth=KnownTruth(_of_limit(p * q if q > 0.0 else math.nan)),
+                          differentiable=U.differentiable and V.differentiable)
 
 
 def convolve(U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
@@ -150,4 +144,4 @@ def convolve(U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
         edges = dyadic_edges(xs / 2.0)
         return batched_log_quad(log_f, edges[:, :-1], edges[:, 1:]).reshape(x.shape)
 
-    return _derived(name, None, label, log_at_x=log_at_x)
+    return FunctionHandle(name=name, log_at_x=log_at_x, truth=KnownTruth(label))

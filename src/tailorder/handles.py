@@ -13,8 +13,9 @@ float or a 0-d array for a 0-d input), so callers use the result as it is.
 Every handle carries a raw rule in each coordinate; one checked evaluator
 serves both, refusing an x (or exp(u)) outside (0, inf) and a NaN value with
 a DomainError naming the handle and the first such x. A rule owns its domain
-(a table's refuses a u beyond its rows). Closures compose raw rules, so the
-composite refuses an operand's NaN; ``compose`` and ``convolve`` read theirs checked.
+(a table's refuses a u beyond its rows). A closure reads its operands' raw rules
+in its own coordinate, x rules at x and u rules at u, so the composite refuses an
+operand's NaN; ``compose`` and ``convolve`` read theirs checked.
 """
 
 from __future__ import annotations
@@ -90,8 +91,9 @@ class FunctionHandle:
     A handle is defined by one vectorized rule, ``log_at_x`` (x -> log U(x))
     or ``log_at_logx`` (u = log x -> log U(exp(u))); the other is derived
     through exp or log, so every handle carries both. Both are given only
-    where each is exact in its own coordinate (step levels decided without an
-    exp/log round trip). A rule maps a float64 array to float64 values of its
+    where each is exact in its own coordinate: step levels decided without an
+    exp/log round trip, and closures, whose x rule reads the operands' x rules
+    and u rule their u rules. A rule maps a float64 array to float64 values of its
     shape and refuses what it cannot evaluate; the entry points check the rest.
     """
 

@@ -42,7 +42,9 @@ _OP_IDS = {to.scale_add: "ScaleAdd", to.reciprocal: "Reciprocal", to.product: "P
     (to.scale_add, [L.m(-2.0), L.m(3.0)], 0.0, L.m(3.0)),
     (to.scale_add, [L.m_inf(), L.m_inf()], 1.0, L.m_inf()),
     (to.scale_add, [L.m_neg_inf(), L.m_neg_inf()], 2.0, L.m_neg_inf()),
-    (to.scale_add, [L.m_inf(), L.m(1.0)], 1.0, L.undecided()),
+    (to.scale_add, [L.m_inf(), L.m(1.0)], 1.0, L.m(1.0)),
+    (to.scale_add, [L.m(-2.0), L.m_neg_inf()], 1.0, L.m_neg_inf()),
+    (to.scale_add, [L.m(-2.0), L.oscillating(0.0, 1.0)], 1.0, L.undecided()),
     (to.reciprocal, [L.m(-2.0)], None, L.m(2.0)),
     (to.reciprocal, [L.m_inf()], None, L.m_neg_inf()),
     (to.reciprocal, [L.oscillating(0.5, 1.0)], None, L.oscillating(-1.0, -0.5)),
@@ -166,6 +168,17 @@ def test_scale_add_rapid_decay_closed():
     h = to.scale_add(1.0, to.make_exp_neg(), to.make_exp_neg())
     assert h.truth.label == L.m_inf()
     assert to.classify(h).tag == "MInf"
+
+
+@pytest.mark.parametrize("U, rho", [(to.make_power_tail(-2.0), -2.0),
+                                    (to.make_pareto_tail(1.5), -1.5)])
+def test_a_sum_with_remark7_reads_the_grid_at_x(U, rho):
+    # the grid's first point x = 10 lies outside remark7's interval (10, 10 + 1e-10),
+    # and exp(log 10) inside it: read there, the sum looked Oscillating
+    for h in (to.scale_add(1.0, U, to.make_remark7_mix()),
+              to.scale_add(1.0, to.make_remark7_mix(), U)):
+        got = to.classify(h)
+        assert got.is_m and got.rho == pytest.approx(rho, abs=0.05), h.name
 
 
 def test_reciprocal_handle():

@@ -478,22 +478,28 @@ def test_compose_over_a_tabulated_outer_is_known_on_its_range():
             h.log_at(np.array([100.0, beyond]))
 
 
-# each closure over one operand W, with a catalog power where it needs two
+_P1, _PM1 = to.make_power_tail(1.0), to.make_power_tail(-1.0)
+
+# each closure over one operand W, with a catalog power where it needs two,
+# and its log value at x from W's log values w there (None for
+# regularize_origin, which has a u rule only)
 _CLOSURES = {
-    "reciprocal": to.reciprocal,
-    "product": lambda W: to.product(to.make_power_tail(1.0), W),
-    "scale_add(1)": lambda W: to.scale_add(1.0, W, to.make_power_tail(-1.0)),
-    "scale_add(0)": lambda W: to.scale_add(0.0, to.make_power_tail(-1.0), W),
-    "regularize_origin": lambda W: to.regularize_origin(W, 2.0),
-    "compose": lambda W: to.compose(to.make_power_tail(1.0), W),
+    "reciprocal": (to.reciprocal, lambda w, x: -w),
+    "product": (lambda W: to.product(_P1, W), lambda w, x: _P1.log_at(x) + w),
+    "scale_add(1)": (lambda W: to.scale_add(1.0, W, _PM1),
+                     lambda w, x: np.logaddexp(w, _PM1.log_at(x))),
+    "scale_add(0)": (lambda W: to.scale_add(0.0, _PM1, W), lambda w, x: w),
+    "regularize_origin": (lambda W: to.regularize_origin(W, 2.0), None),
+    "compose": (lambda W: to.compose(_P1, W), lambda w, x: _P1.log_at_logx(w)),
 }
+_READ_AT_X = [name for name, (_, combine) in _CLOSURES.items() if combine]
 
 
 @pytest.mark.parametrize("name", _CLOSURES)
 def test_closures_refuse_an_operands_nan_naming_the_composite(name):
     # the operand's raw rule gives NaN and the composite's check names it;
     # compose reads its inner operand checked, so the inner is named there
-    h = _CLOSURES[name](_nan_beyond_1e4())
+    h = _CLOSURES[name][0](_nan_beyond_1e4())
     named = "nan_tail" if name == "compose" else h.name
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -520,12 +526,40 @@ def test_a_table_refuses_a_point_beyond_its_rows_through_each_closure(name):
     xs = np.geomspace(1.0, 1e4, 9)
     table = to.from_table(xs, -2.0 * np.log(xs))
     outside = "^table: log-argument outside tabulated range$"
-    for h in (table, _CLOSURES[name](table)):
+    for h in (table, _CLOSURES[name][0](table)):
         assert np.all(np.isfinite(h.log_at(np.array([2.0, 1e4]))))
         with pytest.raises(DomainError, match=outside):
             h.log_at(np.array([2.0, 1e8]))
         with pytest.raises(DomainError, match=outside):
             h.log_at_u(np.log([2.0, 1e8]))
+
+
+@pytest.mark.parametrize("make", [to.make_two_plus_sin, to.make_x_pow_sin_x, to.make_exp_neg,
+                                  to.make_remark7_mix])
+@pytest.mark.parametrize("name", _READ_AT_X)
+def test_a_closure_reads_its_operands_x_rule_at_x(name, make):
+    # bitwise the operand's own x rule, combined: no operand is read at
+    # exp(log x), which differs from x in its last bits
+    build, combine = _CLOSURES[name]
+    W, xs = make(), to.GridSpec().xs()
+    assert build(W).log_at(xs).tobytes() == combine(W.log_at(xs), xs).tobytes()
+
+
+@pytest.mark.parametrize("name", _READ_AT_X)
+def test_a_closure_of_peter_paul_reads_the_level_below_each_jump(name):
+    # just below 2**k peter_paul is at level k - 1, for every k = 1 ... 59
+    build, combine = _CLOSURES[name]
+    xs = np.nextafter(2.0 ** np.arange(1, 60), 0.0)
+    levels = -np.arange(59) * math.log(2.0)
+    assert build(to.make_peter_paul()).log_at(xs).tobytes() == combine(levels, xs).tobytes()
+
+
+def test_a_closure_of_remark7_reads_10_outside_its_interval():
+    # exp(log 10) = 10.000000000000002 lies inside remark7's interval
+    # (10, 10 + 1e-10), where it is 1/x; 10 itself lies outside, where it is e**-x
+    h = to.reciprocal(to.make_remark7_mix())
+    assert h.log_at(10.0) == 10.0
+    assert h.log_at_u(math.log(10.0)) == pytest.approx(math.log(10.0), rel=1e-15)
 
 
 def _labels_agree(got, want, tol=0.05):
@@ -560,7 +594,7 @@ def test_closures_over_the_catalog_agree_with_the_prediction():
         if got.is_decided and want.is_decided:
             both += 1
             assert _labels_agree(got, want), (op, [h.name for h in operands], got, want)
-    assert both >= 150  # 167 when this test was written
+    assert both >= 226  # 226 since closures read their operands at x, not exp(log x)
 
 
 def test_last_window_mean_tracks_order():
