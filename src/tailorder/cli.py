@@ -207,7 +207,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    # both representations need 1 < b < inf, whichever class U turns out in
+    # refused before classifying: the finite-order representation and the
+    # integral ratios need 1 < b < inf
     b = _real(args.b, "b", 1.0)
     r_values = [_real(r, "r") for r in args.r or (-1.0, 0.5, 1.0, 3.0)]
     handle, descriptor = _load_handle(args)
@@ -239,7 +240,7 @@ def _cmd_report(args) -> int:
             conditions.append(kar.karamata_theorem_report(
                 handle, r, b, grid, tol, label=label, rv=rv).to_dict())
     elif label.tag in (TAG_M_INF, TAG_M_NEG_INF):
-        inf_rep = kar.extract_representation_inf(handle, b, grid, tol, label=label)
+        inf_rep = kar.extract_representation_inf(handle, grid, tol, label=label)
         conditions.append(inf_rep.report.to_dict())
     if args.tauberian:
         conditions.append(taub.tauberian_check(handle, grid=grid, tol=tol,

@@ -124,8 +124,9 @@ def cumulative_integral(U: FunctionHandle, kind: str, r: float, b: float,
     for k, mass in enumerate(octave_log_masses(log_f, k_last, _CELLS_PER_OCTAVE, n_octaves)):
         masses.append(mass)
         tail = np.logaddexp(tail, mass)
-        if k == _SUSTAIN and (tag := decay_verdict(masses).tag) != "Convergent":
-            raise DivergentTail(f"tail integral of t**{r:g} * {U.name} does not converge ({tag})")
+        if k == _SUSTAIN and not (verdict := decay_verdict(masses)).is_convergent:
+            raise DivergentTail(f"tail integral of t**{r:g} * {U.name} does not converge "
+                                f"({verdict.tag})")
         if k >= _SUSTAIN and masses[-1] <= tail + math.log(1e-13):
             break
     else:
@@ -374,21 +375,18 @@ def verify_representation(U: FunctionHandle, rep: RepresentationTriple,
 class InfRepresentation:
     """Single-exponent form U = exp(-alpha) (decay) or exp(alpha) (growth)."""
 
-    b: float
     sign: int  # +1 rapid decay, -1 rapid growth
     alpha_fn: Callable
     report: ConditionReport
 
 
-def extract_representation_inf(U: FunctionHandle, b: float = 2.0,
-                               grid: GridSpec = GridSpec(),
+def extract_representation_inf(U: FunctionHandle, grid: GridSpec = GridSpec(),
                                tol: float = DEFAULT_CLASS_TOL, *,
                                label: ClassLabel | None = None) -> InfRepresentation:
     """Exponent function for rapid-decay/growth members; alpha/log x -> inf.
 
     ``label`` (``classify(U, grid, tol)``) skips the classification when given.
     """
-    b = _real(b, "b", 1.0)
     label, tol = _class_gate(U, grid, tol, label, rapid=True)
     sign = +1 if label.tag == TAG_M_INF else -1
 
@@ -407,4 +405,4 @@ def extract_representation_inf(U: FunctionHandle, b: float = 2.0,
                   "class": label.tag},
         tolerance=ORDER_BOUND,
     )
-    return InfRepresentation(b=b, sign=sign, alpha_fn=alpha_fn, report=report)
+    return InfRepresentation(sign=sign, alpha_fn=alpha_fn, report=report)

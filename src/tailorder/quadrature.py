@@ -229,11 +229,13 @@ def _gk_block(log_f, a: np.ndarray, b: np.ndarray, ids: np.ndarray):
         return shift + np.log(k15 * half), shift + np.log(np.abs(k15 - g7) * half)
 
 
-# relative error at which an adaptive Gauss-Kronrod integral is done
+# relative error at which an adaptive Gauss-Kronrod integral is done, and the
+# integrand evaluations one integral may take before it fails
 _REL_TOL = 1e-8
+_MAX_EVALS = 100_000
 
 
-def batched_log_quad(log_f, a, b, max_evals: int = 100_000) -> np.ndarray:
+def batched_log_quad(log_f, a, b) -> np.ndarray:
     """log of integral exp(log_f) for n integrals at once, by adaptive G7-K15.
 
     Row i of the (n, k) arrays a and b holds the initial panels [a, b] of
@@ -245,7 +247,7 @@ def batched_log_quad(log_f, a, b, max_evals: int = 100_000) -> np.ndarray:
     integral is done once its error is at most _REL_TOL of its total; for
     the others, every panel carrying more than its share of the allowed
     error (and always the worst one) is halved.
-    QuadratureFailure when an unfinished integral has used max_evals
+    QuadratureFailure when an unfinished integral has used _MAX_EVALS
     integrand evaluations. An integral without panels is 0 (log -inf).
     """
     a = np.asarray(a, dtype=float)
@@ -267,7 +269,7 @@ def batched_log_quad(log_f, a, b, max_evals: int = 100_000) -> np.ndarray:
         active &= ~done
         if not active.any():
             return out
-        over = active & (evals >= max_evals)
+        over = active & (evals >= _MAX_EVALS)
         if over.any():
             i = int(np.argmax(over))
             with np.errstate(over="ignore"):
@@ -294,16 +296,11 @@ def batched_log_quad(log_f, a, b, max_evals: int = 100_000) -> np.ndarray:
         log_err = np.concatenate([log_err[stay], new_err])
 
 
-def adaptive_log_quad(log_f, a: float, b: float, max_evals: int = 100_000,
-                      split_points: tuple = ()) -> float:
-    """log of integral_a^b exp(log_f(x)) dx, one integral of batched_log_quad.
-
-    ``log_f`` maps x arrays to log-integrand values; the interior
-    split_points start the refinement as panel edges.
-    """
-    pts = np.array(sorted({a, b, *[p for p in split_points if a < p < b]}), dtype=float)
+def adaptive_log_quad(log_f, a: float, b: float) -> float:
+    """log of integral_a^b exp(log_f(x)) dx, one integral of batched_log_quad
+    from the one panel [a, b]; ``log_f`` maps x arrays to log-integrand values."""
 
     def log_f_batch(x, _ids):
         return np.asarray(log_f(x.ravel()), dtype=float).reshape(x.shape)
 
-    return float(batched_log_quad(log_f_batch, pts[None, :-1], pts[None, 1:], max_evals)[0])
+    return float(batched_log_quad(log_f_batch, [[a]], [[b]])[0])

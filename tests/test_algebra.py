@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import math
 import warnings
 
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tailorder as to
-from tailorder import algebra, quadrature
+from tailorder import quadrature
 from tailorder.errors import DomainError, ParamError, QuadratureFailure
 from tailorder.labels import ORDER_BOUND
 
@@ -287,8 +286,7 @@ def test_convolve_ramp_beta_closed_form(a, b):
 
 
 def test_convolve_budget_exhaustion_is_typed(monkeypatch):
-    monkeypatch.setattr(algebra, "batched_log_quad",
-                        functools.partial(quadrature.batched_log_quad, max_evals=100))
+    monkeypatch.setattr(quadrature, "_MAX_EVALS", 100)
     h = to.convolve(to.make_ramp_power(0.3), to.make_ramp_power(0.3))
     with pytest.raises(QuadratureFailure):
         h.log_at(np.array([0.5, 7.0]))

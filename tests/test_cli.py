@@ -609,7 +609,7 @@ def _library_report(handle, rs, b=2.0, tol=0.05):
         conditions += [to.karamata_theorem_report(handle, r, b, grid, tol).to_dict()
                        for r in rs]
     else:
-        conditions.append(to.extract_representation_inf(handle, b, grid, tol).report.to_dict())
+        conditions.append(to.extract_representation_inf(handle, grid, tol).report.to_dict())
     evt = None
     if handle.truth.is_tail:
         D = to.distribution_for(handle)

@@ -627,3 +627,46 @@ def test_kappa_undecided_at_bracket_boundary():
     h = to.FunctionHandle("x**-128", log_at_logx=lambda u: -128.0 * np.maximum(u, 0.0))
     with pytest.raises(to.UndecidedConvergence):
         to.estimate_kappa(h)
+
+
+def _label_agrees(U, truth, tol=0.05):
+    """classify(U) is Undecided, or has truth's tag and orders within tol."""
+    got = to.classify(U, tol=tol)
+    return not got.is_decided or (got.tag == truth.tag and all(
+        a == b or abs(a - b) <= tol for a, b in zip(got.orders, truth.orders))), got
+
+
+def _kappa_agrees(U, truth, tol=0.05):
+    """kappa of U, unless refused, lies in [-nu - tol, -mu + tol] of truth's
+    orders, as the comparison test gives -nu <= kappa <= -mu."""
+    try:
+        kappa = to.estimate_kappa(U).value
+    except TailOrderError as exc:
+        return True, exc
+    mu, nu = truth.orders
+    return -nu - tol <= kappa <= -mu + tol, kappa
+
+
+_PETER_PAUL, _OSET = to.make_peter_paul(), to.make_oset_geometric(0.5, 1.5, 2.0)
+# decisions known to be silently wrong, each id naming the ROADMAP item whose
+# fix must turn its case from xfail to pass
+_WRONG_DECISIONS = [
+    pytest.param(_kappa_agrees, _OSET, _OSET.truth.label,
+                 id="item19-kappa-oset_geometric(0.5,1.5,2)"),
+    pytest.param(_label_agrees, to.FunctionHandle("exp(-x**0.1)",
+                                                  log_at_logx=lambda u: -np.exp(0.1 * u)),
+                 to.ClassLabel.m_inf(), id="item9-exp(-x**0.1)"),
+    pytest.param(_label_agrees, to.FunctionHandle(
+        "exp(-(log x)**1.5)", log_at_logx=lambda u: -np.maximum(u, 0.0) ** 1.5),
+                 to.ClassLabel.m_inf(), id="item9-exp(-(log x)**1.5)"),
+    pytest.param(_label_agrees, _times_constant(_PETER_PAUL, -1000.0),
+                 _PETER_PAUL.truth.label, id="item9-e**-1000*peter_paul"),
+]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="decided but wrong; the id names the ROADMAP item that mends it")
+@pytest.mark.parametrize("agrees, U, truth", _WRONG_DECISIONS)
+def test_a_decided_value_agrees_with_its_truth(agrees, U, truth):
+    ok, got = agrees(U, truth)
+    assert ok, got

@@ -80,9 +80,6 @@ _REALS = [
      lambda v: to.karamata_theorem_report(_POW, 1.0, v, _GRID, label=_M2, rv=_RV), 0.0, 2),
     ("extract_representation-b", "b",
      lambda v: to.extract_representation(_POW, v, _GRID, label=_M2), 1.0, 2),
-    ("extract_representation_inf-b", "b",
-     lambda v: to.extract_representation_inf(to.make_exp_neg(), v, _GRID,
-                                             label=to.ClassLabel.m_inf()), 1.0, 2),
     ("peter_paul_partial_integral-x", "x", lambda v: to.peter_paul_partial_integral(v, 1),
      3.5, 100),
     ("laplace_stieltjes-s", "s", lambda v: to.laplace_stieltjes(to.make_ramp_power(1.0), v),
@@ -123,8 +120,6 @@ def _fingerprint(out) -> str:
         return out.name + out.log_at(_XS).tobytes().hex()
     if isinstance(out, to.RepresentationTriple):
         return repr((out.b, out.b_effective)) + out.eps_fn(_XS[1:]).tobytes().hex()
-    if isinstance(out, to.InfRepresentation):
-        out = out.report
     if isinstance(out, to.CumulativeIntegral):
         return repr((out.r, out.b)) + out.log_values.tobytes().hex()
     if hasattr(out, "to_dict"):
