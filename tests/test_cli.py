@@ -370,6 +370,31 @@ def test_a_rapid_class_report_refuses_a_bad_r_or_b_too(flag, value, capsys):
     assert f"{flag[2:]} {value} is out of range" in captured.err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--b", "-inf"), ("--b", "1.0"), ("--b", "0.5"), ("--b", "0.0"),
+    ("--r", "inf"), ("--r", "-inf"),
+])
+def test_a_rapid_class_report_refuses_every_bad_r_or_b_before_classifying(flag, value, capsys):
+    # the rapid-class representation reads neither r nor b; the refusal is the cli's own
+    code = main(["report", "--fn", "exp_neg", f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert f"{flag[2:]} {value} is out of range" in captured.err
+
+
+@pytest.mark.parametrize("fn", ["exp_neg", "exp_pos"])
+def test_a_rapid_class_report_does_not_depend_on_b(fn, capsys):
+    # b reaches the report only as provenance, the input it was called with
+    docs = []
+    for b in (1.5, 10.0):
+        assert main(["report", "--fn", fn, "--b", str(b)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["provenance"].pop("b") == b
+        docs.append(doc)
+    assert docs[0]["conditions"]
+    assert docs[0] == docs[1]
+
+
 @pytest.mark.parametrize("xmax", ["309", "inf"])
 def test_overflowing_x_max_is_an_input_error(xmax):
     code, out, err = run_cli("classify", "--fn", "power_tail", "--param", "alpha=-2",
