@@ -15,9 +15,13 @@ its result, and a run that stops is named with its last stderr line. Cases:
   Mises derivatives, a heavy tail's attraction verdict, the generic
   quantile, parameter checks, a ramp transform, grids the windows do not
   divide evenly or that end at the top of the float range (``floor_log_tail``),
-  and exit code 2 for tables the reader refuses (not UTF-8; a field beyond
-  the csv module's 131,072 characters) and for a NaN b or r. ``classify
-  --data`` reads 3 x**-1.5 at 400 points as ``x,value`` and ``x,logvalue``.
+  exit code 2 for tables the reader refuses (not UTF-8; a field beyond
+  the csv module's 131,072 characters) and for a NaN b or r, and three
+  reports: K2* at r = -1 at tol 0.01, an r = 1.97 tail integral still
+  unfinished where x leaves the float range (exit 4), and REP-LIMITS at
+  b = 10, which depends on b.
+  ``classify --data`` reads 3 x**-1.5 at 400 points as ``x,value`` and
+  ``x,logvalue``. That is 25 commands, 3 plot files and 28 expressions.
 * LIBRARY, each expression on its own: the sha256 of its result (shape and
   bytes of an array, sorted JSON of a dict). They pin paths no command
   reaches: convolutions, compositions and transforms on unusual arguments,
@@ -87,6 +91,9 @@ COMMANDS = (
     "classify --data long_field.csv",
     "report --fn exp_neg --b nan",
     "report --fn exp_neg --r nan",
+    "report --fn pareto_tail --param alpha=1.5 --tol 0.01",
+    "report --fn power_tail --param alpha=-2 --r 1.97 --tol 0.01",
+    "report --fn power_tail --param alpha=-2 --b 10",
 )
 PLOT_FILES = ("orders.csv", "kappa_trace.csv", "ratio.csv")
 LIBRARY = (

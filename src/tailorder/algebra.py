@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DomainError, _real
 from .handles import FunctionHandle, KnownTruth
 from .labels import ClassLabel
-from .quadrature import batched_log_quad, dyadic_edges
+from .quadrature import adaptive_log_quad, dyadic_edges
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +124,10 @@ def convolve(U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
     """Handle for the convolution integral_0^x U(t) V(x-t) dt.
 
     Folded at x/2 it is integral_0^(x/2) [U(s) V(x-s) + U(x-s) V(s)] ds, so
-    every node has s > 0 and x - s >= x/2. One batched adaptive log-space
-    quadrature integrates all x together, each from ``dyadic_edges(x/2)``, as
-    power-law mass piles up at every scale near s = 0. The operands are read
+    every node has s > 0 and x - s >= x/2. One call of
+    ``quadrature.adaptive_log_quad``, the one Gauss-Kronrod entry point,
+    integrates all x together, each from ``dyadic_edges(x/2)``, as power-law
+    mass piles up at every scale near s = 0. The operands are read
     checked, so a NaN names them. A subnormal x is refused: it loses digits.
     """
     label = _of_limit(_convolve_limit(*_limits(U, V)))
@@ -142,6 +143,6 @@ def convolve(U: FunctionHandle, V: FunctionHandle) -> FunctionHandle:
             return np.logaddexp(U.log_at(s) + V.log_at(r), U.log_at(r) + V.log_at(s))
 
         edges = dyadic_edges(xs / 2.0)
-        return batched_log_quad(log_f, edges[:, :-1], edges[:, 1:]).reshape(x.shape)
+        return adaptive_log_quad(log_f, edges[:, :-1], edges[:, 1:]).reshape(x.shape)
 
     return FunctionHandle(name=name, log_at_x=log_at_x, truth=KnownTruth(label))

@@ -23,18 +23,7 @@ import numpy as np
 from . import evt as evt_mod
 from . import karamata as kar
 from . import tauberian as taub
-from .errors import (
-    ClassMismatch,
-    DivergentTail,
-    DomainError,
-    FormatError,
-    ParamError,
-    PreconditionError,
-    QuadratureFailure,
-    TailOrderError,
-    UndecidedConvergence,
-    _real,
-)
+from .errors import DomainError, FormatError, ParamError, TailOrderError, _real
 from .handles import FunctionHandle, load_csv, make_named
 from .labels import TAG_M, TAG_M_INF, TAG_M_NEG_INF
 from .order import (
@@ -58,8 +47,6 @@ EXIT_UNDECIDED = 3
 EXIT_NUMERIC = 4
 
 _DATA_ERRORS = (FormatError, ParamError, DomainError)
-_NUMERIC_ERRORS = (QuadratureFailure, UndecidedConvergence, DivergentTail,
-                   PreconditionError, ClassMismatch)
 
 
 class _UsageError(Exception):
@@ -338,14 +325,11 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _NUMERIC_ERRORS as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except _DATA_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TailOrderError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except MemoryError as exc:
         request = " ".join(sys.argv[1:] if argv is None else argv)

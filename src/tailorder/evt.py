@@ -246,24 +246,24 @@ def gpd_ratio_probe(D: DistributionHandle, xi: float, a_fn: Callable,
         raise ParamError("excess-ratio probe requires at least one point in x_probe")
     if np.any(1.0 + xi * xs <= 0.0):
         raise ParamError("probe points must satisfy 1 + xi*x > 0")
+
+    def scales(u):
+        a = np.asarray(a_fn(u), dtype=float)
+        if not np.all((a > 0.0) & (a < np.inf)):  # a NaN fails both
+            raise ParamError("scale function a(u) must be positive and finite")
+        return a
+
     us = np.logspace(2, 7, 64)
     # for step tails, place thresholds just below the jumps: the excess
     # window x*a(u) is far narrower than any geometric spacing, and the
     # jumps are exactly where the excess law breaks
-    x_min = float(xs.min())
-    extra = []
-    for J in D.base.jump_xs:
-        if not us[0] <= J <= us[-1]:
-            continue
-        a_j = float(np.asarray(a_fn(np.array([J])), dtype=float)[0])
-        d = min(0.5 * x_min * a_j, 0.1 * J)
-        if d > 0.0 and J - d > us[0]:
-            extra.append(J - d)
-    if extra:
-        us = np.unique(np.concatenate([us, np.asarray(extra)]))
-    av = np.asarray(a_fn(us), dtype=float)
-    if np.any(av <= 0.0):
-        raise ParamError("scale function a(u) must be positive")
+    jumps = np.array([J for J in D.base.jump_xs if us[0] <= J <= us[-1]], dtype=float)
+    if jumps.size:
+        d = np.minimum(0.5 * float(xs.min()) * scales(jumps), 0.1 * jumps)
+        near = (d > 0.0) & (jumps - d > us[0])
+        if near.any():
+            us = np.unique(np.concatenate([us, (jumps - d)[near]]))
+    av = scales(us)
     per_x = {}
     all_ok = True
     tail_half = us.size // 2

@@ -24,8 +24,9 @@ formulas above, evaluated cell by cell. The callers choose the grids: the
 octave probes of the moment index kappa in ``order``, the cumulative
 integrals in ``karamata``.
 
-Integrals in linear x (the Laplace transform, convolutions) use a batched
-adaptive Gauss-Kronrod rule that refines many integrals together. Each
+Integrals in linear x (the Laplace transform, convolutions) use the one
+Gauss-Kronrod entry point, ``adaptive_log_quad``: a batched adaptive G7-K15
+rule that refines many integrals together, given as (n, k) panel arrays. Each
 starts from dyadic panels: edges at 0, at every power of two 1, 2, 4, ...
 below its upper limit, at the limit itself and at any point where the
 integrand changes scale. Power-law mass near 0 and the exponential decay
@@ -235,7 +236,7 @@ _REL_TOL = 1e-8
 _MAX_EVALS = 100_000
 
 
-def batched_log_quad(log_f, a, b) -> np.ndarray:
+def adaptive_log_quad(log_f, a, b) -> np.ndarray:
     """log of integral exp(log_f) for n integrals at once, by adaptive G7-K15.
 
     Row i of the (n, k) arrays a and b holds the initial panels [a, b] of
@@ -295,12 +296,3 @@ def batched_log_quad(log_f, a, b) -> np.ndarray:
         log_k = np.concatenate([log_k[stay], new_k])
         log_err = np.concatenate([log_err[stay], new_err])
 
-
-def adaptive_log_quad(log_f, a: float, b: float) -> float:
-    """log of integral_a^b exp(log_f(x)) dx, one integral of batched_log_quad
-    from the one panel [a, b]; ``log_f`` maps x arrays to log-integrand values."""
-
-    def log_f_batch(x, _ids):
-        return np.asarray(log_f(x.ravel()), dtype=float).reshape(x.shape)
-
-    return float(batched_log_quad(log_f_batch, [[a]], [[b]])[0])

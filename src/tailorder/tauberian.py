@@ -22,7 +22,7 @@ from .errors import ParamError, PreconditionError, QuadratureFailure, _real
 from .handles import FunctionHandle
 from .labels import ClassLabel
 from .order import DEFAULT_CLASS_TOL, ConditionReport, GridSpec, _class_gate, classify
-from .quadrature import batched_log_quad, dyadic_edges
+from .quadrature import adaptive_log_quad, dyadic_edges
 
 
 ORIGIN_PROBE_X = 1e-300
@@ -115,7 +115,8 @@ def _upper_limits(U: FunctionHandle, s: np.ndarray) -> np.ndarray:
 def _log_transform(U: FunctionHandle, s: np.ndarray) -> np.ndarray:
     """log of s * integral_0^inf exp(-x s) U(x) dx for every s > 0 at once.
 
-    Computed as integral_0^inf exp(-y) U(y/s) dy in one batched quadrature.
+    Computed as integral_0^inf exp(-y) U(y/s) dy in one call of
+    ``quadrature.adaptive_log_quad``, the one Gauss-Kronrod entry point.
     The peak of each integrand is found on a scan at the powers of two
     2**-20 ... 2**11 (32 points; the peak of an order-alpha U sits near
     y = alpha), and its upper limit y_hi is the first scan point beyond the
@@ -140,7 +141,7 @@ def _log_transform(U: FunctionHandle, s: np.ndarray) -> np.ndarray:
     def log_f(y, ids):
         return _log_integrand(U, y, s[ids])
 
-    out = batched_log_quad(log_f, edges[:, :-1], edges[:, 1:])
+    out = adaptive_log_quad(log_f, edges[:, :-1], edges[:, 1:])
     if np.any(out == -np.inf):
         raise QuadratureFailure("transform quadrature returned a non-positive value")
     return out

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import tailorder as to
+from tailorder import cli, errors
 from tailorder.cli import main
 from tailorder.report import ReportDocument
 
@@ -131,6 +132,32 @@ def test_unreadable_csv_is_an_input_error(content, message, tmp_path, capsys):
 def test_numeric_failure_exit_four():
     code, _, _ = run_cli("report", "--fn", "two_plus_sin", "--tauberian")
     assert code == 4
+
+
+def _error_classes(base=errors.TailOrderError):
+    for sub in base.__subclasses__():
+        yield sub
+        yield from _error_classes(sub)
+
+
+_INPUT_ERRORS = (errors.FormatError, errors.ParamError, errors.DomainError)
+
+
+@pytest.mark.parametrize("cls", [errors.TailOrderError, *_error_classes()],
+                         ids=lambda cls: cls.__name__)
+def test_every_error_class_has_one_exit_code_and_prefix(cls, monkeypatch, capsys):
+    # data errors exit 2 as input errors, every other TailOrderError exits 4
+    # as a numeric failure
+    def raise_it(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "_load_handle", raise_it)
+    code = main(["classify", "--fn", "power_tail", "--param", "alpha=-2"])
+    out, err = capsys.readouterr()
+    data = issubclass(cls, _INPUT_ERRORS)
+    assert code == (2 if data else 4)
+    assert out == ""
+    assert err == ("input error: boom\n" if data else "numeric failure: boom\n")
 
 
 def test_simulate_requires_seed_for_big_runs():

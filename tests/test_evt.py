@@ -292,8 +292,30 @@ def test_excess_ratio_support_validation():
     D = to.distribution_for(to.make_pareto_tail(2.0))
     with pytest.raises(ParamError):
         to.gpd_ratio_probe(D, -0.5, lambda u: np.asarray(u), x_probe=[3.0])
-    with pytest.raises(ParamError, match=r"^scale function a\(u\) must be positive$"):
+    with pytest.raises(ParamError, match=r"^scale function a\(u\) must be positive and finite$"):
         to.gpd_ratio_probe(D, 0.5, lambda u: -np.asarray(u))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("tail", [to.make_pareto_tail(1.5), to.make_named("peter_paul", {})],
+                         ids=["pareto", "peter_paul"])
+def test_excess_ratio_refuses_a_scale_that_is_not_positive_and_finite(tail, value):
+    # the probe's own refusal, not the tail's at u + x a(u); peter_paul's
+    # jumps are read before the thresholds
+    D = to.distribution_for(tail)
+    with pytest.raises(ParamError, match=r"^scale function a\(u\) must be positive and finite$"):
+        to.gpd_ratio_probe(D, 0.5, lambda u: np.full_like(u, value))
+
+
+def test_excess_ratio_refuses_a_bad_scale_at_a_jump_alone():
+    # a(u) is NaN only at peter_paul's jumps, the powers of two
+    D = to.distribution_for(to.make_named("peter_paul", {}))
+
+    def a_fn(u):
+        return np.where(np.log2(u) % 1.0 == 0.0, np.nan, u / 2.0)
+
+    with pytest.raises(ParamError, match=r"^scale function a\(u\) must be positive and finite$"):
+        to.gpd_ratio_probe(D, 0.5, a_fn)
 
 
 @pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])

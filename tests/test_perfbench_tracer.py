@@ -11,22 +11,40 @@ import tailorder as to
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_tracer_counts_one_classify_and_restores_bindings(monkeypatch):
+def _trace_one_op(monkeypatch, **op_fields):
+    """(exit code, exact counts) of one benchmark op run under the tracer."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     plans = importlib.import_module("plans")
-    log_at, classify = to.FunctionHandle.log_at, to.order.classify
-    op = plans.Op(kind="classify/power_tail",
-                  argv=("classify", "--fn", "power_tail", "--param", "alpha=-2.0"))
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        _, code = tracer.run_op(0, functools.partial(plans.execute, op))
+        _, code = tracer.run_op(0, functools.partial(plans.execute, plans.Op(**op_fields)))
     finally:
         tracer.uninstall()
-    assert code == 0
     counts, _ = tracer.summary(1)
+    return code, counts
+
+
+def test_tracer_counts_one_classify_and_restores_bindings(monkeypatch):
+    log_at, classify = to.FunctionHandle.log_at, to.order.classify
+    code, counts = _trace_one_op(
+        monkeypatch, kind="classify/power_tail",
+        argv=("classify", "--fn", "power_tail", "--param", "alpha=-2.0"))
+    assert code == 0
     assert counts["order.classify.calls"] == 1
     assert counts["handles.log_at.calls"] > 0
     assert to.FunctionHandle.log_at is log_at
     assert to.order.classify is classify
+
+
+def test_tracer_counts_the_quadrature_a_laplace_op_runs(monkeypatch):
+    # the quadrature layer wraps the Gauss-Kronrod engine that the transform
+    # calls, so it reads more than 0 on a transforms op
+    bound = {m: dict(vars(m)) for m in (to.quadrature, to.tauberian, to.algebra)}
+    code, counts = _trace_one_op(monkeypatch, kind="transforms/laplace", lib="laplace",
+                                 args={"alpha": 1.5, "s": [0.01]})
+    assert code == 0
+    assert counts["quadrature.adaptive_log_quad.calls"] >= 1
+    assert counts["quadrature.adaptive_log_quad.errors"] == 0
+    assert all(vars(m)[k] is v for m, names in bound.items() for k, v in names.items())

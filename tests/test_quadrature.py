@@ -7,7 +7,7 @@ import tailorder as to
 from tailorder import quadrature
 from tailorder.errors import QuadratureFailure
 from tailorder.handles import LOG2
-from tailorder.quadrature import GK_WG, GK_WK, GK_X, adaptive_log_quad, batched_log_quad
+from tailorder.quadrature import GK_WG, GK_WK, GK_X, adaptive_log_quad
 
 
 def test_kronrod_and_gauss_degrees():
@@ -28,35 +28,35 @@ def test_batched_integrals_match_one_at_a_time():
     def log_f(x, ids):
         return p[ids][:, None] * np.log(x)
 
-    got = batched_log_quad(log_f, np.zeros((4, 1)), np.ones((4, 1)))
+    got = adaptive_log_quad(log_f, np.zeros((4, 1)), np.ones((4, 1)))
     np.testing.assert_allclose(np.exp(got + np.log1p(p)), 1.0, rtol=1e-8, atol=0)
     for i, pi in enumerate(p):
-        one = adaptive_log_quad(lambda x, pi=pi: pi * np.log(x), 0.0, 1.0)
-        assert one == pytest.approx(got[i], abs=1e-12)
+        one = adaptive_log_quad(lambda x, _ids, pi=pi: pi * np.log(x), [[0.0]], [[1.0]])
+        assert one[0] == pytest.approx(got[i], abs=1e-12)
 
 
 def test_log_space_range():
     # exp(-x) on [0, 1500]: the integrand spans 650 orders of magnitude
-    got = adaptive_log_quad(lambda x: -x, 0.0, 1500.0)
-    assert got == pytest.approx(math.log(-math.expm1(-1500.0)), abs=1e-12)
+    got = adaptive_log_quad(lambda x, _ids: -x, [[0.0]], [[1500.0]])
+    assert got[0] == pytest.approx(math.log(-math.expm1(-1500.0)), abs=1e-12)
 
 
 def test_empty_and_zero_integrals():
-    got = batched_log_quad(lambda x, ids: np.full(x.shape, -np.inf),
-                           [[0.0], [0.0], [0.0]], [[0.0], [1.0], [0.0]])
+    got = adaptive_log_quad(lambda x, ids: np.full(x.shape, -np.inf),
+                            [[0.0], [0.0], [0.0]], [[0.0], [1.0], [0.0]])
     assert np.all(got == -np.inf)
-    assert adaptive_log_quad(lambda x: x, 2.0, 2.0) == -math.inf
+    assert adaptive_log_quad(lambda x, _ids: x, [[2.0]], [[2.0]])[0] == -math.inf
 
 
 def test_budget_exhaustion_raises_quadrature_failure(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_EVALS", 50)
     with pytest.raises(QuadratureFailure):
-        adaptive_log_quad(lambda x: 0.3 * np.log(x), 0.0, 1.0)
+        adaptive_log_quad(lambda x, _ids: 0.3 * np.log(x), [[0.0]], [[1.0]])
 
 
 def test_nan_integrand_raises_quadrature_failure():
     with pytest.raises(QuadratureFailure):
-        adaptive_log_quad(lambda x: np.full(x.shape, np.nan), 0.0, 1.0)
+        adaptive_log_quad(lambda x, _ids: np.full(x.shape, np.nan), [[0.0]], [[1.0]])
 
 
 def _power_panels(n_panels: int):
