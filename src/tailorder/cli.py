@@ -91,9 +91,11 @@ def _build_parser() -> _Parser:
         sp.add_argument("--out", help="write the JSON report to this path")
 
     sp = sub.add_parser("classify", help="class, orders and moment index")
+    sp.set_defaults(run=_cmd_classify)
     add_common(sp)
 
     sp = sub.add_parser("report", help="full condition suite for the class")
+    sp.set_defaults(run=_cmd_report)
     add_common(sp)
     sp.add_argument("--r", action="append", type=float, metavar="R",
                     help="integral-ratio exponent (repeatable; default -1 0.5 1 3)")
@@ -102,6 +104,7 @@ def _build_parser() -> _Parser:
                     help="run the transform order-preservation check")
 
     sp = sub.add_parser("simulate", help="block maxima simulation")
+    sp.set_defaults(run=_cmd_simulate)
     add_common(sp, data_ok=False)
     sp.add_argument("--n", action="append", type=int, metavar="N",
                     help="block size (repeatable; default 10000)")
@@ -111,6 +114,7 @@ def _build_parser() -> _Parser:
                     help="two-subsequence non-convergence witness")
 
     sp = sub.add_parser("plots", help="emit orders/kappa/ratio CSV data")
+    sp.set_defaults(run=_cmd_plots)
     add_common(sp)
     sp.add_argument("--plots", required=True, metavar="DIR",
                     help="output directory for CSV files")
@@ -290,7 +294,7 @@ def _cmd_plots(args) -> int:
             rows = []
             for r in r_values:
                 verdict = probe_integral_convergence(handle, r, grid)
-                rows.append((float(r), verdict.tag, float(verdict.trace[-1][1])))
+                rows.append((float(r), verdict.tag, verdict.log_integral))
             _write_csv(out_dir / "kappa_trace.csv",
                        ["r", "verdict", "log_partial_integral"], rows)
         sub = xs[:: max(1, len(xs) // 200)]
@@ -309,19 +313,11 @@ def _cmd_plots(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "classify": _cmd_classify,
-    "report": _cmd_report,
-    "simulate": _cmd_simulate,
-    "plots": _cmd_plots,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

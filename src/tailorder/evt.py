@@ -259,17 +259,24 @@ def gpd_ratio_probe(D: DistributionHandle, xi: float, a_fn: Callable,
     # jumps are exactly where the excess law breaks
     jumps = np.array([J for J in D.base.jump_xs if us[0] <= J <= us[-1]], dtype=float)
     if jumps.size:
-        d = np.minimum(0.5 * float(xs.min()) * scales(jumps), 0.1 * jumps)
+        with np.errstate(over="ignore"):  # an infinite offset gives way to 0.1 J
+            d = np.minimum(0.5 * float(xs.min()) * scales(jumps), 0.1 * jumps)
         near = (d > 0.0) & (jumps - d > us[0])
         if near.any():
             us = np.unique(np.concatenate([us, (jumps - d)[near]]))
     av = scales(us)
+    with np.errstate(over="ignore"):
+        shifted = us + xs[:, None] * av
+    finite = np.isfinite(shifted).all(axis=1)
+    if not finite.all():
+        raise ParamError("scale function a(u) too large: u + x a(u) leaves the float range "
+                         f"at x = {xs[np.argmin(finite)]:g}")
     per_x = {}
     all_ok = True
     tail_half = us.size // 2
     log_at_us = D.base.log_at(us)
-    for x in xs:
-        ratios = np.exp(D.base.log_at(us + x * av) - log_at_us)
+    for x, u_shifted in zip(xs, shifted):
+        ratios = np.exp(D.base.log_at(u_shifted) - log_at_us)
         tail = ratios[tail_half:]
         spread = float(tail.max() - tail.min())
         target = float(spec.cdf_complement(x))

@@ -243,15 +243,14 @@ def peter_paul_partial_integral(x: float, a: int) -> float:
 
 @dataclass(frozen=True)
 class RepresentationTriple:
-    """Constructive exponent decomposition of a finite-order function."""
+    """Constructive exponent decomposition of a finite-order function from b."""
 
     b: float
-    b_effective: float
     kappa_zero_mode: bool
     alpha_fn: Callable
     beta_fn: Callable
     eps_fn: Callable
-    beta_integral: Callable  # x -> integral_{b_eff}^x beta(t)/t dt
+    beta_integral: Callable  # x -> integral_b^x beta(t)/t dt
     rho: float
 
 
@@ -272,35 +271,29 @@ def extract_representation(U: FunctionHandle, b: float = 2.0,
     """Extract (alpha, beta, eps) with beta = log U / log x by construction.
 
     The construction runs on W(x) = x**s U(x): eps(x) = log W(x) /
-    integral_{b_eff}^x beta_W(t)/t dt. For orders away from zero s = 0,
-    alpha = 0 and b_eff is the first node past b where that integral leaves
-    zero. For vanishing order s = 1 (W has order 1), b_eff = b, and alpha
-    folds the factor x back out. ``label`` (``classify(U, grid, tol)``)
-    skips the classification when given.
+    integral_b^x beta_W(t)/t dt, from b itself, as the representation holds
+    from any base point. For orders away from zero s = 0 and alpha = 0; an
+    integral that stays within 1e-6 of zero is a SingularDenominator. For
+    vanishing order s = 1 (W has order 1) and alpha folds the factor x back
+    out. ``label`` (``classify(U, grid, tol)``) skips the classification
+    when given.
     """
     b = _real(b, "b", 1.0)
     label, tol = _class_gate(U, grid, tol, label)
     rho = label.rho
     kappa_zero = abs(rho) <= KAPPA_ZERO_EPS
     s = 1.0 if kappa_zero else 0.0
+    log_b = math.log(b)
     u_max = grid.log10_x_max * math.log(10.0)
-    n = max(grid.points, 2000) * 4
 
     def beta_w_u(u):
         return (s * u + U.log_at_u(u)) / u
 
-    b_eff = b
-    if not kappa_zero:
-        us, cum = _trapezoid_cumulative(beta_w_u, math.log(b), u_max, n)
-        ok = np.abs(cum) > _DENOM_FLOOR
-        if not ok.any():
-            raise SingularDenominator(
-                f"{U.name}: exponent integral below {_DENOM_FLOOR} on the whole range"
-            )
-        # cum[0] is 0, so the first usable node lies past b
-        b_eff = float(math.exp(us[np.argmax(ok)]))
-    log_b_eff = math.log(b_eff)
-    us, cum = _trapezoid_cumulative(beta_w_u, log_b_eff, u_max, n)
+    us, cum = _trapezoid_cumulative(beta_w_u, log_b, u_max, max(grid.points, 2000) * 4)
+    if not kappa_zero and not np.any(np.abs(cum) > _DENOM_FLOOR):
+        raise SingularDenominator(
+            f"{U.name}: exponent integral below {_DENOM_FLOOR} on the whole range"
+        )
 
     def denom(x):
         return np.interp(np.log(np.asarray(x, dtype=float)), us, cum)
@@ -314,7 +307,7 @@ def extract_representation(U: FunctionHandle, b: float = 2.0,
         if not kappa_zero:
             return np.zeros_like(xa)
         e = eps_fn(xa)
-        return (e - 1.0) * np.log(xa) - e * log_b_eff
+        return (e - 1.0) * np.log(xa) - e * log_b
 
     def beta_fn(x):
         xa = np.asarray(x, dtype=float)
@@ -322,10 +315,10 @@ def extract_representation(U: FunctionHandle, b: float = 2.0,
 
     def beta_integral(x):
         xa = np.asarray(x, dtype=float)
-        return denom(xa) - s * (np.log(xa) - log_b_eff)
+        return denom(xa) - s * (np.log(xa) - log_b)
 
     return RepresentationTriple(
-        b=b, b_effective=b_eff, kappa_zero_mode=kappa_zero,
+        b=b, kappa_zero_mode=kappa_zero,
         alpha_fn=alpha_fn, beta_fn=beta_fn, eps_fn=eps_fn,
         beta_integral=beta_integral, rho=rho,
     )
@@ -337,9 +330,13 @@ RECONSTRUCTION_RTOL = 1e-7
 def verify_representation(U: FunctionHandle, rep: RepresentationTriple,
                           grid: GridSpec = GridSpec(),
                           tol: float = DEFAULT_CLASS_TOL) -> ConditionReport:
-    """Check pointwise reconstruction and the three exponent limits."""
+    """Check pointwise reconstruction and the three exponent limits.
+
+    eps is read against log(x / b), the length of its integral in log x:
+    for an exact power eps - 1 is log b / log(x / b).
+    """
     tol = _real(tol, "tol", 0.0)
-    lo = max(grid.log10_x_min, math.log10(rep.b_effective) + 0.3)
+    lo = max(grid.log10_x_min, math.log10(rep.b) + 0.3)
     sub = replace(grid, log10_x_min=lo)
     xs = sub.xs()
     log_u = U.log_at(xs)
@@ -347,7 +344,7 @@ def verify_representation(U: FunctionHandle, rep: RepresentationTriple,
     recon = alpha + eps * rep.beta_integral(xs)
     resid = np.max(np.abs(log_u - recon) / np.maximum(1.0, np.abs(log_u)))
     alpha_est = windowed_limit(xs, alpha / np.log(xs), sub)
-    eps_est = windowed_limit(xs, eps, sub)
+    eps_est = windowed_limit(xs / rep.b, eps, sub)
     beta_est = windowed_limit(xs, rep.beta_fn(xs), sub)
     ok = (
         resid <= RECONSTRUCTION_RTOL
@@ -365,7 +362,6 @@ def verify_representation(U: FunctionHandle, rep: RepresentationTriple,
             "beta": beta_est.value,
             "rho": rep.rho,
             "kappa_zero_mode": rep.kappa_zero_mode,
-            "b_effective": rep.b_effective,
         },
         tolerance=tol,
     )

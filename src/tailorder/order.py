@@ -115,8 +115,8 @@ class IndexEstimate:
 @dataclass(frozen=True)
 class ConvergenceVerdict:
     tag: str  # Convergent | Divergent | Undecided
-    trace: tuple = ()  # (log10 truncation, log partial integral)
     mean_log_ratio: float = field(default=math.nan, compare=False)  # decay_verdict's evidence
+    log_integral: float = field(default=math.nan, compare=False)  # the probe's evidence
 
     @property
     def is_convergent(self) -> bool:
@@ -364,16 +364,13 @@ def probe_integral_convergence(U: FunctionHandle, r: float,
 
     Partial integrals at doubling truncations; convergent when octave
     increments decay geometrically (sustained ratio below 1), divergent when
-    they fail to decay, undecided in the razor-thin band between.
+    they fail to decay, undecided in the razor-thin band between. The verdict
+    carries the log of the integral over all its octaves, ``log_integral``.
     """
     n_oct = max(_SUSTAIN + 2, int(math.floor(grid.log10_x_max * math.log(10) / LOG2)))
     log_f = moment_log_f(U, _real(r, "r"))
     inc = np.fromiter(octave_log_masses(log_f, 0, _PROBE_CELLS_PER_OCTAVE, n_oct), float, n_oct)
-    partials = np.logaddexp.accumulate(inc)
-    trace = tuple(
-        (float((k + 1) * math.log10(2.0)), float(p)) for k, p in enumerate(partials)
-    )
-    return replace(decay_verdict(inc), trace=trace)
+    return replace(decay_verdict(inc), log_integral=float(np.logaddexp.reduce(inc)))
 
 
 def decay_verdict(inc: Sequence[float]) -> ConvergenceVerdict:

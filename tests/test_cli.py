@@ -489,6 +489,10 @@ def test_report_integral_ratio_checks_pass_at_a_tight_tol(fn, alpha, capsys):
     ratio = [c for c in conditions if c["condition"] in ("K1*", "K2*", "K3*")]
     assert [c["condition"] for c in ratio] == ["K2*", "K2*", "K2*", "K1*"]
     assert all(c["passed"] for c in ratio), [c["measured"]["limit"] for c in ratio]
+    # so do the representation's limits: eps of a power, 1 + log b / log(x / b),
+    # is read against log(x / b)
+    assert conditions[0]["condition"] == "REP-LIMITS"
+    assert conditions[0]["passed"], conditions[0]["measured"]
 
 
 def test_report_tail_unfinished_at_the_float_end_is_numeric(capsys):

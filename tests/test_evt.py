@@ -318,6 +318,23 @@ def test_excess_ratio_refuses_a_bad_scale_at_a_jump_alone():
         to.gpd_ratio_probe(D, 0.5, a_fn)
 
 
+@pytest.mark.parametrize("tail", [to.make_pareto_tail(1.5), to.make_named("peter_paul", {})],
+                         ids=["pareto", "peter_paul"])
+@pytest.mark.parametrize("x_probe, x", [((0.5, 1.0, 2.0, 4.0, 8.0), "2"), ((8.0,), "8")])
+def test_excess_ratio_refuses_a_scale_that_carries_u_beyond_the_float_range(tail, x_probe, x):
+    # a finite a(u) with u + x a(u) = inf is refused by the probe, before the
+    # tail is read at infinity, and no overflow warning escapes; a(u) = 1e300
+    # keeps every u + x a(u) finite and runs
+    D = to.distribution_for(tail)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParamError, match=r"^scale function a\(u\) too large: u \+ x a\(u\) "
+                                             f"leaves the float range at x = {x}$"):
+            to.gpd_ratio_probe(D, 0.5, lambda u: np.full_like(u, 1e308), x_probe=x_probe)
+        rep = to.gpd_ratio_probe(D, 0.5, lambda u: np.full_like(u, 1e300), x_probe=x_probe)
+    assert rep.condition == "EXCESS-RATIO"
+
+
 @pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
 def test_excess_ratio_refuses_a_non_finite_xi(xi):
     D = to.distribution_for(to.make_pareto_tail(2.0))

@@ -401,15 +401,34 @@ def test_representation_power():
     xs = np.array([10.0, 1e3, 1e6])
     assert np.allclose(rep.beta_fn(xs), -2.0)
     assert np.allclose(rep.alpha_fn(xs), 0.0)
-    # eps has the closed form log x / (log x - log b) at the effective base
-    # (the exponent integral vanishes exactly at b, so the base shifts one
-    # node right and the shift is recorded)
-    x = 1e8
-    want = math.log(x) / (math.log(x) - math.log(rep.b_effective))
-    assert rep.eps_fn(np.array([x]))[0] == pytest.approx(want, rel=1e-4)
+    # eps has the closed form log x / (log x - log b)
+    for x in (1e3, 1e6, 1e8):
+        want = math.log(x) / (math.log(x) - math.log(2.0))
+        assert rep.eps_fn(np.array([x]))[0] == pytest.approx(want, rel=1e-12)
     ver = to.verify_representation(h, rep)
     assert ver.passed
     assert ver.measured["reconstruction_residual"] <= 1e-8
+
+
+# finite-order members, away from and at the vanishing order
+_REP_MEMBERS = [("power_tail", {"alpha": -2.0}), ("power_tail", {"alpha": 0.0}),
+                ("power_tail", {"alpha": 0.8}), ("pareto_tail", {"alpha": 1.5}),
+                ("peter_paul", {}), ("two_plus_sin", {}),
+                ("log_perturbed_power", {"alpha": -2.0, "c": 0.5}),
+                ("log_perturbed_power", {"alpha": 0.0, "c": 1.0}),
+                ("log_perturbed_power", {"alpha": -1.2, "c": 1.0}),
+                ("ramp_power", {"alpha": 2.5}), ("ramp_power", {"alpha": 0.01})]
+
+
+@pytest.mark.parametrize("b", [1.5, 2.0, 3.0, 5.0, 10.0, 50.0])
+@pytest.mark.parametrize("name, params", _REP_MEMBERS,
+                         ids=[f"{n}{list(p.values())}" for n, p in _REP_MEMBERS])
+def test_representation_limits_hold_from_any_base_point(name, params, b):
+    # eps is read against log(x / b), the length of its integral in log x,
+    # so the verdict does not depend on b
+    h = to.make_named(name, params)
+    ver = to.verify_representation(h, to.extract_representation(h, b))
+    assert ver.passed, ver.measured
 
 
 def test_representation_peter_paul():

@@ -119,7 +119,7 @@ def _fingerprint(out) -> str:
     if isinstance(out, to.FunctionHandle):
         return out.name + out.log_at(_XS).tobytes().hex()
     if isinstance(out, to.RepresentationTriple):
-        return repr((out.b, out.b_effective)) + out.eps_fn(_XS[1:]).tobytes().hex()
+        return repr(out.b) + out.eps_fn(_XS[1:]).tobytes().hex()
     if isinstance(out, to.CumulativeIntegral):
         return repr((out.r, out.b)) + out.log_values.tobytes().hex()
     if hasattr(out, "to_dict"):
