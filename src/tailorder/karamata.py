@@ -16,7 +16,8 @@ lie on the edges k log 2 / 512 in u = log x, whatever b is, after a partial
 first cell from b, so the dyadic steps of an integrand fall on edges. W_r
 adds the tail mass beyond, the same cells an octave at a time
 (``order.octave_log_masses``) until one adds under 1e-13 of it, the first
-``_SUSTAIN + 1`` deciding convergence (``order.decay_verdict``).
+``_SUSTAIN + 1`` deciding convergence (``order.decay_verdict``). The ratio checks
+and the representation's limits read one sub-grid, from max(4 b, 10): ``_clipped_grid``.
 """
 
 from __future__ import annotations
@@ -330,20 +331,19 @@ RECONSTRUCTION_RTOL = 1e-7
 def verify_representation(U: FunctionHandle, rep: RepresentationTriple,
                           grid: GridSpec = GridSpec(),
                           tol: float = DEFAULT_CLASS_TOL) -> ConditionReport:
-    """Check pointwise reconstruction and the three exponent limits.
-
-    eps is read against log(x / b), the length of its integral in log x:
-    for an exact power eps - 1 is log b / log(x / b).
+    """Check pointwise reconstruction and the three exponent limits on
+    ``_clipped_grid(grid, rep.b)``, the integral ratios' sub-grid. alpha and
+    eps are read against log(x / b), the length of the integral in log x (for
+    an exact power eps - 1 is log b / log(x / b)); beta is log U / log x.
     """
     tol = _real(tol, "tol", 0.0)
-    lo = max(grid.log10_x_min, math.log10(rep.b) + 0.3)
-    sub = replace(grid, log10_x_min=lo)
+    sub = _clipped_grid(grid, rep.b)
     xs = sub.xs()
     log_u = U.log_at(xs)
     alpha, eps = rep.alpha_fn(xs), rep.eps_fn(xs)
     recon = alpha + eps * rep.beta_integral(xs)
     resid = np.max(np.abs(log_u - recon) / np.maximum(1.0, np.abs(log_u)))
-    alpha_est = windowed_limit(xs, alpha / np.log(xs), sub)
+    alpha_est = windowed_limit(xs / rep.b, alpha / np.log(xs / rep.b), sub)
     eps_est = windowed_limit(xs / rep.b, eps, sub)
     beta_est = windowed_limit(xs, rep.beta_fn(xs), sub)
     ok = (
