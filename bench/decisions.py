@@ -16,12 +16,13 @@ its result, and a run that stops is named with its last stderr line. Cases:
   quantile, parameter checks, a ramp transform, grids the windows do not
   divide evenly or that end at the top of the float range (``floor_log_tail``),
   exit code 2 for tables the reader refuses (not UTF-8; a field beyond
-  the csv module's 131,072 characters) and for a NaN b or r, and five
+  the csv module's 131,072 characters) and for a NaN b or r, and seven
   reports: K2* at r = -1 at tol 0.01, an r = 1.97 tail integral still
   unfinished where x leaves the float range (exit 4), and REP-LIMITS at
-  b = 10, 50 and 5 (a power, the dyadic step tail, 2 + sin x).
+  b = 10, 50 and 5 (a power, the dyadic step tail, 2 + sin x) and at
+  b = 1000 and 100 (a power, the dyadic step tail).
   ``classify --data`` reads 3 x**-1.5 at 400 points as ``x,value`` and
-  ``x,logvalue``. That is 27 commands, 3 plot files and 29 expressions.
+  ``x,logvalue``. That is 29 commands, 3 plot files and 31 expressions.
 * LIBRARY, each expression on its own: the sha256 of its result (shape and
   bytes of an array, sorted JSON of a dict). They pin paths no command
   reaches: convolutions, compositions and transforms on unusual arguments,
@@ -96,6 +97,8 @@ COMMANDS = (
     "report --fn power_tail --param alpha=-2 --b 10",
     "report --fn peter_paul --b 50",
     "report --fn two_plus_sin --b 5",
+    "report --fn power_tail --param alpha=-2 --b 1000",
+    "report --fn peter_paul --b 100",
 )
 PLOT_FILES = ("orders.csv", "kappa_trace.csv", "ratio.csv")
 LIBRARY = (
@@ -111,6 +114,9 @@ LIBRARY = (
     " lambda u: 0.5 * u).to_dict()",
     "refusal(lambda a: to.gpd_ratio_probe(to.distribution_for(to.make_pareto_tail(1.5)), 0.5,"
     " lambda u: np.full_like(u, a)), 1e308)",
+    "refusal(lambda x: to.gpd_ratio_probe(to.distribution_for(to.make_pareto_tail(1.5)), 0.5,"
+    " lambda u: u, x_probe=[x]), -1.5)",
+    "refusal(lambda b: to.extract_representation(to.make_power_tail(-2.0), b), 2e8)",
     "to.convolve(to.make_power_tail(-3.0), to.make_power_tail(-1.8))"
     ".log_at(np.geomspace(10.0, 1e8, 128))",
     "to.transform_handle(to.make_ramp_power(2.6)).log_at(np.geomspace(10.0, 1e8, 128))",

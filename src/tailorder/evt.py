@@ -271,6 +271,10 @@ def gpd_ratio_probe(D: DistributionHandle, xi: float, a_fn: Callable,
     if not finite.all():
         raise ParamError("scale function a(u) too large: u + x a(u) leaves the float range "
                          f"at x = {xs[np.argmin(finite)]:g}")
+    positive = (shifted > 0.0).all(axis=1)
+    if not positive.all():
+        raise ParamError(f"probe point x = {xs[np.argmin(positive)]:g} takes u + x a(u) "
+                         "to 0 or below, outside the tail's support")
     per_x = {}
     all_ok = True
     tail_half = us.size // 2

@@ -286,6 +286,8 @@ def extract_representation(U: FunctionHandle, b: float = 2.0,
     s = 1.0 if kappa_zero else 0.0
     log_b = math.log(b)
     u_max = grid.log10_x_max * math.log(10.0)
+    if u_max <= log_b:
+        raise ParamError("integration range is empty")
 
     def beta_w_u(u):
         return (s * u + U.log_at_u(u)) / u

@@ -409,6 +409,14 @@ def test_a_rapid_class_report_refuses_every_bad_r_or_b_before_classifying(flag, 
     assert f"{flag[2:]} {value} is out of range" in captured.err
 
 
+def test_a_finite_order_report_refuses_a_b_beyond_x_max(capsys):
+    # the representation integrates from b up to the grid's x_max = 1e8
+    code = main(["report", "--fn", "power_tail", "--param", "alpha=-2", "--b", "2e8"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "integration range is empty" in captured.err
+
+
 @pytest.mark.parametrize("fn", ["exp_neg", "exp_pos"])
 def test_a_rapid_class_report_does_not_depend_on_b(fn, capsys):
     # b reaches the report only as provenance, the input it was called with

@@ -335,6 +335,18 @@ def test_excess_ratio_refuses_a_scale_that_carries_u_beyond_the_float_range(tail
     assert rep.condition == "EXCESS-RATIO"
 
 
+def test_excess_ratio_refuses_a_probe_point_that_takes_u_to_0_or_below():
+    # 1 + xi x > 0 at x = -1.5 and xi = 0.5, but u + x a(u) = -u / 2 with
+    # a(u) = u: the probe refuses x before the tail is read there; x = -0.5
+    # keeps every excess positive and runs
+    D = to.distribution_for(to.make_pareto_tail(1.5))
+    with pytest.raises(ParamError, match=r"^probe point x = -1.5 takes u \+ x a\(u\) to 0 "
+                                         r"or below, outside the tail's support$"):
+        to.gpd_ratio_probe(D, 0.5, lambda u: u, x_probe=[0.5, -1.5])
+    rep = to.gpd_ratio_probe(D, 0.5, lambda u: u, x_probe=[-0.5])
+    assert list(rep.measured["per_x"]) == [-0.5]
+
+
 @pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
 def test_excess_ratio_refuses_a_non_finite_xi(xi):
     D = to.distribution_for(to.make_pareto_tail(2.0))

@@ -303,7 +303,14 @@ def test_non_finite_exponent_or_base_point_is_refused(bad):
     (lambda U: to.cumulative_integral(U, "V", 0.0, 1e9), "integration range is empty"),
     (lambda U: to.karamata_theorem_report(U, 1.0, 1e7),
      "grid too short beyond the base point b"),
-], ids=["kind", "b-beyond-x_max", "b-near-x_max"])
+    # the representation integrates from b, so a b at or past x_max leaves
+    # it nothing to integrate; below x_max, its limits need the grid above 4 b
+    (lambda U: to.extract_representation(U, 1e8), "integration range is empty"),
+    (lambda U: to.extract_representation(U, 2e8), "integration range is empty"),
+    (lambda U: to.verify_representation(U, to.extract_representation(U, 3e7)),
+     "grid too short beyond the base point b"),
+], ids=["kind", "b-beyond-x_max", "b-near-x_max", "rep-b-at-x_max", "rep-b-beyond-x_max",
+        "rep-b-near-x_max"])
 def test_a_bad_kind_or_base_point_is_refused(call, message):
     with pytest.raises(ParamError, match=f"^{re.escape(message)}$"):
         call(to.make_power_tail(-2.0))
@@ -408,6 +415,10 @@ def test_representation_power():
     ver = to.verify_representation(h, rep)
     assert ver.passed
     assert ver.measured["reconstruction_residual"] <= 1e-8
+    # read from max(4 b, 10) against log(x / b), eps stays near 1 at a large b
+    ver = to.verify_representation(h, to.extract_representation(h, 1e3))
+    assert ver.passed
+    assert ver.measured["eps"] <= 1.03
 
 
 # finite-order members, away from and at the vanishing order
@@ -420,12 +431,22 @@ _REP_MEMBERS = [("power_tail", {"alpha": -2.0}), ("power_tail", {"alpha": 0.0}),
                 ("ramp_power", {"alpha": 2.5}), ("ramp_power", {"alpha": 0.01})]
 
 
-@pytest.mark.parametrize("b", [1.5, 2.0, 3.0, 5.0, 10.0, 50.0])
+_REP_XFAILS = {  # eps read on the default grid
+    ("peter_paul", 1e3): "eps reads 1.0573",
+    ("peter_paul", 1e4): "eps reads 1.0590",
+}
+
+
+@pytest.mark.parametrize("b", [1.5, 2.0, 3.0, 5.0, 10.0, 50.0, 100.0, 200.0, 500.0, 1e3, 1e4])
 @pytest.mark.parametrize("name, params", _REP_MEMBERS,
                          ids=[f"{n}{list(p.values())}" for n, p in _REP_MEMBERS])
-def test_representation_limits_hold_from_any_base_point(name, params, b):
-    # eps is read against log(x / b), the length of its integral in log x,
-    # so the verdict does not depend on b
+def test_representation_limits_hold_from_any_base_point(name, params, b, request):
+    # alpha and eps are read against log(x / b), the length of their integral
+    # in log x, on the sub-grid from max(4 b, 10), so the verdict does not
+    # depend on b; peter_paul's eps drifts above 1 + tol from b = 1e3
+    if (name, b) in _REP_XFAILS:
+        request.applymarker(pytest.mark.xfail(reason=_REP_XFAILS[name, b], strict=True,
+                                                  raises=AssertionError))
     h = to.make_named(name, params)
     ver = to.verify_representation(h, to.extract_representation(h, b))
     assert ver.passed, ver.measured
