@@ -15,7 +15,7 @@ conditions C1r/C2r. Both sum one grid's cells from b to x_max: the cells
 lie on the edges k log 2 / 512 in u = log x, whatever b is, after a partial
 first cell from b, so the dyadic steps of an integrand fall on edges. W_r
 adds the tail mass beyond, the same cells an octave at a time
-(``order.octave_log_masses``) until one adds under 1e-13 of it, the first
+(``octave_log_masses``) until one adds under 1e-13 of it, the first
 ``_SUSTAIN + 1`` deciding convergence (``order.decay_verdict``). The ratio checks
 and the representation's limits read one sub-grid, from max(4 b, 10): ``_clipped_grid``.
 """
@@ -40,11 +40,10 @@ from .order import (
     _SUSTAIN,
     _class_gate,
     decay_verdict,
-    octave_log_masses,
     rv_ratio_test,
     windowed_limit,
 )
-from .quadrature import cell_log_masses, moment_log_f
+from .quadrature import cell_log_masses, logsumexp, moment_log_f
 
 # |rho| below this uses the vanishing-order representation construction
 KAPPA_ZERO_EPS = 0.02
@@ -92,6 +91,14 @@ class CumulativeIntegral:
         part[nonempty] = cell_log_masses(moment_log_f(self.source, self.r + 1.0), rows)[:, 0]
         out = np.logaddexp(base, part)
         return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
+
+
+def octave_log_masses(log_f, first: int, cells: int, n: int):
+    """Log mass of integral exp(log_f) du over n octaves in turn: octave j has the
+    cells of edges (first + j cells + arange(cells + 1)) log 2 / cells."""
+    steps, h = np.arange(cells + 1.0), LOG2 / cells
+    for j in range(n):
+        yield logsumexp(cell_log_masses(log_f, (first + j * cells + steps) * h))
 
 
 def cumulative_integral(U: FunctionHandle, kind: str, r: float, b: float,

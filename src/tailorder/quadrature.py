@@ -12,17 +12,21 @@ so right-continuous steps resolve to the correct side despite float rounding
 of exp/log at the breakpoints. At an infinite end the rule takes its limits:
 a cell's mass is +inf at a +inf end, else 0 (log -inf) at a -inf end.
 
-``cell_log_masses`` is the one entry point. It takes the edges of one grid,
+``cell_log_masses`` is the entry point. It takes the edges of one grid,
 or rows of edges along the last axis: (..., k+1) edges give (..., k) masses,
 each row with the bits it has alone, so unrelated cells go as (n, 2) rows.
-The rule is evaluated without repeated passes. Each edge is exponentiated
-once and serves as one cell's upper end and the next cell's lower end. log
-phi is one expm1, divide and log over all cells; the cells with |d| < 1e-8
-(where 0/0 would read NaN) and d > 700 (where expm1 overflows) are patched
-afterwards, and only when a batch has any. The bits are those of the
-formulas above, evaluated cell by cell. The callers choose the grids: the
-octave probes of the moment index kappa in ``order``, the cumulative
-integrals in ``karamata``.
+It is two steps, each its own function. ``cell_ends`` turns the edges into
+the cells' geometry: the x just inside each cell's ends, where the nudge is
+applied, and the widths in u. Each edge is exponentiated once and serves as
+one cell's upper end and the next cell's lower end. ``_cell_rule`` turns
+the log-integrand at those ends into masses. log phi is one expm1, divide
+and log over all cells; the cells with |d| < 1e-8 (where 0/0 would read
+NaN) and d > 700 (where expm1 overflows) are patched afterwards, and only
+when a batch has any. The bits are those of the formulas above, evaluated
+cell by cell. The callers choose the grids: the cumulative integrals and
+the W tail's octaves in ``karamata`` call ``cell_log_masses``; the octave
+probes of the moment index kappa in ``order`` keep one table of
+``cell_ends`` for all probes and call ``_cell_rule`` on it.
 
 Integrals in linear x (the Laplace transform, convolutions) use the one
 Gauss-Kronrod entry point, ``adaptive_log_quad``: a batched adaptive G7-K15
@@ -89,19 +93,29 @@ def logsumexp(values: np.ndarray) -> float:
     return float(m + math.log(np.exp(v - m).sum()))
 
 
+def cell_ends(u_edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x_lo, x_hi, width) of the cells of u-grids: the x just inside each
+    cell's lower and upper end, and its width in u.
+
+    ``u_edges`` holds grids along its last axis: (..., k+1) edges give
+    (..., k) cells. The one place the inward nudge is applied.
+    """
+    u_edges = np.asarray(u_edges, dtype=float)
+    x = np.exp(u_edges)
+    return (x[..., :-1] * (1.0 + _NUDGE), x[..., 1:] * (1.0 - _NUDGE),
+            u_edges[..., 1:] - u_edges[..., :-1])
+
+
 def cell_log_masses(log_f, u_edges: np.ndarray) -> np.ndarray:
     """Per-cell log of integral exp(log_f(u)) du over the cells of u-grids.
 
     ``u_edges`` holds grids along its last axis: (..., k+1) edges give the
     (..., k) masses of their consecutive cells. ``log_f`` maps x arrays to
-    log-integrand values; the ends are evaluated just inside each cell, all
-    cells with one ``log_f`` call per side.
+    log-integrand values; the ends are evaluated just inside each cell
+    (``cell_ends``), all cells with one ``log_f`` call per side.
     """
-    u_edges = np.asarray(u_edges, dtype=float)
-    x = np.exp(u_edges)
-    g_lo = log_f(x[..., :-1] * (1.0 + _NUDGE))
-    g_hi = log_f(x[..., 1:] * (1.0 - _NUDGE))
-    return _cell_rule(g_lo, g_hi, u_edges[..., 1:] - u_edges[..., :-1])
+    x_lo, x_hi, width = cell_ends(u_edges)
+    return _cell_rule(log_f(x_lo), log_f(x_hi), width)
 
 
 def _cell_rule(g_lo: np.ndarray, g_hi: np.ndarray, width: np.ndarray) -> np.ndarray:

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 import tailorder as to
 from tailorder.errors import ClassMismatch, ExtrapolationFailure, ParamError, TailOrderError
-from tailorder.order import (_combine, _extrapolate_intercept, _logs, _window_extremes,
-                             decay_verdict)
+from tailorder.karamata import octave_log_masses
+from tailorder.order import (_combine, _extrapolate_intercept, _logs, _probe_cells,
+                             _window_extremes, decay_verdict)
+from tailorder.quadrature import moment_log_f
 
 
 def test_grid_validation():
@@ -406,6 +408,60 @@ def test_probe_peter_paul_razor():
     pp = to.make_peter_paul()
     assert to.probe_integral_convergence(pp, 0.999).tag == "Convergent"
     assert to.probe_integral_convergence(pp, 1.001).tag == "Divergent"
+
+
+def _probe_by_octaves(U, r, grid):
+    """The probe summed octave by octave, one ``cell_log_masses`` call each."""
+    n_oct = max(6, int(math.floor(grid.log10_x_max * math.log(10) / math.log(2.0))))
+    inc = np.fromiter(octave_log_masses(moment_log_f(U, r), 0, 256, n_oct), float, n_oct)
+    return decay_verdict(inc), float(np.logaddexp.reduce(inc))
+
+
+# the default grid's 26 octaves, 39, and the floor of _SUSTAIN + 2 = 6
+@pytest.mark.parametrize("grid", [to.GridSpec(), to.GridSpec(log10_x_max=12.0),
+                                  to.GridSpec(log10_x_max=1.5)], ids=["26", "39", "6"])
+@pytest.mark.parametrize("r", [-128.0, -1.3, 0.0, 1.0, 128.0])
+@pytest.mark.parametrize("U", [to.make_power_tail(-2.3), to.make_peter_paul(),
+                               to.make_two_plus_sin(), to.make_exp_neg(),
+                               to.make_oset_geometric(0.5, 1.5, 2.0)], ids=lambda U: U.name)
+def test_a_probe_from_the_cell_table_keeps_the_bits_of_its_octaves(U, r, grid):
+    v = to.probe_integral_convergence(U, r, grid)
+    want, log_integral = _probe_by_octaves(U, r, grid)
+    # repr: equal bits, and NaN equal to NaN
+    assert (v.tag, repr(v.mean_log_ratio), repr(v.log_integral)) == \
+        (want.tag, repr(want.mean_log_ratio), repr(log_integral))
+
+
+def test_grids_with_one_octave_count_share_one_read_only_cell_table():
+    U = to.make_power_tail(-2.0)
+    to.probe_integral_convergence(U, 1.0)
+    table, misses = _probe_cells(26), _probe_cells.cache_info().misses
+    # 26 octaves too, on other points and windows
+    to.probe_integral_convergence(U, 1.0, to.GridSpec(log10_x_min=2.0, log10_x_max=8.1,
+                                                      points=512))
+    assert _probe_cells.cache_info().misses == misses
+    assert all(a is b for a, b in zip(_probe_cells(26), table))
+    for a in table:
+        assert a.shape == (26, 256) and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("U, calls", [(to.make_power_tail(-2.3), 884),
+                                      (to.make_peter_paul(), 520)],
+                         ids=["power_tail", "peter_paul"])
+def test_kappa_reads_u_twice_per_octave_of_each_probe(U, calls, monkeypatch):
+    # 17 and 10 probes of 26 octaves; sampling U once per kappa would change it
+    count = [0]
+    log_at = to.FunctionHandle.log_at
+
+    def counted(self, x):
+        count[0] += 1
+        return log_at(self, x)
+
+    monkeypatch.setattr(to.FunctionHandle, "log_at", counted)
+    to.estimate_kappa(U)
+    assert count[0] == calls
 
 
 @pytest.mark.parametrize("U, side, rule", [
