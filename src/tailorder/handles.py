@@ -321,6 +321,9 @@ def make_x_pow_sin_x() -> FunctionHandle:
     truth = KnownTruth(label=ClassLabel.oscillating(-1.0, 1.0), is_rv=False)
     return FunctionHandle(
         name="x_pow_sin_x",
+        # u itself, not log(exp(u)), so that t**sin(t) keeps its limit 1 where
+        # exp(u) underflows to 0: compose reads it at the log of a vanishing inner
+        log_at_logx=lambda u: np.sin(np.exp(u)) * u,
         log_at_x=lambda x: np.sin(x) * np.log(x),
         truth=truth,
     )

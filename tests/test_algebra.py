@@ -237,7 +237,7 @@ def test_compose_with_rapidly_growing_inner():
 
 
 @pytest.mark.parametrize("outer, inner", [("two_plus_sin", "exp_pos"),
-                                          ("x_pow_sin_x", "exp_neg")])
+                                          ("x_pow_sin_x", "exp_pos")])
 def test_compose_nan_is_a_domain_error_not_a_label(outer, inner):
     # the inner values leave the float range of the outer rule, which turns
     # NaN; the prediction is Undecided, so a decided label would be wrong
@@ -247,6 +247,17 @@ def test_compose_nan_is_a_domain_error_not_a_label(outer, inner):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=rf"\({outer}\)o\({inner}\)"):
             to.classify(h)
+
+
+@pytest.mark.parametrize("inner", ["exp_neg", "remark7_mix", "floor_log_tail"])
+def test_x_pow_sin_x_of_a_vanishing_inner_is_order_zero(inner):
+    # t**sin(t) -> 1 as t -> 0. x_pow_sin_x's u rule sin(e**u) * u stays
+    # finite below u = -745, where its x rule would read sin(0) * log(0)
+    h = to.compose(to.make_x_pow_sin_x(), to.make_named(inner))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        label = to.classify(h)
+    assert label.tag == "M" and abs(label.rho) <= 2e-5, label
 
 
 def test_compose_past_the_float_range_has_kappa_minus_inf():

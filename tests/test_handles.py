@@ -337,13 +337,22 @@ def test_every_member_refuses_points_outside_its_domain(name):
 
 
 @pytest.mark.parametrize("make", [
-    to.make_two_plus_sin, to.make_x_pow_sin_x, to.make_exp_neg, to.make_exp_pos,
+    to.make_two_plus_sin, to.make_exp_neg, to.make_exp_pos,
     to.make_floor_log_tail, to.make_remark7_mix,
 ])
 def test_u_rule_is_the_x_rule_at_exp_u(make):
     h = make()
     u = np.linspace(-700.0, 709.0, 301)
     assert h.log_at_u(u).tobytes() == h.log_at(np.exp(u)).tobytes()
+
+
+def test_x_pow_sin_x_reads_u_itself_in_its_u_rule():
+    # sin(e**u) * u: the x rule's log(exp(u)) but for its rounding, and the
+    # limit 0 of t**sin(t) where e**u underflows to 0 (x rule: sin(0) log 0)
+    h = to.make_x_pow_sin_x()
+    u = np.linspace(-700.0, 709.0, 301)
+    np.testing.assert_allclose(h.log_at_u(u), h.log_at(np.exp(u)), rtol=1e-15, atol=0.0)
+    assert (h.log_at_logx(np.array([-746.0, -800.0, -1e4])) == 0.0).all()
 
 
 def test_handle_needs_a_rule():
