@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -24,11 +26,11 @@ def _child_env():
 
 
 def run_cli(*args):
-    proc = subprocess.run(
-        [sys.executable, "-m", "tailorder.cli", *args],
-        capture_output=True, text=True, env=_child_env(),
-    )
-    return proc.returncode, proc.stdout, proc.stderr
+    """(exit code, stdout, stderr) of one CLI call, run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(args))
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +55,12 @@ def unsorted_csv(tmp_path_factory):
 
 
 def test_classify_decided_exit_zero():
-    code, out, _ = run_cli("classify", "--fn", "power_tail", "--param", "alpha=-2")
+    # the one test of the entry point itself: a child process and its exit status
+    proc = subprocess.run(
+        [sys.executable, "-m", "tailorder.cli", "classify", "--fn", "power_tail", "--param",
+         "alpha=-2"], capture_output=True, text=True, env=_child_env(),
+    )
+    code, out = proc.returncode, proc.stdout
     assert code == 0
     doc = json.loads(out)
     assert doc["class"] == {"tag": "M", "rho": -2.0}
