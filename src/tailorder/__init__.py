@@ -32,6 +32,7 @@ from .errors import (
     TailOrderError,
     UndecidedConvergence,
     UnknownName,
+    UnresolvedValue,
 )
 from .evt import (
     DAReport,
@@ -54,7 +55,6 @@ from .handles import (
     FunctionHandle,
     KnownTruth,
     catalog_names,
-    corpus_m_members,
     from_table,
     load_csv,
     make_exp_neg,

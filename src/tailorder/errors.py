@@ -13,6 +13,10 @@ class DomainError(TailOrderError):
     """Evaluation requested outside a handle's domain."""
 
 
+class UnresolvedValue(TailOrderError):
+    """A rule returned NaN at an admissible x: log U cannot be resolved there."""
+
+
 class ParamError(TailOrderError):
     """Invalid construction or call parameters."""
 

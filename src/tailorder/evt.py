@@ -67,13 +67,6 @@ class DistributionHandle:
         return self.base.differentiable
 
 
-def _check_u(u) -> np.ndarray:
-    ua = np.asarray(u, dtype=float)
-    if not np.all((ua > 0.0) & (ua < 1.0)):  # NaN fails too
-        raise QuantileError("tail level must lie in (0,1)")
-    return ua
-
-
 def _generic_quantile(base: FunctionHandle) -> Callable:
     """Quantile map by bracketing and bisection in x, all points at once.
 
@@ -115,8 +108,11 @@ def distribution_for(handle: FunctionHandle) -> DistributionHandle:
     q = handle.quantile or _generic_quantile(handle)
 
     def quantile(u):
+        ua = np.asarray(u, dtype=float)
+        if not np.all((ua > 0.0) & (ua < 1.0)):  # NaN fails too
+            raise QuantileError("tail level must lie in (0,1)")
         with np.errstate(over="ignore"):
-            x = q(_check_u(u))
+            x = q(ua)
         if not np.all(np.isfinite(x)):
             raise QuantileError(f"{handle.name}: quantile beyond the float range")
         return x

@@ -11,11 +11,12 @@ The evaluation contract: ``FunctionHandle.log_at(x)`` and ``log_at_u(u)``
 take an input of any shape and return float64 values of that shape (a numpy
 float or a 0-d array for a 0-d input), so callers use the result as it is.
 Every handle carries a raw rule in each coordinate; one checked evaluator
-serves both, refusing an x (or exp(u)) outside (0, inf) and a NaN value with
-a DomainError naming the handle and the first such x. A rule owns its domain
-(a table's refuses a u beyond its rows). A closure reads its operands' raw rules
-in its own coordinate, x rules at x and u rules at u, so the composite refuses an
-operand's NaN; ``compose`` and ``convolve`` read theirs checked.
+serves both, refusing an x (or exp(u)) outside (0, inf) with a DomainError and
+a NaN value with an UnresolvedValue, each naming the handle and the first such
+x. A rule owns its domain (a table's refuses a u beyond its rows). A closure
+reads its operands' raw rules in its own coordinate, x rules at x and u rules
+at u, so the composite refuses an operand's NaN; ``compose`` and ``convolve``
+read theirs checked.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (DomainError, FormatError, ParamError, PositivityViolation, UnknownName,
-                     _real)
+                     UnresolvedValue, _real)
 from .labels import ORDER_BOUND, ClassLabel
 
 LOG2 = math.log(2.0)
@@ -131,7 +132,7 @@ class FunctionHandle:
         values = rule(arg)
         if math.isnan(np.minimum.reduce(values, axis=None, initial=math.inf)):
             at = to_x(arg.flat[np.flatnonzero(np.isnan(values))[0]])
-            raise DomainError(f"{self.name}: log U is NaN at x = {at:g}")
+            raise UnresolvedValue(f"{self.name}: log U is NaN at x = {at:g}")
         return values
 
     def log_at(self, x):
@@ -195,12 +196,6 @@ def make_pareto_tail(alpha: float) -> FunctionHandle:
     )
 
 
-def _pp_level_from_x(x):
-    # exact dyadic level: x in [2^n, 2^{n+1}) -> n, for any float x >= 1
-    n = np.frexp(x)[1] - 1
-    return np.maximum(n, 0)
-
-
 def make_peter_paul() -> FunctionHandle:
     """Dyadic step tail: 2**(-n) on [2^n, 2^(n+1)), 1 below 2."""
     truth = KnownTruth(label=ClassLabel.m(-1.0), is_tail=True, is_rv=False)
@@ -211,8 +206,8 @@ def make_peter_paul() -> FunctionHandle:
         n = np.floor(u / LOG2 + 1e-12)
         return -np.maximum(n, 0.0) * LOG2
 
-    def log_at_x(x):
-        return -_pp_level_from_x(x) * LOG2
+    def log_at_x(x):  # exact dyadic level: x in [2^n, 2^(n+1)) -> n, for any float x >= 1
+        return -np.maximum(np.frexp(x)[1] - 1, 0) * LOG2
 
     def quantile(u):
         k = np.ceil(-np.log2(u) - 1e-12)
@@ -523,20 +518,3 @@ def load_csv(path) -> FunctionHandle:
         raise FormatError(f"cannot parse {path}, line {reader.line_num}: {exc}") from None
     return from_table(xs, vs)
 
-
-def corpus_m_members() -> list[FunctionHandle]:
-    """Members with a finite growth order, used by invariant sweeps."""
-    return [
-        make_power_tail(-3.0),
-        make_power_tail(-2.0),
-        make_power_tail(-1.0),
-        make_power_tail(-0.5),
-        make_power_tail(0.0),
-        make_power_tail(0.5),
-        make_power_tail(2.0),
-        make_power_tail(3.0),
-        make_peter_paul(),
-        make_two_plus_sin(),
-        make_pareto_tail(2.0),
-        make_log_perturbed_power(-1.0, 1.0),
-    ]

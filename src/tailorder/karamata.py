@@ -14,10 +14,10 @@ checks (branches selected by the sign of rho + r) and the named balance
 conditions C1r/C2r. Both sum one grid's cells from b to x_max: the cells
 lie on the edges k log 2 / 512 in u = log x, whatever b is, after a partial
 first cell from b, so the dyadic steps of an integrand fall on edges. W_r
-adds the tail mass beyond, the same cells an octave at a time
-(``octave_log_masses``) until one adds under 1e-13 of it, the first
-``_SUSTAIN + 1`` deciding convergence (``order.decay_verdict``). The ratio checks
-and the representation's limits read one sub-grid, from max(4 b, 10): ``_clipped_grid``.
+adds the tail mass beyond, the same cells an octave at a time until one adds
+under 1e-13 of it, the first ``_SUSTAIN + 1`` deciding convergence
+(``order.decay_verdict``). The ratio checks and the representation's limits
+read one sub-grid, from max(4 b, 10): ``_clipped_grid``.
 """
 
 from __future__ import annotations
@@ -93,14 +93,6 @@ class CumulativeIntegral:
         return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 
 
-def octave_log_masses(log_f, first: int, cells: int, n: int):
-    """Log mass of integral exp(log_f) du over n octaves in turn: octave j has the
-    cells of edges (first + j cells + arange(cells + 1)) log 2 / cells."""
-    steps, h = np.arange(cells + 1.0), LOG2 / cells
-    for j in range(n):
-        yield logsumexp(cell_log_masses(log_f, (first + j * cells + steps) * h))
-
-
 def cumulative_integral(U: FunctionHandle, kind: str, r: float, b: float,
                         grid: GridSpec = GridSpec()) -> CumulativeIntegral:
     """Build V_r (kind="V") or W_r (kind="W") on an octave-aligned log grid.
@@ -126,12 +118,14 @@ def cumulative_integral(U: FunctionHandle, kind: str, r: float, b: float,
     if kind == "V":
         return CumulativeIntegral("V", r, b, edges,
                                   np.logaddexp.accumulate(np.append(-math.inf, cells)), U)
-    # tail kind: the mass beyond x_max, summed one octave of cells at a time
+    # tail kind: the mass beyond x_max, summed one octave of cells at a time;
+    # octave k has the edges (k_last + k cells + 0..cells) h
     n_octaves = int((math.log(np.finfo(float).max) - edges[-1]) // LOG2)
+    steps = k_last + np.arange(_CELLS_PER_OCTAVE + 1.0)
     masses, tail = [], -math.inf
-    for k, mass in enumerate(octave_log_masses(log_f, k_last, _CELLS_PER_OCTAVE, n_octaves)):
-        masses.append(mass)
-        tail = np.logaddexp(tail, mass)
+    for k in range(n_octaves):
+        masses.append(logsumexp(cell_log_masses(log_f, (steps + k * _CELLS_PER_OCTAVE) * h)))
+        tail = np.logaddexp(tail, masses[-1])
         if k == _SUSTAIN and not (verdict := decay_verdict(masses)).is_convergent:
             raise DivergentTail(f"tail integral of t**{r:g} * {U.name} does not converge "
                                 f"({verdict.tag})")
@@ -401,7 +395,7 @@ def extract_representation_inf(U: FunctionHandle, grid: GridSpec = GridSpec(),
     xs = grid.xs()
     ratio = alpha_fn(xs) / np.log(xs)
     est = windowed_limit(xs, ratio, grid)
-    last_mean = float(np.mean(ratio[grid.window_slices()[-1]]))
+    last_mean = float(np.mean(ratio[grid.window_bounds[-2]:]))
     report = ConditionReport(
         condition="REP-INF",
         passed=bool(est.value == math.inf),

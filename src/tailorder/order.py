@@ -96,10 +96,6 @@ class GridSpec:
         bounds.flags.writeable = False
         return bounds
 
-    def window_slices(self) -> list[slice]:
-        bounds = self.window_bounds.tolist()
-        return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-
 
 @dataclass(frozen=True)
 class IndexEstimate:

@@ -7,6 +7,14 @@ import tailorder as to
 
 
 @pytest.fixture
+def m_members():
+    """Members with a finite growth order, for the invariant sweeps."""
+    powers = [to.make_power_tail(a) for a in (-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 2.0, 3.0)]
+    return powers + [to.make_peter_paul(), to.make_two_plus_sin(), to.make_pareto_tail(2.0),
+                     to.make_log_perturbed_power(-1.0, 1.0)]
+
+
+@pytest.fixture
 def simd_envs():
     """Two child environments that import this package: numpy's own SIMD
     dispatch, and the same with every enabled dispatched feature switched

@@ -118,9 +118,9 @@ def test_criterion_4_algebra_closure():
         assert checked == 20
 
 
-def test_criterion_5_representation():
+def test_criterion_5_representation(m_members):
     with criterion(5, "representation", 10.0):
-        for h in to.corpus_m_members():
+        for h in m_members:
             rep = to.extract_representation(h, 2.0)
             ver = to.verify_representation(h, rep)
             m = ver.measured

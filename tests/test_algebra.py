@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import tailorder as to
 from tailorder import quadrature
-from tailorder.errors import DomainError, ParamError, QuadratureFailure
+from tailorder.errors import DomainError, ParamError, QuadratureFailure, UnresolvedValue
 from tailorder.labels import ORDER_BOUND
 
 L = to.ClassLabel
@@ -238,15 +238,17 @@ def test_compose_with_rapidly_growing_inner():
 
 @pytest.mark.parametrize("outer, inner", [("two_plus_sin", "exp_pos"),
                                           ("x_pow_sin_x", "exp_pos")])
-def test_compose_nan_is_a_domain_error_not_a_label(outer, inner):
+def test_compose_nan_is_unresolved_not_a_label(outer, inner):
     # the inner values leave the float range of the outer rule, which turns
-    # NaN; the prediction is Undecided, so a decided label would be wrong
+    # NaN; the prediction is Undecided, so a decided label would be wrong.
+    # The x is admissible, so the NaN is no domain error
     h = to.compose(to.make_named(outer), to.make_named(inner))
     assert h.truth.label.tag == "Undecided"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError, match=rf"\({outer}\)o\({inner}\)"):
+        with pytest.raises(UnresolvedValue, match=rf"\({outer}\)o\({inner}\)") as err:
             to.classify(h)
+    assert not isinstance(err.value, DomainError)
 
 
 @pytest.mark.parametrize("inner", ["exp_neg", "remark7_mix", "floor_log_tail"])

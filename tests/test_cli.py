@@ -141,6 +141,15 @@ def test_numeric_failure_exit_four():
     assert code == 4
 
 
+def test_a_nan_at_an_admissible_x_is_a_numeric_failure(monkeypatch):
+    # sin of a value beyond the float range: nothing the user gave is at fault
+    h = to.compose(to.make_two_plus_sin(), to.make_exp_pos())
+    monkeypatch.setattr(cli, "make_named", lambda name, params: h)
+    code, out, err = run_cli("classify", "--fn", "two_plus_sin")
+    assert (code, out) == (4, "")
+    assert err == "numeric failure: (two_plus_sin)o(exp_pos): log U is NaN at x = 711.912\n"
+
+
 def _error_classes(base=errors.TailOrderError):
     for sub in base.__subclasses__():
         yield sub
